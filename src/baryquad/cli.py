@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 usage error, 2 infeasible parameters.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 import time
 
@@ -27,6 +28,7 @@ from .solvers import solve_example1, solve_example2, solution_to_csv
 
 USAGE_ERROR = 1
 INFEASIBLE = 2
+_GRID_OPTIONS = ("--n-grid", "--alpha-grid")
 
 _VARIANTS = {
     "plain": build_gim_gg,
@@ -61,6 +63,21 @@ def parse_grid(text: str):
         values = [start + i * step for i in range(count + 1)]
         return [round(v, 12) for v in values if (v - stop) * np.sign(step) <= 1e-12]
     return [float(p) for p in text.split(",") if p.strip()]
+
+
+def _attach_grid_values(argv):
+    """Join '--alpha-grid -0.4:0.1:2' into '--alpha-grid=-0.4:0.1:2'.
+
+    argparse reads a separate value that starts with '-' as an option
+    unless it is a plain negative number, which a range or list is not.
+    """
+    out = []
+    for token in argv:
+        if out and out[-1] in _GRID_OPTIONS and re.match(r"-[\d.]", token):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
 
 
 def _write_rows(path, header, rows):
@@ -200,6 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = _attach_grid_values(sys.argv[1:] if argv is None else argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -73,6 +73,33 @@ def _lg_count_default(n: int) -> int:
     return n // 2
 
 
+def _near_sorted(t: np.ndarray, u: np.ndarray, epsilon: float):
+    """Index triples (r, c, k) with |u[k] - t[r, c]| <= epsilon, for ascending u.
+
+    For fixed t the rounded difference u - t is monotone in u, so the
+    matching k form one run of u.  ``searchsorted`` finds each run in a
+    window widened by a few ulp beyond t -/+ epsilon, which covers the
+    rounding of both the window ends and the difference; every candidate
+    is then re-tested with the exact expression, so the decision is the
+    one a dense comparison of all triples makes.  Costs O(t.size log u.size)
+    time and O(t.size + candidates) memory.  Returns three int arrays in
+    (r, c, k) lexicographic order.
+    """
+    flat = t.ravel()
+    slack = 8.0 * EPS_MACH * (np.abs(flat) + epsilon)
+    high = flat + epsilon + slack
+    start = np.searchsorted(u, flat - epsilon - slack, side="left")
+    # most windows are empty; search the upper end only for the others
+    nonempty = np.flatnonzero(np.append(u, np.inf)[start] <= high)
+    counts = np.searchsorted(u, high[nonempty], side="right") - start[nonempty]
+    pair = np.repeat(nonempty, counts)
+    first = np.cumsum(counts) - counts  # position of each window's first candidate
+    k = np.arange(pair.size) + np.repeat(start[nonempty] - first, counts)
+    hit = np.abs(u[k] - flat[pair]) <= epsilon
+    row, col = np.divmod(pair[hit], t.shape[1])
+    return row, col, k[hit]
+
+
 def check_gg_condition(n: int, param: GegenbauerParam, epsilon: float = EPS_MACH) -> FeasibilityReport:
     """Test the sufficient no-collision condition for the square matrix.
 
@@ -80,14 +107,19 @@ def check_gg_condition(n: int, param: GegenbauerParam, epsilon: float = EPS_MACH
     source index i, target index j and Legendre node index k, with y the
     Legendre-Gauss nodes used during construction.  Equality of the mapped
     Legendre point with a source node is exactly the overflow case.
+
+    The (n+1)^2 ratios are searched in the sorted 1 + y_k rather than
+    compared with every k, which takes O(n^2 log n) time and
+    O(n^2 + #violations) memory.  Violations are (i, j, k) triples in
+    lexicographic order.
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
     x = gg_rule(n, param).nodes
     y = lg_rule(_lg_count_default(n)).nodes
-    lhs = np.abs(1.0 + y[None, None, :] - 2.0 * (1.0 + x[:, None, None]) / (1.0 + x[None, :, None]))
-    bad = np.argwhere(lhs <= epsilon)
-    violations = tuple((int(i), int(j), int(k)) for i, j, k in bad)
+    ratios = 2.0 * (1.0 + x[:, None]) / (1.0 + x[None, :])
+    i, j, k = _near_sorted(ratios, 1.0 + y, epsilon)
+    violations = tuple(zip(i.tolist(), j.tolist(), k.tolist()))
     return FeasibilityReport(feasible=not violations, violations=violations)
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from .barycentric import bary_weights_gg, lagrange_matrix, _HitDetected
 from .errors import CollisionError
 from .gim import (FeasibilityReport, IntegrationMatrix, INTERVAL_BIUNIT, INTERVAL_UNIT,
-                  build_gim_arbitrary)
+                  _near_sorted, build_gim_arbitrary)
 from .polynomials import EPS_MACH, GegenbauerParam, eta
 from .rules import gg_rule, lg_rule
 
@@ -273,20 +273,23 @@ def check_condition_mmax(target_nodes, m: int, alpha_a: float, epsilon: float = 
     Feasible when |y_s - (1 - x_k + 2 z_i) / (1 + x_k)| > epsilon for all
     adjoint indices i, Legendre indices s and targets x_k; a target at -1
     contributes an empty integration interval and is vacuously feasible.
+
+    The ratios for each (target, adjoint node) pair are searched in the
+    sorted Legendre nodes, which takes O(T m log m) time and
+    O(T m + #violations) memory for T targets.  Violations are (i, s, k)
+    triples ordered by target k, then by i and s.
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
     targets = _validated_targets(target_nodes)
     z = gg_rule(m, GegenbauerParam(alpha_a)).nodes
     y = lg_rule(m // 2).nodes
-    violations = []
-    for k, x_k in enumerate(targets):
-        if x_k == -1.0:
-            continue
-        lhs = np.abs(y[None, :] - (1.0 - x_k + 2.0 * z[:, None]) / (1.0 + x_k))
-        for i, s in np.argwhere(lhs <= epsilon):
-            violations.append((int(i), int(s), int(k)))
-    return FeasibilityReport(feasible=not violations, violations=tuple(violations))
+    kept = np.flatnonzero(targets != -1.0)
+    x = targets[kept, None]
+    ratios = (1.0 - x + 2.0 * z[None, :]) / (1.0 + x)
+    row, i, s = _near_sorted(ratios, y, epsilon)
+    violations = tuple(zip(i.tolist(), s.tolist(), kept[row].tolist()))
+    return FeasibilityReport(feasible=not violations, violations=violations)
 
 
 def qth_order_optimal(first: OptimalIntegrationMatrix, q: int) -> OptimalIntegrationMatrix:

@@ -121,6 +121,21 @@ class TestFeasibilityCommand:
         assert main(["feasibility", "--n-grid", "3", "--alpha-grid", "-0.6"]) == 1
 
 
+class TestReadmeRangeGrids:
+    @pytest.mark.parametrize("argv", [
+        ["feasibility", "--n-grid", "1:1:3", "--alpha-grid", "-0.4:0.1:2"],
+        ["quadbench", "--f", "f3", "--n-grid", "4", "--alpha-grid", "-0.25:0.25:2"],
+    ])
+    def test_separate_negative_range_matches_attached_form(self, tmp_path, argv):
+        separate, attached = tmp_path / "separate.csv", tmp_path / "attached.csv"
+        assert main(argv + ["--out", str(separate)]) == 0
+        joined = argv[:-2] + [f"--alpha-grid={argv[-1]}"]
+        assert main(joined + ["--out", str(attached)]) == 0
+        assert separate.read_bytes() == attached.read_bytes()
+        header, rows = read_csv(separate)
+        assert float(rows[0][1]) == parse_grid(argv[-1])[0] < 0.0
+
+
 class TestExampleCommand:
     def test_linear_problem_summary_and_csv(self, tmp_path, capsys):
         out = tmp_path / "sol.csv"

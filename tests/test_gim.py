@@ -2,6 +2,7 @@
 
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from scipy.integrate import quad
 from baryquad import (CollisionError, GegenbauerParam, apply_quadrature, build_basis_gim,
                       build_gim_arbitrary, build_gim_gg, build_gim_gg_bumped,
                       build_gim_gg_guarded, check_gg_condition, gg_rule, map_to_unit,
-                      matrix_to_csv, qth_order_gim, row_gim_endpoint)
+                      lg_rule, matrix_to_csv, qth_order_gim, row_gim_endpoint)
+from baryquad.polynomials import EPS_MACH
 
 
 def running_monomial_integral(targets, p):
@@ -44,6 +46,38 @@ class TestFeasibility:
     def test_epsilon_must_be_positive(self):
         with pytest.raises(ValueError):
             check_gg_condition(5, GegenbauerParam(0.5), epsilon=0.0)
+
+
+def dense_gg_violations(n, param, epsilon):
+    """Reference: test every (i, j, k) triple at once in an (n+1)^2 (n/2+1) array."""
+    x = gg_rule(n, param).nodes
+    y = lg_rule(n // 2).nodes
+    lhs = np.abs(1.0 + y[None, None, :] - 2.0 * (1.0 + x[:, None, None]) / (1.0 + x[None, :, None]))
+    return tuple((int(i), int(j), int(k)) for i, j, k in np.argwhere(lhs <= epsilon))
+
+
+class TestFeasibilityMatchesDenseOracle:
+    @pytest.mark.parametrize("epsilon", [EPS_MACH, 1e-6, 1e-2])
+    def test_same_violations_in_same_order(self, epsilon):
+        # epsilon = 1e-2 gives runs of several k per (i, j) pair
+        for n in range(61):
+            for alpha in (-0.4, 0.0, 0.5, 1.0, 1.7):
+                param = GegenbauerParam(alpha)
+                report = check_gg_condition(n, param, epsilon)
+                want = dense_gg_violations(n, param, epsilon)
+                assert report.violations == want, (n, alpha)
+                assert report.feasible == (not want)
+
+    def test_large_degree_memory_is_quadratic(self):
+        # testing all (i, j, k) triples at once peaks near 2 GiB at this size
+        tracemalloc.start()
+        try:
+            report = check_gg_condition(640, GegenbauerParam(1.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.violations == ((213, 320, 160),)
+        assert peak < 64 * 2 ** 20
 
 
 class TestFeasibilityScanReproducibility:

@@ -10,6 +10,7 @@ from baryquad import (CollisionError, GegenbauerParam, OptimalConfig, build_gim_
                       build_gim_gg, build_optimal_gim, build_optimal_gim_symmetric,
                       check_condition_mmax, eta, gg_rule, lg_rule, map_to_unit_optimal,
                       optimal_bary_basis, optimal_to_csv, optimize_alpha, qth_order_optimal)
+from baryquad.polynomials import EPS_MACH
 
 
 def running_monomial_integral(targets, p):
@@ -163,6 +164,36 @@ class TestConditionMmax:
     def test_epsilon_validation(self):
         with pytest.raises(ValueError):
             check_condition_mmax(np.array([0.0]), 6, 0.5, epsilon=-1.0)
+
+
+def dense_mmax_violations(targets, m, alpha_a, epsilon):
+    """Reference: one dense (adjoint node, Legendre node) test per target."""
+    z = gg_rule(m, GegenbauerParam(alpha_a)).nodes
+    y = lg_rule(m // 2).nodes
+    violations = []
+    for k, x_k in enumerate(targets):
+        if x_k == -1.0:
+            continue
+        lhs = np.abs(y[None, :] - (1.0 - x_k + 2.0 * z[:, None]) / (1.0 + x_k))
+        violations += [(int(i), int(s), int(k)) for i, s in np.argwhere(lhs <= epsilon)]
+    return tuple(violations)
+
+
+class TestConditionMmaxMatchesDenseOracle:
+    @pytest.mark.parametrize("epsilon", [EPS_MACH, 1e-6, 1e-2])
+    def test_same_violations_in_same_order(self, epsilon):
+        for m in range(0, 31):
+            for alpha_a in (0.0, 0.5):
+                z = gg_rule(m, GegenbauerParam(alpha_a)).nodes
+                y = lg_rule(m // 2).nodes
+                # targets that put a mapped Legendre point on an adjoint node
+                hits = [(1.0 + 2.0 * zi - ys) / (1.0 + ys) for zi in z for ys in y]
+                hits = [x for x in hits if -1.0 < x < 1.0][:12]
+                targets = np.concatenate([[-1.0], np.linspace(-0.99, 1.0, 15), hits, [-1.0]])
+                report = check_condition_mmax(targets, m, alpha_a, epsilon)
+                want = dense_mmax_violations(targets, m, alpha_a, epsilon)
+                assert report.violations == want, (m, alpha_a)
+                assert report.feasible == (not want)
 
 
 class TestHigherOrderOptimal:
