@@ -21,7 +21,7 @@ from .barycentric import bary_weights_gg, lagrange_matrix, _HitDetected
 from .errors import CollisionError
 from .gim import (FeasibilityReport, IntegrationMatrix, INTERVAL_BIUNIT, INTERVAL_UNIT,
                   _near_sorted, build_gim_arbitrary)
-from .polynomials import EPS_MACH, GegenbauerParam, eta
+from .polynomials import EPS_MACH, GegenbauerParam, _eta_scale, _running_integral, eta
 from .rules import gg_rule, lg_rule
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -104,17 +104,34 @@ class OptimalIntegrationMatrix:
         return self.entries.shape
 
 
+def _grid_objective(x_k: float, m: int, grid: np.ndarray) -> np.ndarray:
+    """Squared error factor at every grid parameter, in one broadcast recurrence.
+
+    Equals ``eta(x_k, m, GegenbauerParam(a)) ** 2`` per grid point, with
+    +inf where the prefactor or the square overflows.
+    """
+    log_scale = np.array([_eta_scale(m, a) for a in grid])
+    with np.errstate(over="ignore"):
+        values = (np.exp(np.minimum(log_scale, 700.0)) * _running_integral(m + 1, grid, x_k)) ** 2
+    values[log_scale > 700.0] = math.inf
+    return values
+
+
 def optimize_alpha(x_k: float, m: int, config: OptimalConfig) -> float:
     """Parameter minimizing the squared quadrature error factor for one target.
 
-    A 64-sample grid over the admissible interval seeds a golden-section
-    refinement of the best bracket (the objective can be multimodal in the
-    parameter).  For even m the error factor is even in the target, so
-    negative targets are folded onto their mirror images, which makes the
-    returned parameter exactly symmetric on symmetric node sets.
+    A 64-sample grid over the admissible interval, evaluated as one
+    vectorized closed-form recurrence, seeds a golden-section refinement of
+    the best bracket (the objective can be multimodal in the parameter).
+    For even m the error factor is even in the target, so negative targets
+    are folded onto their mirror images, which makes the returned
+    parameter exactly symmetric on symmetric node sets.
     """
     if not -1.0 <= x_k <= 1.0:
         raise ValueError(f"target must lie in [-1, 1], got {x_k}")
+    if m < 0:
+        raise ValueError("m must be non-negative")
+    x_k = float(x_k)
     if m % 2 == 0 and x_k < 0.0:
         x_k = -x_k
     lo = -0.5 + config.boundary_margin
@@ -127,7 +144,7 @@ def optimize_alpha(x_k: float, m: int, config: OptimalConfig) -> float:
             return math.inf
 
     grid = np.linspace(lo, hi, _GRID_SAMPLES)
-    values = np.array([objective(a) for a in grid])
+    values = _grid_objective(x_k, m, grid)
     best = int(np.argmin(values))
     a = grid[max(best - 1, 0)]
     b = grid[min(best + 1, _GRID_SAMPLES - 1)]
@@ -204,7 +221,10 @@ def build_optimal_gim(target_nodes, config: OptimalConfig) -> OptimalIntegration
     Above ``config.m_max`` this reduces to the fixed-parameter rectangular
     matrix (identical to :func:`baryquad.gim.build_gim_arbitrary` at
     ``alpha_a``); otherwise every row gets its own optimized parameter and
-    adjoint sample set.
+    adjoint sample set.  The parameter, adjoint rule and barycentric basis
+    are computed once per distinct target, and for even m, where the error
+    factor is even in the target, once per distinct ``|x_k|``, so mirrored
+    targets share them.
     """
     targets = _validated_targets(target_nodes)
     m = config.m
@@ -215,9 +235,13 @@ def build_optimal_gim(target_nodes, config: OptimalConfig) -> OptimalIntegration
     alpha_star = np.empty(targets.size)
     rules = []
     bases = []
+    seen = {}
     for k, x_k in enumerate(targets):
-        a_k = optimize_alpha(x_k, m, config)
-        rule, basis = optimal_bary_basis(x_k, m, a_k)
+        key = abs(x_k) if m % 2 == 0 else x_k
+        if key not in seen:
+            a_k = optimize_alpha(x_k, m, config)
+            seen[key] = (a_k, *optimal_bary_basis(x_k, m, a_k))
+        a_k, rule, basis = seen[key]
         alpha_star[k] = a_k
         rules.append(rule)
         bases.append(basis)
@@ -229,42 +253,18 @@ def build_optimal_gim(target_nodes, config: OptimalConfig) -> OptimalIntegration
 
 
 def build_optimal_gim_symmetric(target_nodes, config: OptimalConfig) -> OptimalIntegrationMatrix:
-    """Fast path for symmetric targets and even m: optimize half the rows.
+    """:func:`build_optimal_gim` restricted to symmetric targets and even m.
 
-    The error factor is even in the target for even m, so the parameter,
-    adjoint nodes and barycentric weights of mirrored targets coincide and
-    are computed once.  Output equals :func:`build_optimal_gim` on the
-    same input.
+    Kept for callers that want the symmetry asserted: it validates the
+    input and delegates, and mirrored rows share their parameter, rule
+    and basis.
     """
     targets = _validated_targets(target_nodes)
-    m = config.m
-    if m % 2 != 0:
+    if config.m % 2 != 0:
         raise ValueError("the symmetric fast path requires even m")
     if not np.array_equal(targets, -targets[::-1]):
         raise ValueError("target set must be symmetric about 0")
-    if m > config.m_max:
-        return _from_fixed_parameter(targets, config)
-    n = targets.size - 1
-    lg = lg_rule(_lg_for_optimal(m, targets))
-    entries = np.empty((targets.size, m + 1))
-    alpha_star = np.empty(targets.size)
-    rules: list = [None] * targets.size
-    bases: list = [None] * targets.size
-    for k, x_k in enumerate(targets):
-        if k <= n // 2:
-            a_k = optimize_alpha(x_k, m, config)
-            rule, basis = optimal_bary_basis(x_k, m, a_k)
-        else:
-            a_k = alpha_star[n - k]
-            rule, basis = rules[n - k], bases[n - k]
-        alpha_star[k] = a_k
-        rules[k] = rule
-        bases[k] = basis
-        entries[k] = _optimal_row(x_k, basis, lg, config.epsilon, k)
-    return OptimalIntegrationMatrix(
-        entries=entries, order=1, target_nodes=targets, alpha_star=alpha_star,
-        adjoint_nodes=np.vstack([r.nodes for r in rules]),
-        adjoint_rules=tuple(rules), adjoint_bases=tuple(bases), interval=INTERVAL_BIUNIT)
+    return build_optimal_gim(targets, config)
 
 
 def check_condition_mmax(target_nodes, m: int, alpha_a: float, epsilon: float = EPS_MACH) -> FeasibilityReport:

@@ -181,20 +181,41 @@ def gegenbauer_norm_leading(spec: PolySpec) -> NormAndLeading:
     return NormAndLeading(norm=math.exp(log_norm), leading=leading)
 
 
+def _running_integral(n: int, a, x: float):
+    """Integral of G_n from -1 to ``x`` in closed form, O(n) per alpha.
+
+    For n >= 2 this is the ultraspherical integration relation
+
+        [(n+2a)/(n+1) (G_{n+1}(x) - G_{n+1}(-1))
+         - n/(n+2a-1) (G_{n-1}(x) - G_{n-1}(-1))] / (2(n+a)),
+
+    with G_j(-1) = (-1)^j; n = 0 and 1 use their elementary
+    antiderivatives, so the Chebyshev case a = 0 is regular.  ``a`` is a
+    float or an ndarray of parameters, over which the recurrence
+    broadcasts.  Exactly zero at x = -1.
+    """
+    if x == -1.0:
+        return 0.0
+    if n == 0:
+        return x + 1.0
+    if n == 1:
+        return 0.5 * (x * x - 1.0)
+    g0, g1 = 1.0, x
+    for k in range(2, n + 1):
+        g0, g1 = g1, (2.0 * (k + a - 1.0) * x * g1 - (k - 1.0) * g0) / (k + 2.0 * a - 1.0)
+    g2 = (2.0 * (n + a) * x * g1 - n * g0) / (n + 2.0 * a)
+    end = 1.0 if n % 2 else -1.0  # G_{n+1}(-1) = G_{n-1}(-1)
+    return ((n + 2.0 * a) / (n + 1.0) * (g2 - end)
+            - n / (n + 2.0 * a - 1.0) * (g0 - end)) / (2.0 * (n + a))
+
+
 def integrate_gegenbauer(spec: PolySpec, x: float) -> float:
     """Definite integral of G_n from -1 to ``x``.
 
-    Computed exactly (to rounding) by mapping a Legendre-Gauss rule onto
-    [-1, x]; the rule has at least ceil((n+1)/2) + 1 points so the mapped
-    degree-n integrand is inside its exactness range.
+    Closed form, O(n) per alpha: the ultraspherical integration relation
+    writes the running integral through G_{n+1} and G_{n-1}.
     """
-    from .rules import lg_rule
-
-    n = spec.degree
-    rule = lg_rule((n + 1) // 2 + 1)
-    mapped = 0.5 * ((x + 1.0) * rule.nodes + x - 1.0)
-    vals = _recurrence(n, spec.param.alpha, mapped)
-    return 0.5 * (x + 1.0) * float(rule.weights @ vals)
+    return float(_running_integral(spec.degree, spec.param.alpha, float(x)))
 
 
 def _eta_scale(m: int, alpha: float) -> float:
@@ -212,7 +233,8 @@ def eta(x_k: float, m: int, param: GegenbauerParam) -> float:
     """Quadrature error factor 2^m / K_{m+1} times integral of G_{m+1} over [-1, x_k].
 
     This is the scalar whose square the per-node parameter optimization
-    minimizes.  Vanishes identically at x_k = -1.
+    minimizes.  The integral is taken in closed form, O(n) per alpha.
+    Vanishes identically at x_k = -1.
 
     Raises
     ------
@@ -224,9 +246,7 @@ def eta(x_k: float, m: int, param: GegenbauerParam) -> float:
     log_scale = _eta_scale(m, param.alpha)
     if log_scale > 700.0:  # exp() overflow threshold for float64
         raise OverflowError(f"error-factor prefactor overflows for m={m}, alpha={param.alpha}")
-    if x_k == -1.0:
-        return 0.0
-    return math.exp(log_scale) * integrate_gegenbauer(PolySpec(m + 1, param), x_k)
+    return math.exp(log_scale) * _running_integral(m + 1, param.alpha, float(x_k))
 
 
 def discrete_gegenbauer_transform(rule, values) -> np.ndarray:

@@ -28,8 +28,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .gim import build_gim_gg, map_to_unit, qth_order_gim, row_gim_endpoint
-from .optimal import (OptimalConfig, build_optimal_gim, build_optimal_gim_symmetric,
-                      map_to_unit_optimal)
+from .optimal import OptimalConfig, build_optimal_gim, map_to_unit_optimal
 from .polynomials import EPS_MACH, GegenbauerParam
 from .rules import gg_rule
 
@@ -87,8 +86,9 @@ def newton_solve(residual, x0, tol: float = 1e-12, max_iter: int = 100,
     Raises
     ------
     ConvergenceError
-        On a singular Jacobian or if ``max_iter`` iterations do not reach
-        the tolerance.
+        On a singular Jacobian, if 30 halvings of a step give no decrease
+        of the residual max-norm, or if ``max_iter`` iterations do not
+        reach the tolerance.
     """
     x = np.array(x0, dtype=float)
     if x.ndim != 1 or x.size == 0:
@@ -122,6 +122,9 @@ def newton_solve(residual, x0, tol: float = 1e-12, max_iter: int = 100,
             if np.max(np.abs(r_trial)) < rnorm:
                 break
             lam *= 0.5
+        else:
+            raise ConvergenceError(
+                f"line search: 30 halvings give no decrease (residual max-norm {rnorm:.3e})")
         x = x + lam * step
         r = np.asarray(residual(x), dtype=float)
     if np.max(np.abs(r)) <= tol:
@@ -155,11 +158,7 @@ def solve_example1(n: int, m: int, param: GegenbauerParam,
     elif config.m != m:
         raise ValueError("config.m must match the requested expansion degree")
     rule, s, square, endpoint = _unit_interval_operators(n, param)
-    if m % 2 == 0:
-        optimal = build_optimal_gim_symmetric(rule.nodes, config)
-    else:
-        optimal = build_optimal_gim(rule.nodes, config)
-    optimal = map_to_unit_optimal(optimal)
+    optimal = map_to_unit_optimal(build_optimal_gim(rule.nodes, config))
 
     kernel = np.exp(np.outer(s, s))
     a = np.eye(n + 1) - square.entries - (square.entries @ kernel) * endpoint[None, :]

@@ -10,6 +10,7 @@ from baryquad import (CollisionError, GegenbauerParam, OptimalConfig, build_gim_
                       build_gim_gg, build_optimal_gim, build_optimal_gim_symmetric,
                       check_condition_mmax, eta, gg_rule, lg_rule, map_to_unit_optimal,
                       optimal_bary_basis, optimal_to_csv, optimize_alpha, qth_order_optimal)
+from baryquad.optimal import _GRID_SAMPLES, _grid_objective
 from baryquad.polynomials import EPS_MACH
 
 
@@ -56,6 +57,31 @@ class TestOptimizeAlpha:
     def test_out_of_range_target_rejected(self):
         with pytest.raises(ValueError):
             optimize_alpha(1.5, 8, OptimalConfig(m=8))
+
+    @pytest.mark.parametrize("m", [0, 1, 7, 14, 20])
+    def test_vectorized_grid_equals_scalar_eta(self, m):
+        grid = np.linspace(-0.5 + 1e-3, 2.0, _GRID_SAMPLES)
+        for x in (-1.0, -0.93, -0.2, 0.0, 0.41, 0.97, 1.0):
+            scalar = [eta(x, m, GegenbauerParam(a)) ** 2 for a in grid]
+            assert_allclose(_grid_objective(x, m, grid), scalar, rtol=1e-12, atol=0.0)
+
+
+class TestAlphaStarRegression:
+    # alpha* on the Legendre-Gauss targets of n = 10, recorded with the
+    # Legendre sub-quadrature that evaluated the error factor before the
+    # closed form; agreement is required to the golden-section tolerance
+    ALPHA_STAR = {
+        14: [0.2915772, 0.5560931915, 0.9651070432, -0.4637366918, 0.482786807, 1.000000108,
+             0.482786807, -0.4637366918, 0.9651070432, 0.5560931915, 0.2915772],
+        15: [0.3665773563, 0.4297438621, -0.4925225582, 0.7439481617, 0.504340597, 0.0,
+             0.9993453549, 0.5345322442, -0.4898457111, 0.8180708206, 0.1100008927],
+    }
+
+    @pytest.mark.parametrize("m", [14, 15])
+    def test_alpha_star_unchanged(self, m):
+        targets = gg_rule(10, GegenbauerParam(0.5)).nodes
+        mat = build_optimal_gim(targets, OptimalConfig(m=m))
+        assert_allclose(mat.alpha_star, self.ALPHA_STAR[m], rtol=0.0, atol=1e-6)
 
 
 class TestAdjointBasis:

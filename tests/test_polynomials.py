@@ -5,6 +5,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
@@ -137,6 +138,51 @@ class TestIntegrate:
                 fd = (integrate_gegenbauer(spec(n, alpha), x + h)
                       - integrate_gegenbauer(spec(n, alpha), x - h)) / (2 * h)
                 assert fd == pytest.approx(gegenbauer_eval(spec(n, alpha), x), abs=1e-6)
+
+
+def _mp_running_integrals(alpha, n_max, xs):
+    """Integrals of G_0 ... G_n_max from -1 to each x, from exact monomial coefficients."""
+    alpha = mpmath.mpf(alpha)
+    polys = [[mpmath.mpf(1)], [mpmath.mpf(0), mpmath.mpf(1)]]
+    for k in range(2, n_max + 1):
+        prev, cur = polys[-2], polys[-1]
+        nxt = [mpmath.mpf(0)] + [2 * (k + alpha - 1) * c for c in cur]
+        for j, c in enumerate(prev):
+            nxt[j] -= (k - 1) * c
+        polys.append([c / (k + 2 * alpha - 1) for c in nxt])
+    xs = [mpmath.mpf(x) for x in xs]
+    return np.array([[float(mpmath.fsum(c * (x ** (j + 1) - (-1) ** (j + 1)) / (j + 1)
+                                        for j, c in enumerate(coeffs))) for x in xs]
+                     for coeffs in polys])
+
+
+class TestIntegrateClosedForm:
+    XS = np.concatenate([[-1.0], np.linspace(-0.99, 0.99, 9), [1.0]])
+
+    @pytest.mark.parametrize("alpha", [-0.45, -0.2, 0.0, 0.5, 1.0, 2.0])
+    def test_matches_mpmath_oracle(self, alpha):
+        with mpmath.workdps(50):
+            want = _mp_running_integrals(alpha, 60, self.XS)
+        got = np.array([[integrate_gegenbauer(spec(n, alpha), x) for x in self.XS]
+                        for n in range(61)])
+        assert np.max(np.abs(got - want)) <= 8 * EPS_MACH * max(1.0, np.max(np.abs(want)))
+
+    def test_chebyshev_case_matches_numpy_antiderivative(self):
+        for n in range(61):
+            antiderivative = np.polynomial.Chebyshev.basis(n).integ(lbnd=-1)
+            got = [integrate_gegenbauer(spec(n, 0.0), x) for x in self.XS]
+            assert_allclose(got, antiderivative(self.XS), rtol=0, atol=1e-15)
+
+    def test_exactly_zero_at_left_endpoint(self):
+        for n in range(12):
+            for alpha in ALPHAS:
+                assert integrate_gegenbauer(spec(n, alpha), -1.0) == 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(0, 100).map(lambda j: 2 * j + 1),
+           alpha=st.floats(-0.45, 3.0, allow_nan=False))
+    def test_odd_degree_integrates_to_zero_over_interval(self, n, alpha):
+        assert abs(integrate_gegenbauer(spec(n, alpha), 1.0)) <= 1e-14
 
 
 class TestEta:

@@ -32,6 +32,12 @@ class TestNewton:
         with pytest.raises(ConvergenceError):
             newton_solve(lambda v: np.tanh(v) + 2.0, np.array([0.0]), max_iter=5)
 
+    def test_exhausted_line_search_raises(self):
+        # |v| + 1 is smallest at v = 0, where no step decreases it; the
+        # finite-difference Jacobian there is 1, so the Newton step is -1
+        with pytest.raises(ConvergenceError, match=r"no decrease \(residual max-norm 1\.000e\+00\)"):
+            newton_solve(lambda v: np.abs(v) + 1.0, np.array([0.0]))
+
     def test_damping_handles_overshoot(self):
         # steep residual where the full step overshoots from far away
         x = newton_solve(lambda v: np.arctan(v), np.array([20.0]))
