@@ -10,16 +10,15 @@ of degree <= n exactly up to rounding.
 
 from __future__ import annotations
 
-import csv
 import io
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .barycentric import BarycentricBasis, _HitDetected, bary_weights_gg, lagrange_matrix
+from .barycentric import BarycentricBasis, bary_weights_gg
 from .errors import CollisionError
-from .polynomials import EPS_MACH, GegenbauerParam, PolySpec, gegenbauer_norm_leading, _table
+from .polynomials import EPS_MACH, GegenbauerParam, _norms, _table
 from .rules import gg_rule, lg_rule
 
 INTERVAL_BIUNIT = "[-1,1]"
@@ -124,17 +123,58 @@ def check_gg_condition(n: int, param: GegenbauerParam, epsilon: float = EPS_MACH
 
 
 def _build_rows(target_nodes, basis: BarycentricBasis, lg, epsilon: float, on_hit: str):
-    """Shared row constructor: integrate the interpolant over [-1, x_j]."""
+    """Shared row kernel: integrate the interpolant over [-1, x_j] for each target x_j.
+
+    With y_j the Legendre points mapped onto [-1, x_j], mu = xi / (y_j - x)
+    and c = w / (mu 1), the barycentric cardinal functions give
+
+        row_j = (x_j + 1) / 2 * c^T mu,
+
+    one division, one row sum and one matrix-vector product per target.
+    The row sum is numpy's pairwise sum, as in :func:`lagrange_matrix`:
+    the terms alternate in sign, and a BLAS dot loses up to a digit there
+    at large alpha.  One target is processed at a time into a reused
+    buffer, so memory stays O(p (n + T)) for p Legendre points and T
+    targets.
+
+    A point with |y_jk - x_i| <= epsilon is a hit.  Rounded differences are
+    monotone in x_i, so the smallest |y_jk - x_i| lies at one of the two
+    nodes next to y_jk in sorted order; those decide, for all targets at
+    once, which targets have a hit.  ``on_hit`` "raise" reports the first
+    hit in (j, k, i) order as a :class:`CollisionError` (i, j, k) before
+    any row is built; "cardinal" replaces the point's cardinal values by
+    the unit row of the hit node, which the cardinal property dictates, as
+    :func:`lagrange_matrix` does.
+    """
     targets = np.atleast_1d(np.asarray(target_nodes, dtype=float))
-    rows = np.empty((targets.size, basis.nodes.size))
-    for j, xj in enumerate(targets):
-        mapped = 0.5 * ((xj + 1.0) * lg.nodes + xj - 1.0)
-        try:
-            table = lagrange_matrix(basis, mapped, exact_hit_tol=epsilon, on_hit=on_hit)
-        except _HitDetected as hit:
-            raise CollisionError(hit.i, j, hit.k,
-                                 "mapped Legendre point coincides with a source node") from None
-        rows[j] = 0.5 * (xj + 1.0) * (lg.weights @ table)
+    nodes, xi, w = basis.nodes, basis.xi, lg.weights
+    mapped = 0.5 * ((targets[:, None] + 1.0) * lg.nodes + targets[:, None] - 1.0)
+    # x_below < y <= x_above, so both differences are |y - x| without abs
+    padded = np.concatenate(([-np.inf], nodes, [np.inf]))
+    above = np.searchsorted(nodes, mapped) + 1
+    nearest = np.minimum(mapped - padded[above - 1], padded[above] - mapped)
+    hit = (nearest <= epsilon).any(axis=1).tolist()
+
+    def hits(j):  # (k, i) of the hits of target j, in (k, i) order
+        return np.nonzero(np.abs(mapped[j, :, None] - nodes) <= epsilon)
+
+    if on_hit == "raise" and any(hit):
+        j = hit.index(True)
+        k, i = hits(j)
+        raise CollisionError(i[0], j, k[0], "mapped Legendre point coincides with a source node")
+    rows = np.empty((targets.size, nodes.size))
+    mu = np.empty((w.size, nodes.size))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j, xj in enumerate(targets.tolist()):
+            np.subtract(mapped[j, :, None], nodes, out=mu)
+            np.divide(xi, mu, out=mu)
+            c = w / mu.sum(axis=1)
+            if hit[j]:
+                k, i = hits(j)
+                mu[k] = 0.0
+                mu[k, i] = 1.0
+                c[k] = w[k]
+            rows[j] = 0.5 * (xj + 1.0) * (c @ mu)
     return rows
 
 
@@ -237,30 +277,25 @@ def build_basis_gim(n: int, param: GegenbauerParam) -> IntegrationMatrix:
     Integrates each cardinal function term by term in the orthogonal
     expansion instead of evaluating the barycentric form; mathematically
     identical to :func:`build_gim_gg` and kept as the comparison baseline.
+    The modal integrals I[l, j] = integral of G_l over [-1, x_j] come from
+    the ultraspherical integration relation of
+    :func:`baryquad.polynomials._running_integral`, applied to whole rows of
+    one table of G_0 ... G_{n+1} at the nodes: O(n^2) work plus one
+    matrix product.
     """
     rule = gg_rule(n, param)
     x = rule.nodes
     alpha = param.alpha
-    lg = lg_rule((n + 1) // 2 + 1)
-    p = lg.nodes.size
-    mapped = (0.5 * ((x[:, None] + 1.0) * lg.nodes[None, :] + x[:, None] - 1.0)).ravel()
-    scale = 0.5 * (x + 1.0)
-
-    # stream the recurrence over degrees; I[l, j] = integral of G_l over [-1, x_j]
+    table = _table(n + 1, alpha, x)
     integrals = np.empty((n + 1, n + 1))
-    g_prev = np.ones_like(mapped)
-    integrals[0] = scale * (g_prev.reshape(n + 1, p) @ lg.weights)
+    integrals[0] = x + 1.0
     if n >= 1:
-        g_cur = mapped.copy()
-        integrals[1] = scale * (g_cur.reshape(n + 1, p) @ lg.weights)
-        for k in range(2, n + 1):
-            g_next = (2.0 * (k + alpha - 1.0) * mapped * g_cur - (k - 1.0) * g_prev) / (k + 2.0 * alpha - 1.0)
-            g_prev, g_cur = g_cur, g_next
-            integrals[k] = scale * (g_cur.reshape(n + 1, p) @ lg.weights)
-
-    table = _table(n, alpha, x)
-    norms = np.array([gegenbauer_norm_leading(PolySpec(l, param)).norm for l in range(n + 1)])
-    entries = (integrals.T @ (table / norms[:, None])) * rule.weights[None, :]
+        integrals[1] = 0.5 * (x * x - 1.0)
+    l = np.arange(2.0, n + 1.0)[:, None]
+    end = np.where(l % 2 == 1.0, 1.0, -1.0)  # G_{l+1}(-1) = G_{l-1}(-1)
+    integrals[2:] = ((l + 2.0 * alpha) / (l + 1.0) * (table[3:] - end)
+                     - l / (l + 2.0 * alpha - 1.0) * (table[1:n] - end)) / (2.0 * (l + alpha))
+    entries = (integrals.T @ (table[:n + 1] / _norms(n, alpha)[:, None])) * rule.weights[None, :]
     return IntegrationMatrix(entries=entries, order=1, source_nodes=x,
                              target_nodes=x, interval=INTERVAL_BIUNIT, alpha=alpha)
 
@@ -305,20 +340,33 @@ def map_to_unit(matrix: IntegrationMatrix) -> IntegrationMatrix:
                              interval=INTERVAL_UNIT, alpha=matrix.alpha)
 
 
-def matrix_to_csv(matrix: IntegrationMatrix, path_or_file) -> None:
-    """Write ``rows,cols,q,alpha,interval`` header then the entries row-major."""
+def _write_matrix_csv(path_or_file, matrix, alpha_text: str, tail=()) -> None:
+    """Shared CSV writer of the integration-matrix formats.
+
+    Writes the ``rows,cols,q,alpha,interval`` header, the entries row-major
+    with one format call per row, then the lines of ``tail``, streaming
+    row by row.  The bytes are those of ``csv.writer``'s default dialect:
+    ``%.17g`` cells, ``\r\n`` line ends, and the interval quoted because
+    it contains a comma.
+    """
     own = isinstance(path_or_file, (str, bytes))
     fh = open(path_or_file, "w", newline="") if own else path_or_file
     try:
-        writer = csv.writer(fh)
-        writer.writerow(["rows", "cols", "q", "alpha", "interval"])
         rows, cols = matrix.shape
-        writer.writerow([rows, cols, matrix.order, f"{matrix.alpha:.17g}", matrix.interval])
+        fh.write("rows,cols,q,alpha,interval\r\n")
+        fh.write(f'{rows},{cols},{matrix.order},{alpha_text},"{matrix.interval}"\r\n')
+        fmt = ",".join(["%.17g"] * cols) + "\r\n"
         for row in matrix.entries:
-            writer.writerow([f"{v:.17g}" for v in row])
+            fh.write(fmt % tuple(row.tolist()))
+        fh.writelines(tail)
     finally:
         if own:
             fh.close()
+
+
+def matrix_to_csv(matrix: IntegrationMatrix, path_or_file) -> None:
+    """Write ``rows,cols,q,alpha,interval`` header then the entries row-major."""
+    _write_matrix_csv(path_or_file, matrix, f"{matrix.alpha:.17g}")
 
 
 def matrix_to_csv_string(matrix: IntegrationMatrix) -> str:

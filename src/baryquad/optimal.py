@@ -10,17 +10,16 @@ error constant of smooth non-polynomial integrands.
 
 from __future__ import annotations
 
-import csv
 import io
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .barycentric import bary_weights_gg, lagrange_matrix, _HitDetected
+from .barycentric import bary_weights_gg
 from .errors import CollisionError
-from .gim import (FeasibilityReport, IntegrationMatrix, INTERVAL_BIUNIT, INTERVAL_UNIT,
-                  _near_sorted, build_gim_arbitrary)
+from .gim import (FeasibilityReport, INTERVAL_BIUNIT, INTERVAL_UNIT, _build_rows, _near_sorted,
+                  _write_matrix_csv, build_gim_arbitrary)
 from .polynomials import EPS_MACH, GegenbauerParam, _eta_scale, _running_integral, eta
 from .rules import gg_rule, lg_rule
 
@@ -183,13 +182,12 @@ def _lg_for_optimal(m: int, targets: np.ndarray) -> int:
 
 
 def _optimal_row(x_k, basis, lg, epsilon, k):
-    mapped = 0.5 * ((x_k + 1.0) * lg.nodes + x_k - 1.0)
+    # the square matrices' row kernel, on this row's own adjoint basis
     try:
-        table = lagrange_matrix(basis, mapped, exact_hit_tol=epsilon, on_hit="raise")
-    except _HitDetected as hit:
+        return _build_rows(x_k, basis, lg, epsilon, on_hit="raise")[0]
+    except CollisionError as hit:
         raise CollisionError(hit.i, k, hit.k,
                              "mapped Legendre point coincides with an adjoint node") from None
-    return 0.5 * (x_k + 1.0) * (lg.weights @ table)
 
 
 def _validated_targets(target_nodes) -> np.ndarray:
@@ -325,21 +323,8 @@ def map_to_unit_optimal(matrix: OptimalIntegrationMatrix) -> OptimalIntegrationM
 
 def optimal_to_csv(matrix: OptimalIntegrationMatrix, path_or_file) -> None:
     """Matrix block as in the square-matrix format plus a ``k,alphaStar`` table."""
-    own = isinstance(path_or_file, (str, bytes))
-    fh = open(path_or_file, "w", newline="") if own else path_or_file
-    try:
-        writer = csv.writer(fh)
-        writer.writerow(["rows", "cols", "q", "alpha", "interval"])
-        rows, cols = matrix.shape
-        writer.writerow([rows, cols, matrix.order, "per-row", matrix.interval])
-        for row in matrix.entries:
-            writer.writerow([f"{v:.17g}" for v in row])
-        writer.writerow(["k", "alphaStar"])
-        for k, a in enumerate(matrix.alpha_star):
-            writer.writerow([k, f"{a:.17g}"])
-    finally:
-        if own:
-            fh.close()
+    table = [f"{k},{a:.17g}\r\n" for k, a in enumerate(matrix.alpha_star.tolist())]
+    _write_matrix_csv(path_or_file, matrix, "per-row", ["k,alphaStar\r\n"] + table)
 
 
 def optimal_to_csv_string(matrix: OptimalIntegrationMatrix) -> str:

@@ -181,6 +181,24 @@ def gegenbauer_norm_leading(spec: PolySpec) -> NormAndLeading:
     return NormAndLeading(norm=math.exp(log_norm), leading=leading)
 
 
+_lgamma = np.vectorize(math.lgamma, otypes=[float])
+
+
+def _norms(n: int, a: float) -> np.ndarray:
+    """Weighted norms squared of G_0 ... G_n, O(n) in one array expression.
+
+    The log-gamma expression of :func:`gegenbauer_norm_leading`, term for
+    term and with the same ``math.lgamma``, so the large log-gamma terms
+    cancel exactly as they do there.
+    """
+    l = np.arange(1, n + 1, dtype=float)
+    log_norm = np.empty(n + 1)
+    log_norm[0] = 2.0 * a * math.log(2.0) + 2.0 * math.lgamma(a + 0.5) - math.lgamma(2.0 * a + 1.0)
+    log_norm[1:] = ((2.0 * a - 1.0) * math.log(2.0) + _lgamma(l + 1.0) + 2.0 * math.lgamma(a + 0.5)
+                    - np.log(l + a) - _lgamma(l + 2.0 * a))
+    return np.exp(log_norm)
+
+
 def _running_integral(n: int, a, x: float):
     """Integral of G_n from -1 to ``x`` in closed form, O(n) per alpha.
 
@@ -273,10 +291,7 @@ def discrete_gegenbauer_transform(rule, values) -> np.ndarray:
     n = rule.nodes.size - 1
     alpha = rule.alpha
     table = _table(n, alpha, rule.nodes)
-    norms = np.array(
-        [gegenbauer_norm_leading(PolySpec(j, GegenbauerParam(alpha))).norm for j in range(n + 1)]
-    )
-    return (table @ (rule.weights * f)) / norms
+    return (table @ (rule.weights * f)) / _norms(n, alpha)
 
 
 def error_bound(inp: ErrorBoundInput, asymptotic: bool = False, b_constant: float | None = None) -> float:

@@ -125,8 +125,7 @@ def newton_solve(residual, x0, tol: float = 1e-12, max_iter: int = 100,
         else:
             raise ConvergenceError(
                 f"line search: 30 halvings give no decrease (residual max-norm {rnorm:.3e})")
-        x = x + lam * step
-        r = np.asarray(residual(x), dtype=float)
+        x, r = trial, r_trial
     if np.max(np.abs(r)) <= tol:
         return x
     raise ConvergenceError(

@@ -1,5 +1,6 @@
 """Tests for integration-matrix construction and application."""
 
+import csv
 import io
 import math
 import tracemalloc
@@ -13,6 +14,8 @@ from baryquad import (CollisionError, GegenbauerParam, apply_quadrature, build_b
                       build_gim_arbitrary, build_gim_gg, build_gim_gg_bumped,
                       build_gim_gg_guarded, check_gg_condition, gg_rule, map_to_unit,
                       lg_rule, matrix_to_csv, qth_order_gim, row_gim_endpoint)
+from baryquad.barycentric import _HitDetected, bary_weights_gg, lagrange_matrix
+from baryquad.gim import _build_rows, _lg_count_default
 from baryquad.polynomials import EPS_MACH
 
 
@@ -283,6 +286,15 @@ class TestBasisForm:
             basis = build_basis_gim(n, GegenbauerParam(alpha))
             assert np.max(np.abs(basis.entries - bary.entries)) <= 1e-12
 
+    @pytest.mark.parametrize("alpha", [-0.4, 0.0, 0.5, 1.5, 2.0])
+    @pytest.mark.parametrize("n", [160, 320, 640])
+    def test_closed_form_modal_integrals_at_large_n(self, n, alpha):
+        # the modal table comes from the integration relation; the bound is
+        # the one the sub-quadrature table met at small n
+        basis = build_basis_gim(n, GegenbauerParam(alpha))
+        bary = build_gim_gg(n, GegenbauerParam(alpha))
+        assert np.max(np.abs(basis.entries - bary.entries)) <= 1e-12
+
     def test_ones_law(self):
         m = build_basis_gim(11, GegenbauerParam(0.8))
         assert_allclose(apply_quadrature(m, np.ones(12)), m.target_nodes + 1.0, atol=1e-12)
@@ -297,6 +309,95 @@ class TestBasisForm:
         e_basis = np.abs(apply_quadrature(basis, f(bary.source_nodes)) - ref)
         ratio = np.maximum(e_bary, e_basis) / np.minimum(e_bary, e_basis)
         assert ratio.max() <= 10.0
+
+
+def _oracle_rows(targets, basis, lg, epsilon, on_hit):
+    """Row kernel as a table of cardinal values, through lagrange_matrix."""
+    rows = np.empty((len(targets), basis.nodes.size))
+    for j, xj in enumerate(targets):
+        mapped = 0.5 * ((xj + 1.0) * lg.nodes + xj - 1.0)
+        try:
+            table = lagrange_matrix(basis, mapped, exact_hit_tol=epsilon, on_hit=on_hit)
+        except _HitDetected as hit:
+            raise CollisionError(hit.i, j, hit.k) from None
+        rows[j] = 0.5 * (xj + 1.0) * (lg.weights @ table)
+    return rows
+
+
+def _kernel_inputs(n, alpha, stride=1):
+    rule = gg_rule(n, GegenbauerParam(alpha))
+    return rule.nodes[::stride], bary_weights_gg(rule), lg_rule(_lg_count_default(n))
+
+
+class TestRowKernelMatchesLagrangeOracle:
+    @pytest.mark.parametrize("alpha", [-0.4, 0.0, 0.5, 1.5, 2.0])
+    def test_feasible_rows(self, alpha):
+        for n, stride in ((1, 1), (2, 1), (7, 1), (40, 1), (160, 1), (640, 16)):
+            targets, basis, lg = _kernel_inputs(n, alpha, stride)
+            targets = np.concatenate([[-1.0], targets])
+            got = _build_rows(targets, basis, lg, EPS_MACH, on_hit="raise")
+            want = _oracle_rows(targets, basis, lg, EPS_MACH, "raise")
+            assert np.max(np.abs(got - want)) <= 1e-15
+
+    @pytest.mark.parametrize("n, alpha", [(4, 1.0), (16, 1.0), (52, 1.0), (160, 1.0), (640, 1.0)])
+    def test_infeasible_pairs(self, n, alpha):
+        assert not check_gg_condition(n, GegenbauerParam(alpha)).feasible
+        targets, basis, lg = _kernel_inputs(n, alpha)
+        with pytest.raises(CollisionError) as got:
+            _build_rows(targets, basis, lg, EPS_MACH, on_hit="raise")
+        with pytest.raises(CollisionError) as want:
+            _oracle_rows(targets, basis, lg, EPS_MACH, "raise")
+        assert (got.value.i, got.value.j, got.value.k) == (want.value.i, want.value.j, want.value.k)
+        # guarded rows on the targets around the first collision
+        window = targets[max(got.value.j - 8, 0):got.value.j + 8]
+        guarded = _build_rows(window, basis, lg, EPS_MACH, on_hit="cardinal")
+        oracle = _oracle_rows(window, basis, lg, EPS_MACH, "cardinal")
+        assert np.max(np.abs(guarded - oracle)) <= 1e-15
+
+    @pytest.mark.parametrize("epsilon", [1e-3, 2e-2])
+    def test_many_hits_with_wide_tolerance(self, epsilon):
+        # several hits per target, and points within epsilon of two nodes
+        targets, basis, lg = _kernel_inputs(30, 0.3)
+        with pytest.raises(CollisionError) as got:
+            _build_rows(targets, basis, lg, epsilon, on_hit="raise")
+        with pytest.raises(CollisionError) as want:
+            _oracle_rows(targets, basis, lg, epsilon, "raise")
+        assert (got.value.i, got.value.j, got.value.k) == (want.value.i, want.value.j, want.value.k)
+        guarded = _build_rows(targets, basis, lg, epsilon, on_hit="cardinal")
+        oracle = _oracle_rows(targets, basis, lg, epsilon, "cardinal")
+        assert np.max(np.abs(guarded - oracle)) <= 1e-15
+
+
+def _csv_oracle(matrix, alpha_text, tail=()):
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["rows", "cols", "q", "alpha", "interval"])
+    rows, cols = matrix.shape
+    writer.writerow([rows, cols, matrix.order, alpha_text, matrix.interval])
+    for row in matrix.entries:
+        writer.writerow([f"{v:.17g}" for v in row])
+    for line in tail:
+        writer.writerow(line)
+    return buf.getvalue()
+
+
+class TestCsvMatchesCsvWriter:
+    @pytest.mark.parametrize("variant", ["plain", "unit", "q3", "unit-q3"])
+    def test_byte_identical(self, variant):
+        m = build_gim_gg(24, GegenbauerParam(-0.3))
+        if "unit" in variant:
+            m = map_to_unit(m)
+        if "q3" in variant:
+            m = qth_order_gim(m, 3)
+        buf = io.StringIO()
+        matrix_to_csv(m, buf)
+        assert buf.getvalue() == _csv_oracle(m, f"{m.alpha:.17g}")
+
+    def test_file_path_byte_identical(self, tmp_path):
+        m = map_to_unit(build_gim_gg(9, GegenbauerParam(0.5)))
+        path = tmp_path / "m.csv"
+        matrix_to_csv(m, str(path))
+        assert path.read_bytes() == _csv_oracle(m, "0.5").encode()
 
 
 class TestCsv:

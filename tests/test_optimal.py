@@ -1,5 +1,6 @@
 """Tests for the per-row optimized rectangular matrices."""
 
+import csv
 import io
 
 import numpy as np
@@ -10,7 +11,7 @@ from baryquad import (CollisionError, GegenbauerParam, OptimalConfig, build_gim_
                       build_gim_gg, build_optimal_gim, build_optimal_gim_symmetric,
                       check_condition_mmax, eta, gg_rule, lg_rule, map_to_unit_optimal,
                       optimal_bary_basis, optimal_to_csv, optimize_alpha, qth_order_optimal)
-from baryquad.optimal import _GRID_SAMPLES, _grid_objective
+from baryquad.optimal import _GRID_SAMPLES, _grid_objective, _optimal_row
 from baryquad.polynomials import EPS_MACH
 
 
@@ -255,6 +256,15 @@ class TestHigherOrderOptimal:
 
 
 class TestCollision:
+    def test_optimal_row_names_the_adjoint_node(self):
+        # the square pair (4, alpha = 1) puts a mapped Legendre point on node 1
+        # for target 2; the row index reported is the caller's
+        rule = gg_rule(4, GegenbauerParam(1.0))
+        basis = optimal_bary_basis(rule.nodes[2], 4, 1.0)[1]
+        with pytest.raises(CollisionError, match="adjoint node") as hit:
+            _optimal_row(rule.nodes[2], basis, lg_rule(2), EPS_MACH, 7)
+        assert (hit.value.i, hit.value.j, hit.value.k) == (1, 7, 1)
+
     def test_row_collision_reports_indices(self):
         # adjoint rule fixed at alpha_a = 1, m = 4 reproduces the known
         # zero-node collision through the fixed-parameter branch
@@ -267,6 +277,24 @@ class TestCollision:
 
 
 class TestCsv:
+    @pytest.mark.parametrize("unit", [False, True])
+    def test_byte_identical_to_csv_writer(self, unit):
+        mat = build_optimal_gim(np.linspace(-1.0, 1.0, 7), OptimalConfig(m=6))
+        if unit:
+            mat = map_to_unit_optimal(mat)
+        want = io.StringIO()
+        writer = csv.writer(want)
+        writer.writerow(["rows", "cols", "q", "alpha", "interval"])
+        writer.writerow([7, 7, 1, "per-row", mat.interval])
+        for row in mat.entries:
+            writer.writerow([f"{v:.17g}" for v in row])
+        writer.writerow(["k", "alphaStar"])
+        for k, a in enumerate(mat.alpha_star):
+            writer.writerow([k, f"{a:.17g}"])
+        got = io.StringIO()
+        optimal_to_csv(mat, got)
+        assert got.getvalue() == want.getvalue()
+
     def test_contains_alpha_star_table(self):
         targets = np.linspace(-0.5, 0.5, 3)
         mat = build_optimal_gim(targets, OptimalConfig(m=5))

@@ -12,6 +12,7 @@ from scipy.integrate import quad
 from baryquad import (EPS_MACH, ErrorBoundInput, GegenbauerParam, PolySpec,
                       discrete_gegenbauer_transform, error_bound, eta, gegenbauer_eval,
                       gegenbauer_norm_leading, gg_rule, integrate_gegenbauer)
+from baryquad.polynomials import _norms
 
 ALPHAS = [-0.4, 0.0, 0.5, 1.0, 2.0]
 
@@ -74,6 +75,13 @@ class TestNormAndLeading:
         assert nl1.leading == pytest.approx(1.0, rel=1e-15)
         # P_2 = (3x^2 - 1)/2
         assert gegenbauer_norm_leading(spec(2, 0.5)).leading == pytest.approx(1.5, rel=1e-15)
+
+    @pytest.mark.parametrize("alpha", [-0.4, 0.0, 0.5, 2.0])
+    def test_vectorized_norms_match_scalar(self, alpha):
+        got = _norms(640, alpha)
+        want = np.array([gegenbauer_norm_leading(spec(n, alpha)).norm for n in range(641)])
+        assert_allclose(got, want, rtol=1e-14, atol=0.0)
+        assert_allclose(_norms(0, alpha), want[:1], rtol=1e-14, atol=0.0)
 
     def test_classical_normalization_agrees_at_legendre(self):
         # the classical factor 2^(1-2a) pi G(n+2a) / (n! (n+a) G(a)^2) matches

@@ -38,6 +38,45 @@ class TestNewton:
         with pytest.raises(ConvergenceError, match=r"no decrease \(residual max-norm 1\.000e\+00\)"):
             newton_solve(lambda v: np.abs(v) + 1.0, np.array([0.0]))
 
+    def test_accepted_step_reuses_line_search_residual(self):
+        # the loop as it was when the residual was evaluated again at the
+        # accepted point; same iterates, one more evaluation per iteration
+        def reference(residual, x):
+            r = residual(x)
+            iterations = 0
+            while np.max(np.abs(r)) > 1e-12:
+                rnorm = np.max(np.abs(r))
+                jac = np.empty((r.size, x.size))
+                for i in range(x.size):
+                    h = math.sqrt(np.finfo(float).eps) * max(1.0, abs(x[i]))
+                    xp = x.copy()
+                    xp[i] += h
+                    jac[:, i] = (residual(xp) - r) / h
+                step = np.linalg.solve(jac, -r)
+                lam = 1.0
+                while np.max(np.abs(residual(x + lam * step))) >= rnorm:
+                    lam *= 0.5
+                x = x + lam * step
+                r = residual(x)
+                iterations += 1
+            return x, iterations
+
+        def counted(fn):
+            def residual(v):
+                residual.calls += 1
+                return fn(v)
+            residual.calls = 0
+            return residual
+
+        for fn, x0 in ((lambda v: np.arctan(v), [20.0]),
+                       (lambda v: np.array([v[0] ** 3 + v[1] - 1.0, v[1] ** 3 - v[0] + 1.0]), [2.0, -3.0])):
+            old, new = counted(fn), counted(fn)
+            want, iterations = reference(old, np.array(x0))
+            got = newton_solve(new, np.array(x0))
+            assert iterations > 1
+            assert np.array_equal(got, want)
+            assert new.calls == old.calls - iterations
+
     def test_damping_handles_overshoot(self):
         # steep residual where the full step overshoots from far away
         x = newton_solve(lambda v: np.arctan(v), np.array([20.0]))
