@@ -98,7 +98,8 @@ def lagrange_matrix(basis: BarycentricBasis, points, exact_hit_tol: float = EPS_
     ``on_hit`` selects the treatment of points within ``exact_hit_tol`` of
     a node: "raise" reports the collision as (node index, point index),
     "cardinal" replaces the affected row by the exact unit row that the
-    cardinal property dictates.
+    cardinal property dictates, at the nearest node (the lower one on a
+    tie) when a point lies within the tolerance of two nodes.
     """
     pts = np.asarray(points, dtype=float)
     diff = pts[:, None] - basis.nodes[None, :]
@@ -111,10 +112,10 @@ def lagrange_matrix(basis: BarycentricBasis, points, exact_hit_tol: float = EPS_
         mu = basis.xi[None, :] / diff
         table = mu / mu.sum(axis=1, keepdims=True)
     if any_hits:
-        rows = hits.any(axis=1)
-        table[rows] = 0.0
-        k, i = np.nonzero(hits)
-        table[k, i] = 1.0
+        # each hit point takes the unit row of its nearest node, the lower on a tie
+        k = np.flatnonzero(hits.any(axis=1))
+        table[k] = 0.0
+        table[k, np.abs(diff[k]).argmin(axis=1)] = 1.0
     return table
 
 

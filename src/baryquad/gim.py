@@ -143,8 +143,9 @@ def _build_rows(target_nodes, basis: BarycentricBasis, lg, epsilon: float, on_hi
     once, which targets have a hit.  ``on_hit`` "raise" reports the first
     hit in (j, k, i) order as a :class:`CollisionError` (i, j, k) before
     any row is built; "cardinal" replaces the point's cardinal values by
-    the unit row of the hit node, which the cardinal property dictates, as
-    :func:`lagrange_matrix` does.
+    the unit row of its nearest node (the lower one on a tie), which the
+    cardinal property dictates, as :func:`lagrange_matrix` does.  A point
+    within epsilon of two nodes thus still counts once.
     """
     targets = np.atleast_1d(np.asarray(target_nodes, dtype=float))
     nodes, xi, w = basis.nodes, basis.xi, lg.weights
@@ -154,13 +155,9 @@ def _build_rows(target_nodes, basis: BarycentricBasis, lg, epsilon: float, on_hi
     above = np.searchsorted(nodes, mapped) + 1
     nearest = np.minimum(mapped - padded[above - 1], padded[above] - mapped)
     hit = (nearest <= epsilon).any(axis=1).tolist()
-
-    def hits(j):  # (k, i) of the hits of target j, in (k, i) order
-        return np.nonzero(np.abs(mapped[j, :, None] - nodes) <= epsilon)
-
     if on_hit == "raise" and any(hit):
         j = hit.index(True)
-        k, i = hits(j)
+        k, i = np.nonzero(np.abs(mapped[j, :, None] - nodes) <= epsilon)  # in (k, i) order
         raise CollisionError(i[0], j, k[0], "mapped Legendre point coincides with a source node")
     rows = np.empty((targets.size, nodes.size))
     mu = np.empty((w.size, nodes.size))
@@ -170,7 +167,9 @@ def _build_rows(target_nodes, basis: BarycentricBasis, lg, epsilon: float, on_hi
             np.divide(xi, mu, out=mu)
             c = w / mu.sum(axis=1)
             if hit[j]:
-                k, i = hits(j)
+                # each hit point takes the unit row of its nearest node, the lower on a tie
+                k = np.flatnonzero(nearest[j] <= epsilon)
+                i = np.abs(mapped[j, k, None] - nodes).argmin(axis=1)
                 mu[k] = 0.0
                 mu[k, i] = 1.0
                 c[k] = w[k]
@@ -252,8 +251,9 @@ def build_gim_arbitrary(target_nodes, n: int, param: GegenbauerParam,
     """Rectangular matrix for any target set inside [-1, 1].
 
     Source nodes are still the n+1 Gauss nodes of the family; one row is
-    produced per target.  The endpoint parity bump applies whenever 1 is
-    among the targets.
+    produced per target.  The endpoint parity bump applies whenever a
+    target lies within 2 epsilon of 1: the mapped zero Legendre node,
+    (x - 1) / 2, would then lie within epsilon of the zero Gauss node.
     """
     targets = np.atleast_1d(np.asarray(target_nodes, dtype=float))
     if targets.size == 0:
@@ -263,7 +263,7 @@ def build_gim_arbitrary(target_nodes, n: int, param: GegenbauerParam,
     rule = gg_rule(n, param)
     basis = bary_weights_gg(rule)
     count = _lg_count_default(n)
-    if 1.0 in targets and n % 2 == 0 and count % 2 == 0:
+    if n % 2 == 0 and count % 2 == 0 and np.any((1.0 - targets) / 2.0 <= epsilon):
         count += 1
     lg = lg_rule(count)
     entries = _build_rows(targets, basis, lg, epsilon, on_hit="raise")

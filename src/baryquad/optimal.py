@@ -173,10 +173,10 @@ def optimal_bary_basis(x_k: float, m: int, alpha_star: float):
     return rule, bary_weights_gg(rule)
 
 
-def _lg_for_optimal(m: int, targets: np.ndarray) -> int:
+def _lg_for_optimal(m: int, targets: np.ndarray, epsilon: float) -> int:
     count = m // 2
-    if m % 2 == 0 and count % 2 == 0 and 1.0 in targets:
-        # shared zero of the two node families at the endpoint target
+    if m % 2 == 0 and count % 2 == 0 and np.any((1.0 - targets) / 2.0 <= epsilon):
+        # the mapped zero Legendre node, (x - 1) / 2, would hit the zero adjoint node
         count += 1
     return count
 
@@ -228,7 +228,7 @@ def build_optimal_gim(target_nodes, config: OptimalConfig) -> OptimalIntegration
     m = config.m
     if m > config.m_max:
         return _from_fixed_parameter(targets, config)
-    lg = lg_rule(_lg_for_optimal(m, targets))
+    lg = lg_rule(_lg_for_optimal(m, targets, config.epsilon))
     entries = np.empty((targets.size, m + 1))
     alpha_star = np.empty(targets.size)
     rules = []

@@ -77,8 +77,10 @@ def condition_number_2(matrix) -> float:
 
 def newton_solve(residual, x0, tol: float = 1e-12, max_iter: int = 100,
                  jacobian=None) -> np.ndarray:
-    """Damped Newton iteration with a finite-difference Jacobian.
+    """Damped Newton iteration.
 
+    The Jacobian is ``jacobian(x)`` when given, otherwise a forward
+    finite difference of ``residual`` (n + 1 residual calls per iteration).
     The step is halved (up to 30 times) while it fails to reduce the
     max-norm of the residual.  Convergence means the residual max-norm is
     at or below ``tol``.
@@ -174,15 +176,20 @@ def solve_example1(n: int, m: int, param: GegenbauerParam,
                                kappa2=condition_number_2(a), n=n, m=m, alpha=param.alpha)
 
 
-def solve_example2(n: int, param: GegenbauerParam, tol: float = 1e-12,
-                   max_iter: int = 100) -> CollocationSolution:
-    """Solve the nonlinear nonlocal boundary-value problem.
+def _example2_system(n: int, param: GegenbauerParam):
+    """Nodes, residual and exact Jacobian of the collocated nonlinear problem.
 
-    The twice-integrated equation is collocated at the interior Gauss
-    nodes; both boundary values are built into the reformulation, which
-    divides by the running-integral functional, so no explicit boundary
-    equations appear.  The residual is driven to ``tol`` by damped Newton
-    from the flat initial guess u = 1.
+    With p2 the second-order square matrix, e1 the endpoint row,
+    e2 = (1 - s) e1, E = e1 u and N = c_lin s - c_jump (u - 1), the
+    residual is
+
+        r(u) = p2 u^5 - (e2 u^5) s + N / (3 E),
+
+    and its Jacobian is
+
+        J(u) = p2 diag(5 u^4) - s (e2 o 5 u^4)^T - N e1^T / (3 E^2) - c_jump / (3 E) I.
+
+    The operators are built once and shared by both callables.
     """
     _, s, square, e1 = _unit_interval_operators(n, param)
     p2 = qth_order_gim(square, 2).entries
@@ -191,10 +198,35 @@ def solve_example2(n: int, param: GegenbauerParam, tol: float = 1e-12,
     c_jump = 8.0 * (_SQRT2 - 1.0)
 
     def residual(u):
+        u = np.asarray(u, dtype=float)
         u5 = u ** 5
         return p2 @ u5 - (e2 @ u5) * s + (c_lin * s - c_jump * (u - 1.0)) / (3.0 * (e1 @ u))
 
-    values = newton_solve(residual, np.ones(n + 1), tol=tol, max_iter=max_iter)
+    def jacobian(u):
+        u = np.asarray(u, dtype=float)
+        du5 = 5.0 * u ** 4
+        e = e1 @ u
+        jac = p2 * du5 - np.outer(s, e2 * du5)
+        jac -= np.outer(c_lin * s - c_jump * (u - 1.0), e1 / (3.0 * e * e))
+        jac.flat[::n + 2] -= c_jump / (3.0 * e)
+        return jac
+
+    return s, residual, jacobian
+
+
+def solve_example2(n: int, param: GegenbauerParam, tol: float = 1e-12,
+                   max_iter: int = 100) -> CollocationSolution:
+    """Solve the nonlinear nonlocal boundary-value problem.
+
+    The twice-integrated equation is collocated at the interior Gauss
+    nodes; both boundary values are built into the reformulation, which
+    divides by the running-integral functional, so no explicit boundary
+    equations appear.  The residual is driven to ``tol`` by damped Newton
+    with the exact Jacobian, from the flat initial guess u = 1.
+    """
+    s, residual, jacobian = _example2_system(n, param)
+    values = newton_solve(residual, np.ones(n + 1), tol=tol, max_iter=max_iter,
+                          jacobian=jacobian)
     exact = 1.0 / np.sqrt(1.0 + s)
     mae = float(np.max(np.abs(values - exact)))
     return CollocationSolution(nodes=s, values=values, exact=exact, mae=mae,
@@ -208,20 +240,7 @@ def example2_residual(solution: CollocationSolution):
     Rebuilds the operators of :func:`solve_example2` for the solution's
     parameters and returns a callable; useful for a-posteriori checks.
     """
-    param = GegenbauerParam(solution.alpha)
-    n = solution.n
-    _, s, square, e1 = _unit_interval_operators(n, param)
-    p2 = qth_order_gim(square, 2).entries
-    e2 = (1.0 - s) * e1
-    c_lin = 4.0 * (4.0 - 3.0 * _SQRT2)
-    c_jump = 8.0 * (_SQRT2 - 1.0)
-
-    def residual(u):
-        u = np.asarray(u, dtype=float)
-        u5 = u ** 5
-        return p2 @ u5 - (e2 @ u5) * s + (c_lin * s - c_jump * (u - 1.0)) / (3.0 * (e1 @ u))
-
-    return residual
+    return _example2_system(solution.n, GegenbauerParam(solution.alpha))[1]
 
 
 def solution_to_csv(solution: CollocationSolution, path_or_file) -> None:

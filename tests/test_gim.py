@@ -150,6 +150,26 @@ class TestGuardedAndBumped:
             assert_allclose(apply_quadrature(m, x ** p),
                             running_monomial_integral(x, p), atol=1e-13)
 
+    @pytest.mark.parametrize("epsilon", [1e-3, 2e-2])
+    def test_guarded_rows_with_double_hits_integrate_constants(self, epsilon):
+        # at 2e-2 many mapped points lie within epsilon of two nodes; each
+        # must count once, at its nearest node
+        param = GegenbauerParam(0.3)
+        targets, basis, lg = _kernel_inputs(30, 0.3)
+        mapped = 0.5 * ((targets[:, None] + 1.0) * lg.nodes + targets[:, None] - 1.0)
+        double = (np.abs(mapped[:, :, None] - basis.nodes) <= epsilon).sum(axis=2) >= 2
+        assert double.any() == (epsilon == 2e-2)
+        m = build_gim_gg_guarded(30, param, epsilon=epsilon)
+        assert_allclose(m.entries.sum(axis=1), m.target_nodes + 1.0, rtol=0.0, atol=1e-13)
+
+    def test_double_hit_takes_nearest_node_lower_on_tie(self):
+        # four nodes symmetric about 0: 0 is exactly as far from x[1] as from x[2]
+        basis = bary_weights_gg(gg_rule(3, GegenbauerParam(0.5)))
+        x = basis.nodes
+        points = np.array([0.5 * x[2], 0.0])
+        table = lagrange_matrix(basis, points, exact_hit_tol=2.0 * x[2], on_hit="cardinal")
+        assert np.array_equal(table, np.eye(4)[[2, 1]])
+
     def test_guarded_matches_bumped_polynomials_at_collision(self):
         guarded = build_gim_gg_guarded(4, GegenbauerParam(1.0))
         bumped = build_gim_gg_bumped(4, GegenbauerParam(1.0))
@@ -208,6 +228,14 @@ class TestArbitraryTargets:
     def test_left_endpoint_target_gives_zero_row(self):
         m = build_gim_arbitrary(np.array([-1.0, 0.2]), 6, GegenbauerParam(0.5))
         assert_allclose(m.entries[0], 0.0, atol=0.0)
+
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_target_just_below_one_gets_endpoint_bump(self, n):
+        # (x - 1) / 2 for this x lies within epsilon of the zero Gauss node
+        param = GegenbauerParam(0.5)
+        below = build_gim_arbitrary([np.nextafter(1.0, 0.0)], n, param)
+        at_one = build_gim_arbitrary([1.0], n, param)
+        assert_allclose(below.entries, at_one.entries, rtol=0.0, atol=1e-14)
 
     def test_collision_raises(self):
         with pytest.raises(CollisionError):

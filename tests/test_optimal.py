@@ -131,6 +131,15 @@ class TestBuildOptimal:
         square = build_gim_gg(22, GegenbauerParam(0.0))
         assert_allclose(mat.entries, square.entries, atol=0.0)
 
+    @pytest.mark.parametrize("m", [4, 8, 12])
+    def test_target_just_below_one_gets_endpoint_bump(self, m):
+        # alpha* at the endpoint is not pinned (the error factor vanishes
+        # there for even m), so compare with the target-1 row on the same
+        # adjoint nodes
+        opt = build_optimal_gim([np.nextafter(1.0, 0.0)], OptimalConfig(m=m))
+        at_one = build_gim_arbitrary([1.0], m, GegenbauerParam(opt.alpha_star[0]))
+        assert_allclose(opt.entries, at_one.entries, rtol=0.0, atol=1e-14)
+
     def test_alpha_star_bounds(self):
         cfg = OptimalConfig(m=10)
         targets = np.linspace(-1, 1, 9)

@@ -3,6 +3,7 @@
 import io
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -110,6 +111,21 @@ class TestRuleProperties:
         rule = gg_rule(5, GegenbauerParam(0.5))
         with pytest.raises(ValueError):
             rule.nodes[0] = 0.0
+
+
+class TestWeightsAgainstMpmath:
+    # the eigenvector weights are the reference here: on these moments
+    # scipy.special.roots_gegenbauer errs by up to 4e-9 (n = 640, alpha = -0.4)
+    @pytest.mark.parametrize("alpha", [-0.4, 0.0, 1.0, 2.0])
+    @pytest.mark.parametrize("n", [80, 400, 640])
+    def test_even_moments(self, n, alpha):
+        rule = gg_rule(n, GegenbauerParam(alpha))
+        half = mpmath.mpf(1) / 2
+        with mpmath.workdps(30):
+            for j in (0, 1, 2, 5, 10, n // 4, n // 2):
+                exact = float(mpmath.beta(j + half, mpmath.mpf(alpha) + half))
+                got = np.sum(rule.weights * rule.nodes ** (2 * j))
+                assert abs(got - exact) <= 1e-12 * exact
 
 
 class TestCsv:

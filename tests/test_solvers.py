@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from baryquad import solvers
 from baryquad import (ConvergenceError, GegenbauerParam, OptimalConfig, build_gim_gg,
                       condition_number_2, map_to_unit, newton_solve, solution_to_csv,
                       solve_example1, solve_example2)
-from baryquad.solvers import example2_residual
+from baryquad.solvers import _example2_system, example2_residual
 
 
 class TestNewton:
@@ -185,6 +186,67 @@ class TestExample2:
         u1 = bary_eval(basis, sol.values, 1.0)
         assert u0 == pytest.approx(1.0, abs=5e-6)
         assert u1 == pytest.approx(math.sqrt(2) / 2, abs=5e-6)
+
+
+class TestExample2Jacobian:
+    @pytest.mark.parametrize("alpha", [-0.4, 0.5])
+    @pytest.mark.parametrize("n", [9, 80])
+    def test_matches_central_difference(self, n, alpha):
+        param = GegenbauerParam(alpha)
+        _, residual, jacobian = _example2_system(n, param)
+        for u in (np.ones(n + 1), solve_example2(n, param).values):
+            want = np.empty((n + 1, n + 1))
+            for i in range(n + 1):
+                h = 1e-6 * max(1.0, abs(u[i]))
+                up, um = u.copy(), u.copy()
+                up[i] += h
+                um[i] -= h
+                want[:, i] = (residual(up) - residual(um)) / (2.0 * h)
+            got = jacobian(u)
+            assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(got))
+
+    def test_no_finite_difference_sweep(self, monkeypatch):
+        # every residual call after the first must be a line-search trial,
+        # x + 2^-i step on the Newton ray of the latest Jacobian
+        events = []
+        real = solvers.newton_solve
+
+        def spy(residual, x0, jacobian=None, **kwargs):
+            def counted_residual(u):
+                r = residual(u)
+                events.append(("r", u.copy(), r))
+                return r
+
+            def counted_jacobian(u):
+                jac = jacobian(u)
+                events.append(("j", u.copy(), jac))
+                return jac
+
+            assert jacobian is not None
+            return real(counted_residual, x0, jacobian=counted_jacobian, **kwargs)
+
+        monkeypatch.setattr(solvers, "newton_solve", spy)
+        n = 80
+        solve_example2(n, GegenbauerParam(0.5))
+        calls = iterations = trials = 0
+        rays = []
+        for kind, u, value in events:
+            if kind == "j":
+                iterations += 1
+                step = np.linalg.solve(value, -last)
+                rays = [u + lam * step for lam in 0.5 ** np.arange(30)]
+            else:
+                calls += 1
+                trials += any(np.array_equal(u, t) for t in rays)
+                last = value
+        assert iterations >= 1
+        assert calls <= iterations + trials
+        assert calls < n + 1  # fewer than one finite-difference sweep
+
+    @pytest.mark.parametrize("alpha", [-0.4, 0.5])
+    @pytest.mark.parametrize("n", [80, 160, 240])
+    def test_large_n_accuracy(self, n, alpha):
+        assert solve_example2(n, GegenbauerParam(alpha)).cd >= 13.5
 
 
 class TestSolutionCsv:
