@@ -1,9 +1,13 @@
 """Tests for the command-line interface and its exit-code contract."""
 
+import re
+import shlex
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from baryquad.cli import main, parse_grid
+from baryquad.cli import _write_rows, main, parse_grid
 
 
 def read_csv(path):
@@ -175,3 +179,31 @@ class TestDeterminism:
         for out in (a, b):
             assert main(["gim", "--n", "12", "--alpha", "-0.25", "--out", str(out)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestRowWriter:
+    ROWS = [("4", "1", "false"), ("10", "-0.25", "true")]
+    WANT = "n,alpha,feasible\n4,1,false\n10,-0.25,true\n"
+
+    def test_literal_bytes_to_file(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        _write_rows(str(path), "n,alpha,feasible", self.ROWS)
+        assert path.read_bytes() == self.WANT.encode()
+
+    def test_literal_bytes_to_stdout(self, capsys):
+        _write_rows(None, "n,alpha,feasible", self.ROWS)
+        assert capsys.readouterr().out == self.WANT
+
+
+def _readme_commands():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## Command line\s+```sh\n(.*?)```", readme, re.S).group(1)
+    return [line for line in block.splitlines() if line.startswith("baryquad ")]
+
+
+class TestReadmeCommands:
+    @pytest.mark.parametrize("line", _readme_commands())
+    def test_runs_with_documented_exit_code(self, line, tmp_path, monkeypatch, capsys):
+        command, _, comment = line.partition("#")
+        monkeypatch.chdir(tmp_path)  # relative --out paths land here
+        assert main(shlex.split(command)[1:]) == (2 if "exit 2" in comment else 0)

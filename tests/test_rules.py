@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from baryquad import GegenbauerParam, gg_rule, lg_rule, rule_from_csv, rule_to_csv
+from baryquad import GegenbauerParam, QuadratureRule, gg_rule, lg_rule, rule_from_csv, rule_to_csv
 
 ALPHAS = [-0.4, -0.25, 0.0, 0.5, 1.0, 2.0]
 
@@ -147,3 +147,14 @@ class TestCsv:
         back = rule_from_csv(str(path))
         assert np.array_equal(back.nodes, rule.nodes)
         assert np.array_equal(back.weights, rule.weights)
+
+    def test_literal_bytes(self, tmp_path):
+        rule = QuadratureRule(kind="GG", n=1, alpha=-0.25, nodes=np.array([-0.5, 0.5]),
+                              weights=np.array([1.0 / 3.0, 1e-20]))
+        want = "kind,n,alpha\nGG,1,-0.25\n-0.5,0.33333333333333331\n0.5,9.9999999999999995e-21\n"
+        buf = io.StringIO()
+        rule_to_csv(rule, buf)
+        assert buf.getvalue() == want
+        path = tmp_path / "rule.csv"
+        rule_to_csv(rule, str(path))
+        assert path.read_bytes() == want.encode()

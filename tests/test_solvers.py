@@ -8,8 +8,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from baryquad import solvers
-from baryquad import (ConvergenceError, GegenbauerParam, OptimalConfig, build_gim_gg,
-                      condition_number_2, map_to_unit, newton_solve, solution_to_csv,
+from baryquad import (CollocationSolution, ConvergenceError, GegenbauerParam, OptimalConfig,
+                      build_gim_gg, condition_number_2, map_to_unit, newton_solve, solution_to_csv,
                       solve_example1, solve_example2)
 from baryquad.solvers import _example2_system, example2_residual
 
@@ -269,3 +269,19 @@ class TestSolutionCsv:
         solution_to_csv(sol, buf)
         meta = buf.getvalue().splitlines()[1].split(",")
         assert meta[1] == "" and meta[5] == ""
+
+    @pytest.mark.parametrize("m, kappa2, meta", [
+        (3, 12.5, "1,3,0.5,0.5,0.3010299956639812,12.5"),
+        (None, None, "1,,0.5,0.5,0.3010299956639812,"),
+    ])
+    def test_literal_bytes(self, tmp_path, m, kappa2, meta):
+        sol = CollocationSolution(nodes=[0.25, 0.75], values=[1.0, 2.0], exact=[1.0, 2.5],
+                                  mae=0.5, cd=math.log10(2.0), kappa2=kappa2, n=1, m=m, alpha=0.5)
+        want = ("n,m,alpha,mae,cd,kappa2\n" + meta + "\n" + "x,u_approx,u_exact,abs_error\n"
+                "0.25,1,1,0\n0.75,2,2.5,0.5\n")
+        buf = io.StringIO()
+        solution_to_csv(sol, buf)
+        assert buf.getvalue() == want
+        path = tmp_path / "sol.csv"
+        solution_to_csv(sol, str(path))
+        assert path.read_bytes() == want.encode()
