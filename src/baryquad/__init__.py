@@ -13,9 +13,8 @@ from .gim import (FeasibilityReport, IntegrationMatrix, apply_quadrature, build_
                   build_gim_arbitrary, build_gim_gg, build_gim_gg_bumped, build_gim_gg_guarded,
                   check_gg_condition, map_to_unit, matrix_to_csv, qth_order_gim,
                   row_gim_endpoint)
-from .optimal import (OptimalConfig, OptimalIntegrationMatrix, build_optimal_gim,
-                      build_optimal_gim_symmetric, check_condition_mmax, map_to_unit_optimal,
-                      optimal_bary_basis, optimal_to_csv, optimize_alpha, qth_order_optimal)
+from .optimal import (OptimalConfig, build_optimal_gim, build_optimal_gim_symmetric,
+                      check_condition_mmax, optimal_bary_basis, optimize_alpha)
 from .polynomials import (EPS_MACH, ErrorBoundInput, GegenbauerParam, NormAndLeading, PolySpec,
                           discrete_gegenbauer_transform, error_bound, eta, gegenbauer_eval,
                           gegenbauer_norm_leading, integrate_gegenbauer)
@@ -28,15 +27,14 @@ __version__ = "0.1.0"
 __all__ = [
     "BarycentricBasis", "CollisionError", "CollocationSolution", "ConvergenceError",
     "EPS_MACH", "ErrorBoundInput", "FeasibilityReport", "GegenbauerParam",
-    "IntegrationMatrix", "NormAndLeading", "OptimalConfig", "OptimalIntegrationMatrix",
-    "PolySpec", "QuadratureRule", "apply_quadrature", "bary_eval", "bary_weights_direct",
-    "bary_weights_gg", "build_basis_gim", "build_gim_arbitrary", "build_gim_gg",
-    "build_gim_gg_bumped", "build_gim_gg_guarded", "build_optimal_gim",
-    "build_optimal_gim_symmetric", "check_condition_mmax", "check_gg_condition",
-    "condition_number_2", "discrete_gegenbauer_transform", "error_bound", "eta",
-    "gegenbauer_eval", "gegenbauer_norm_leading", "gg_rule", "integrate_gegenbauer",
-    "lg_rule", "map_to_unit", "map_to_unit_optimal", "matrix_to_csv", "newton_solve",
-    "optimal_bary_basis", "optimal_to_csv", "optimize_alpha", "qth_order_gim",
-    "qth_order_optimal", "row_gim_endpoint", "rule_from_csv", "rule_to_csv",
-    "solution_to_csv", "solve_example1", "solve_example2",
+    "IntegrationMatrix", "NormAndLeading", "OptimalConfig", "PolySpec", "QuadratureRule",
+    "apply_quadrature", "bary_eval", "bary_weights_direct", "bary_weights_gg",
+    "build_basis_gim", "build_gim_arbitrary", "build_gim_gg", "build_gim_gg_bumped",
+    "build_gim_gg_guarded", "build_optimal_gim", "build_optimal_gim_symmetric",
+    "check_condition_mmax", "check_gg_condition", "condition_number_2",
+    "discrete_gegenbauer_transform", "error_bound", "eta", "gegenbauer_eval",
+    "gegenbauer_norm_leading", "gg_rule", "integrate_gegenbauer", "lg_rule", "map_to_unit",
+    "matrix_to_csv", "newton_solve", "optimal_bary_basis", "optimize_alpha", "qth_order_gim",
+    "row_gim_endpoint", "rule_from_csv", "rule_to_csv", "solution_to_csv", "solve_example1",
+    "solve_example2",
 ]

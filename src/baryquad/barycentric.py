@@ -74,7 +74,9 @@ def bary_eval(basis: BarycentricBasis, values, x, exact_hit_tol: float = EPS_MAC
 
     Uses the second barycentric form, O(n) per point.  Points within
     ``exact_hit_tol`` of a node return that node's value directly, which
-    keeps the cardinal property exact instead of dividing by ~0.
+    keeps the cardinal property exact instead of dividing by ~0; a point
+    within the tolerance of two nodes takes the nearest one (the lower one
+    on a tie), as in :func:`lagrange_matrix`.
     """
     f = np.asarray(values, dtype=float)
     if f.shape != basis.nodes.shape:
@@ -83,11 +85,11 @@ def bary_eval(basis: BarycentricBasis, values, x, exact_hit_tol: float = EPS_MAC
     scalar = pts.ndim == 0
     pts = np.atleast_1d(pts)
     diff = pts[:, None] - basis.nodes[None, :]
-    hit_rows, hit_cols = np.nonzero(np.abs(diff) <= exact_hit_tol)
+    hit = np.flatnonzero((np.abs(diff) <= exact_hit_tol).any(axis=1))
     with np.errstate(divide="ignore", invalid="ignore"):
         mu = basis.xi[None, :] / diff
         out = (mu @ f) / mu.sum(axis=1)
-    out[hit_rows] = f[hit_cols]
+    out[hit] = f[np.abs(diff[hit]).argmin(axis=1)]
     return float(out[0]) if scalar else out
 
 

@@ -24,6 +24,7 @@ from .errors import CollisionError, ConvergenceError
 from .gim import (build_basis_gim, build_gim_gg, build_gim_gg_bumped, build_gim_gg_guarded,
                   check_gg_condition, matrix_to_csv, qth_order_gim)
 from .polynomials import EPS_MACH, GegenbauerParam
+from .rules import _write_lines
 from .solvers import solve_example1, solve_example2, solution_to_csv
 
 USAGE_ERROR = 1
@@ -81,14 +82,8 @@ def _attach_grid_values(argv):
 
 
 def _write_rows(path, header, rows):
-    lines = [header]
-    lines += [",".join(cells) for cells in rows]
-    text = "\n".join(lines) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
+    _write_lines(sys.stdout if path is None else path, [header + "\n"],
+                 (",".join(cells) + "\n" for cells in rows))
 
 
 def cmd_gim(args) -> int:
@@ -103,10 +98,7 @@ def cmd_gim(args) -> int:
         return INFEASIBLE
     if args.q > 1:
         matrix = qth_order_gim(matrix, args.q)
-    if args.out is None:
-        matrix_to_csv(matrix, sys.stdout)
-    else:
-        matrix_to_csv(matrix, args.out)
+    matrix_to_csv(matrix, sys.stdout if args.out is None else args.out)
     return 0
 
 

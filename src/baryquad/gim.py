@@ -10,16 +10,15 @@ of degree <= n exactly up to rounding.
 
 from __future__ import annotations
 
-import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .barycentric import BarycentricBasis, bary_weights_gg
 from .errors import CollisionError
 from .polynomials import EPS_MACH, GegenbauerParam, _norms, _table
-from .rules import gg_rule, lg_rule
+from .rules import _write_lines, gg_rule, lg_rule
 
 INTERVAL_BIUNIT = "[-1,1]"
 INTERVAL_UNIT = "[0,1]"
@@ -29,9 +28,13 @@ INTERVAL_UNIT = "[0,1]"
 class IntegrationMatrix:
     """Dense quadrature-coefficient matrix with its node sets.
 
-    Row j applied to samples at ``source_nodes`` approximates the integral
+    Row j applied to samples at its source nodes approximates the integral
     of the sampled function from the interval's left endpoint to
     ``target_nodes[j]`` (iterated ``order`` times for higher orders).
+    ``source_nodes`` is 1-D when every row samples at the same nodes, or
+    (rows, cols) when row j samples at its own nodes ``source_nodes[j]``;
+    ``alpha`` is the family parameter, or one parameter per row, as in the
+    optimal matrices of :mod:`baryquad.optimal`.
     """
 
     entries: np.ndarray = field(repr=False)
@@ -39,15 +42,19 @@ class IntegrationMatrix:
     source_nodes: np.ndarray = field(repr=False)
     target_nodes: np.ndarray = field(repr=False)
     interval: str
-    alpha: float
+    alpha: float | np.ndarray
 
     def __post_init__(self):
-        for name in ("entries", "source_nodes", "target_nodes"):
+        per_row = ("alpha",) if np.ndim(self.alpha) else ()
+        for name in ("entries", "source_nodes", "target_nodes") + per_row:
             arr = np.ascontiguousarray(getattr(self, name), dtype=float)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        if self.entries.shape != (self.target_nodes.size, self.source_nodes.size):
+        rows, cols = self.target_nodes.size, self.source_nodes.shape[-1]
+        if self.entries.shape != (rows, cols) or self.source_nodes.shape[:-1] not in ((), (rows,)):
             raise ValueError("entry shape does not match node counts")
+        if per_row and self.alpha.shape != (rows,):
+            raise ValueError("a per-row alpha needs one value per target")
         if not np.all(np.isfinite(self.entries)):
             raise ValueError("matrix entries must be finite")
 
@@ -70,6 +77,28 @@ class FeasibilityReport:
 def _lg_count_default(n: int) -> int:
     # ceil((n - 1) / 2), the minimal count whose rule is exact for degree n
     return n // 2
+
+
+def _lg_count(n: int, targets: np.ndarray, epsilon: float) -> int:
+    """Legendre count for the targets: the default, bumped by one in the endpoint parity case.
+
+    For even n and an even default count both node families contain 0, and
+    a target within 2 epsilon of 1 maps the zero Legendre node, (x - 1) / 2,
+    within epsilon of the zero Gauss node.
+    """
+    count = _lg_count_default(n)
+    if n % 2 == 0 and count % 2 == 0 and np.any((1.0 - targets) / 2.0 <= epsilon):
+        count += 1
+    return count
+
+
+def _validated_targets(target_nodes) -> np.ndarray:
+    targets = np.atleast_1d(np.asarray(target_nodes, dtype=float))
+    if targets.size == 0:
+        raise ValueError("target set must be non-empty")
+    if not np.all(np.abs(targets) <= 1.0):  # also rejects NaN
+        raise ValueError("target nodes must lie in [-1, 1]")
+    return targets
 
 
 def _near_sorted(t: np.ndarray, u: np.ndarray, epsilon: float):
@@ -230,45 +259,29 @@ def build_gim_gg_bumped(n: int, param: GegenbauerParam, epsilon: float = EPS_MAC
                              target_nodes=rule.nodes, interval=INTERVAL_BIUNIT, alpha=param.alpha)
 
 
-def row_gim_endpoint(n: int, param: GegenbauerParam, epsilon: float = EPS_MACH) -> np.ndarray:
-    """Quadrature row for the full interval: coefficients for the integral to 1.
-
-    The target 1 maps the Legendre points onto themselves, and both node
-    families contain 0 when n and the default Legendre count are even, so
-    that parity case bumps the count by one before building.
-    """
-    rule = gg_rule(n, param)
-    basis = bary_weights_gg(rule)
-    count = _lg_count_default(n)
-    if n % 2 == 0 and count % 2 == 0:
-        count += 1
-    lg = lg_rule(count)
-    return _build_rows(np.array([1.0]), basis, lg, epsilon, on_hit="raise")[0]
-
-
 def build_gim_arbitrary(target_nodes, n: int, param: GegenbauerParam,
                         epsilon: float = EPS_MACH) -> IntegrationMatrix:
     """Rectangular matrix for any target set inside [-1, 1].
 
     Source nodes are still the n+1 Gauss nodes of the family; one row is
-    produced per target.  The endpoint parity bump applies whenever a
-    target lies within 2 epsilon of 1: the mapped zero Legendre node,
-    (x - 1) / 2, would then lie within epsilon of the zero Gauss node.
+    produced per target.  The endpoint parity bump of the Legendre count
+    applies whenever a target lies within 2 epsilon of 1.
     """
-    targets = np.atleast_1d(np.asarray(target_nodes, dtype=float))
-    if targets.size == 0:
-        raise ValueError("target set must be non-empty")
-    if np.any(targets < -1.0) or np.any(targets > 1.0):
-        raise ValueError("target nodes must lie in [-1, 1]")
+    targets = _validated_targets(target_nodes)
     rule = gg_rule(n, param)
-    basis = bary_weights_gg(rule)
-    count = _lg_count_default(n)
-    if n % 2 == 0 and count % 2 == 0 and np.any((1.0 - targets) / 2.0 <= epsilon):
-        count += 1
-    lg = lg_rule(count)
-    entries = _build_rows(targets, basis, lg, epsilon, on_hit="raise")
+    lg = lg_rule(_lg_count(n, targets, epsilon))
+    entries = _build_rows(targets, bary_weights_gg(rule), lg, epsilon, on_hit="raise")
     return IntegrationMatrix(entries=entries, order=1, source_nodes=rule.nodes,
                              target_nodes=targets, interval=INTERVAL_BIUNIT, alpha=param.alpha)
+
+
+def row_gim_endpoint(n: int, param: GegenbauerParam, epsilon: float = EPS_MACH) -> np.ndarray:
+    """Quadrature row for the full interval: coefficients for the integral to 1.
+
+    The row of :func:`build_gim_arbitrary` for the target 1, which always
+    takes the endpoint parity bump.
+    """
+    return build_gim_arbitrary([1.0], n, param, epsilon).entries[0]
 
 
 def build_basis_gim(n: int, param: GegenbauerParam) -> IntegrationMatrix:
@@ -303,9 +316,10 @@ def build_basis_gim(n: int, param: GegenbauerParam) -> IntegrationMatrix:
 def qth_order_gim(first: IntegrationMatrix, q: int) -> IntegrationMatrix:
     """Iterated-integral matrix of order q from a first-order matrix.
 
-    Entry-wise: p_q[j, i] = (x_j - x_i)^(q-1) / (q-1)! * p_1[j, i] in the
-    matrix's own node coordinates; applied to samples of f it approximates
-    the q-fold iterated integral, exactly so for degree <= n - q + 1.
+    Entry-wise: p_q[j, i] = (x_j - z_ji)^(q-1) / (q-1)! * p_1[j, i], with
+    z_ji the i-th source node of row j, in the matrix's own node
+    coordinates; applied to samples of f it approximates the q-fold
+    iterated integral, exactly so for degree <= cols - q.
     """
     if int(q) != q or q < 1:
         raise ValueError(f"order must be a positive integer, got {q}")
@@ -314,62 +328,44 @@ def qth_order_gim(first: IntegrationMatrix, q: int) -> IntegrationMatrix:
     q = int(q)
     if q == 1:
         return first
-    diff = first.target_nodes[:, None] - first.source_nodes[None, :]
-    entries = diff ** (q - 1) / math.factorial(q - 1) * first.entries
-    return IntegrationMatrix(entries=entries, order=q, source_nodes=first.source_nodes,
-                             target_nodes=first.target_nodes, interval=first.interval,
-                             alpha=first.alpha)
+    diff = first.target_nodes[:, None] - first.source_nodes
+    return replace(first, entries=diff ** (q - 1) / math.factorial(q - 1) * first.entries, order=q)
 
 
 def apply_quadrature(matrix: IntegrationMatrix, values) -> np.ndarray:
-    """Matrix-vector product: samples at the source nodes to integral values."""
+    """Samples at the source nodes, shared or per row, to integral values."""
     f = np.asarray(values, dtype=float)
     if f.shape != matrix.source_nodes.shape:
-        raise ValueError(f"expected {matrix.source_nodes.size} samples, got {f.size}")
-    return matrix.entries @ f
+        raise ValueError(f"expected samples of shape {matrix.source_nodes.shape}, got {f.shape}")
+    return matrix.entries @ f if f.ndim == 1 else (matrix.entries * f).sum(axis=1)
 
 
 def map_to_unit(matrix: IntegrationMatrix) -> IntegrationMatrix:
     """Affine image of the matrix on [0, 1]: nodes mapped, entries / 2^q."""
     if matrix.interval == INTERVAL_UNIT:
         return matrix
-    return IntegrationMatrix(entries=matrix.entries / 2.0 ** matrix.order,
-                             order=matrix.order,
-                             source_nodes=0.5 * (matrix.source_nodes + 1.0),
-                             target_nodes=0.5 * (matrix.target_nodes + 1.0),
-                             interval=INTERVAL_UNIT, alpha=matrix.alpha)
-
-
-def _write_matrix_csv(path_or_file, matrix, alpha_text: str, tail=()) -> None:
-    """Shared CSV writer of the integration-matrix formats.
-
-    Writes the ``rows,cols,q,alpha,interval`` header, the entries row-major
-    with one format call per row, then the lines of ``tail``, streaming
-    row by row.  The bytes are those of ``csv.writer``'s default dialect:
-    ``%.17g`` cells, ``\r\n`` line ends, and the interval quoted because
-    it contains a comma.
-    """
-    own = isinstance(path_or_file, (str, bytes))
-    fh = open(path_or_file, "w", newline="") if own else path_or_file
-    try:
-        rows, cols = matrix.shape
-        fh.write("rows,cols,q,alpha,interval\r\n")
-        fh.write(f'{rows},{cols},{matrix.order},{alpha_text},"{matrix.interval}"\r\n')
-        fmt = ",".join(["%.17g"] * cols) + "\r\n"
-        for row in matrix.entries:
-            fh.write(fmt % tuple(row.tolist()))
-        fh.writelines(tail)
-    finally:
-        if own:
-            fh.close()
+    return replace(matrix, entries=matrix.entries / 2.0 ** matrix.order,
+                   source_nodes=0.5 * (matrix.source_nodes + 1.0),
+                   target_nodes=0.5 * (matrix.target_nodes + 1.0), interval=INTERVAL_UNIT)
 
 
 def matrix_to_csv(matrix: IntegrationMatrix, path_or_file) -> None:
-    """Write ``rows,cols,q,alpha,interval`` header then the entries row-major."""
-    _write_matrix_csv(path_or_file, matrix, f"{matrix.alpha:.17g}")
+    """Write ``rows,cols,q,alpha,interval`` header then the entries row-major.
 
-
-def matrix_to_csv_string(matrix: IntegrationMatrix) -> str:
-    buf = io.StringIO()
-    matrix_to_csv(matrix, buf)
-    return buf.getvalue()
+    A per-row alpha is written as ``per-row`` in the header, followed by a
+    ``k,alphaStar`` table after the entries.  The entries take one format
+    call per row, and the bytes are those of ``csv.writer``'s default
+    dialect: ``%.17g`` cells, ``\r\n`` line ends, and the interval quoted
+    because it contains a comma.
+    """
+    rows, cols = matrix.shape
+    if np.ndim(matrix.alpha):
+        alpha = "per-row"
+        table = ["k,alphaStar\r\n"]
+        table += [f"{k},{a:.17g}\r\n" for k, a in enumerate(matrix.alpha.tolist())]
+    else:
+        alpha, table = f"{matrix.alpha:.17g}", []
+    head = (f"rows,cols,q,alpha,interval\r\n"
+            f'{rows},{cols},{matrix.order},{alpha},"{matrix.interval}"\r\n')
+    fmt = ",".join(["%.17g"] * cols) + "\r\n"
+    _write_lines(path_or_file, [head], (fmt % tuple(row.tolist()) for row in matrix.entries), table)

@@ -10,16 +10,15 @@ error constant of smooth non-polynomial integrands.
 
 from __future__ import annotations
 
-import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .barycentric import bary_weights_gg
 from .errors import CollisionError
-from .gim import (FeasibilityReport, INTERVAL_BIUNIT, INTERVAL_UNIT, _build_rows, _near_sorted,
-                  _write_matrix_csv, build_gim_arbitrary)
+from .gim import (FeasibilityReport, INTERVAL_BIUNIT, IntegrationMatrix, _build_rows, _lg_count,
+                  _near_sorted, _validated_targets, build_gim_arbitrary)
 from .polynomials import EPS_MACH, GegenbauerParam, _eta_scale, _running_integral, eta
 from .rules import gg_rule, lg_rule
 
@@ -72,37 +71,6 @@ class OptimalConfig:
         return GegenbauerParam(self.alpha_a)
 
 
-@dataclass(frozen=True, eq=False)
-class OptimalIntegrationMatrix:
-    """Rectangular matrix plus its per-row parameters and adjoint node sets.
-
-    ``adjoint_nodes[k]`` holds the m+1 sample points of row k in the same
-    coordinates as ``target_nodes``; ``adjoint_rules``/``adjoint_bases``
-    keep the underlying canonical rules on [-1, 1].
-    """
-
-    entries: np.ndarray = field(repr=False)
-    order: int
-    target_nodes: np.ndarray = field(repr=False)
-    alpha_star: np.ndarray = field(repr=False)
-    adjoint_nodes: np.ndarray = field(repr=False)
-    adjoint_rules: tuple = field(repr=False)
-    adjoint_bases: tuple = field(repr=False)
-    interval: str
-
-    def __post_init__(self):
-        for name in ("entries", "target_nodes", "alpha_star", "adjoint_nodes"):
-            arr = np.ascontiguousarray(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        if not np.all(np.isfinite(self.entries)):
-            raise ValueError("matrix entries must be finite")
-
-    @property
-    def shape(self):
-        return self.entries.shape
-
-
 def _grid_objective(x_k: float, m: int, grid: np.ndarray) -> np.ndarray:
     """Squared error factor at every grid parameter, in one broadcast recurrence.
 
@@ -124,13 +92,18 @@ def optimize_alpha(x_k: float, m: int, config: OptimalConfig) -> float:
     the best bracket (the objective can be multimodal in the parameter).
     For even m the error factor is even in the target, so negative targets
     are folded onto their mirror images, which makes the returned
-    parameter exactly symmetric on symmetric node sets.
+    parameter exactly symmetric on symmetric node sets.  Where the error
+    factor vanishes for every parameter, at -1 and, for even m, at 1 (the
+    integral of G_{m+1} over [-1, 1] is zero), no minimizer exists and
+    ``config.alpha_b`` is returned.
     """
     if not -1.0 <= x_k <= 1.0:
         raise ValueError(f"target must lie in [-1, 1], got {x_k}")
     if m < 0:
         raise ValueError("m must be non-negative")
     x_k = float(x_k)
+    if x_k == -1.0 or (x_k == 1.0 and m % 2 == 0):
+        return float(config.alpha_b)
     if m % 2 == 0 and x_k < 0.0:
         x_k = -x_k
     lo = -0.5 + config.boundary_margin
@@ -173,14 +146,6 @@ def optimal_bary_basis(x_k: float, m: int, alpha_star: float):
     return rule, bary_weights_gg(rule)
 
 
-def _lg_for_optimal(m: int, targets: np.ndarray, epsilon: float) -> int:
-    count = m // 2
-    if m % 2 == 0 and count % 2 == 0 and np.any((1.0 - targets) / 2.0 <= epsilon):
-        # the mapped zero Legendre node, (x - 1) / 2, would hit the zero adjoint node
-        count += 1
-    return count
-
-
 def _optimal_row(x_k, basis, lg, epsilon, k):
     # the square matrices' row kernel, on this row's own adjoint basis
     try:
@@ -190,67 +155,43 @@ def _optimal_row(x_k, basis, lg, epsilon, k):
                              "mapped Legendre point coincides with an adjoint node") from None
 
 
-def _validated_targets(target_nodes) -> np.ndarray:
-    targets = np.atleast_1d(np.asarray(target_nodes, dtype=float))
-    if targets.size == 0:
-        raise ValueError("target set must be non-empty")
-    if np.any(targets < -1.0) or np.any(targets > 1.0):
-        raise ValueError("target nodes must lie in [-1, 1]")
-    return targets
-
-
-def _from_fixed_parameter(targets: np.ndarray, config: OptimalConfig) -> OptimalIntegrationMatrix:
-    # m > m_max: one fixed-parameter rule serves every row
-    base = build_gim_arbitrary(targets, config.m, config.fallback, config.epsilon)
-    rule = gg_rule(config.m, config.fallback)
-    basis = bary_weights_gg(rule)
-    n_rows = targets.size
-    return OptimalIntegrationMatrix(
-        entries=base.entries, order=1, target_nodes=targets,
-        alpha_star=np.full(n_rows, config.alpha_a),
-        adjoint_nodes=np.tile(rule.nodes, (n_rows, 1)),
-        adjoint_rules=(rule,) * n_rows, adjoint_bases=(basis,) * n_rows,
-        interval=INTERVAL_BIUNIT)
-
-
-def build_optimal_gim(target_nodes, config: OptimalConfig) -> OptimalIntegrationMatrix:
+def build_optimal_gim(target_nodes, config: OptimalConfig) -> IntegrationMatrix:
     """First-order optimal matrix for an arbitrary target set.
 
-    Above ``config.m_max`` this reduces to the fixed-parameter rectangular
-    matrix (identical to :func:`baryquad.gim.build_gim_arbitrary` at
-    ``alpha_a``); otherwise every row gets its own optimized parameter and
-    adjoint sample set.  The parameter, adjoint rule and barycentric basis
-    are computed once per distinct target, and for even m, where the error
-    factor is even in the target, once per distinct ``|x_k|``, so mirrored
-    targets share them.
+    The result has per-row source nodes, the m+1 adjoint nodes of each row,
+    and a per-row ``alpha``.  Above ``config.m_max`` it is the
+    fixed-parameter rectangular matrix of
+    :func:`baryquad.gim.build_gim_arbitrary` at ``alpha_a``, with its nodes
+    repeated per row; otherwise every row gets its own optimized parameter
+    and adjoint sample set.  The parameter, adjoint rule and barycentric
+    basis are computed once per distinct target, and for even m, where the
+    error factor is even in the target, once per distinct ``|x_k|``, so
+    mirrored targets share them.
     """
     targets = _validated_targets(target_nodes)
     m = config.m
     if m > config.m_max:
-        return _from_fixed_parameter(targets, config)
-    lg = lg_rule(_lg_for_optimal(m, targets, config.epsilon))
+        base = build_gim_arbitrary(targets, m, config.fallback, config.epsilon)
+        return replace(base, source_nodes=np.tile(base.source_nodes, (targets.size, 1)),
+                       alpha=np.full(targets.size, config.alpha_a))
+    lg = lg_rule(_lg_count(m, targets, config.epsilon))
     entries = np.empty((targets.size, m + 1))
+    adjoint_nodes = np.empty((targets.size, m + 1))
     alpha_star = np.empty(targets.size)
-    rules = []
-    bases = []
     seen = {}
     for k, x_k in enumerate(targets):
         key = abs(x_k) if m % 2 == 0 else x_k
         if key not in seen:
             a_k = optimize_alpha(x_k, m, config)
             seen[key] = (a_k, *optimal_bary_basis(x_k, m, a_k))
-        a_k, rule, basis = seen[key]
-        alpha_star[k] = a_k
-        rules.append(rule)
-        bases.append(basis)
+        alpha_star[k], rule, basis = seen[key]
+        adjoint_nodes[k] = rule.nodes
         entries[k] = _optimal_row(x_k, basis, lg, config.epsilon, k)
-    return OptimalIntegrationMatrix(
-        entries=entries, order=1, target_nodes=targets, alpha_star=alpha_star,
-        adjoint_nodes=np.vstack([r.nodes for r in rules]),
-        adjoint_rules=tuple(rules), adjoint_bases=tuple(bases), interval=INTERVAL_BIUNIT)
+    return IntegrationMatrix(entries=entries, order=1, source_nodes=adjoint_nodes,
+                             target_nodes=targets, interval=INTERVAL_BIUNIT, alpha=alpha_star)
 
 
-def build_optimal_gim_symmetric(target_nodes, config: OptimalConfig) -> OptimalIntegrationMatrix:
+def build_optimal_gim_symmetric(target_nodes, config: OptimalConfig) -> IntegrationMatrix:
     """:func:`build_optimal_gim` restricted to symmetric targets and even m.
 
     Kept for callers that want the symmetry asserted: it validates the
@@ -288,46 +229,3 @@ def check_condition_mmax(target_nodes, m: int, alpha_a: float, epsilon: float = 
     row, i, s = _near_sorted(ratios, y, epsilon)
     violations = tuple(zip(i.tolist(), s.tolist(), kept[row].tolist()))
     return FeasibilityReport(feasible=not violations, violations=violations)
-
-
-def qth_order_optimal(first: OptimalIntegrationMatrix, q: int) -> OptimalIntegrationMatrix:
-    """Iterated-integral variant: entries scaled by (x_k - z_ki)^(q-1) / (q-1)!."""
-    if int(q) != q or q < 1:
-        raise ValueError(f"order must be a positive integer, got {q}")
-    if first.order != 1:
-        raise ValueError("qth_order_optimal expects a first-order matrix")
-    q = int(q)
-    if q == 1:
-        return first
-    diff = first.target_nodes[:, None] - first.adjoint_nodes
-    entries = diff ** (q - 1) / math.factorial(q - 1) * first.entries
-    return OptimalIntegrationMatrix(
-        entries=entries, order=q, target_nodes=first.target_nodes,
-        alpha_star=first.alpha_star, adjoint_nodes=first.adjoint_nodes,
-        adjoint_rules=first.adjoint_rules, adjoint_bases=first.adjoint_bases,
-        interval=first.interval)
-
-
-def map_to_unit_optimal(matrix: OptimalIntegrationMatrix) -> OptimalIntegrationMatrix:
-    """Affine image on [0, 1]: target and adjoint nodes mapped, entries / 2^q."""
-    if matrix.interval == INTERVAL_UNIT:
-        return matrix
-    return OptimalIntegrationMatrix(
-        entries=matrix.entries / 2.0 ** matrix.order, order=matrix.order,
-        target_nodes=0.5 * (matrix.target_nodes + 1.0),
-        alpha_star=matrix.alpha_star,
-        adjoint_nodes=0.5 * (matrix.adjoint_nodes + 1.0),
-        adjoint_rules=matrix.adjoint_rules, adjoint_bases=matrix.adjoint_bases,
-        interval=INTERVAL_UNIT)
-
-
-def optimal_to_csv(matrix: OptimalIntegrationMatrix, path_or_file) -> None:
-    """Matrix block as in the square-matrix format plus a ``k,alphaStar`` table."""
-    table = [f"{k},{a:.17g}\r\n" for k, a in enumerate(matrix.alpha_star.tolist())]
-    _write_matrix_csv(path_or_file, matrix, "per-row", ["k,alphaStar\r\n"] + table)
-
-
-def optimal_to_csv_string(matrix: OptimalIntegrationMatrix) -> str:
-    buf = io.StringIO()
-    optimal_to_csv(matrix, buf)
-    return buf.getvalue()

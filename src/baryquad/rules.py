@@ -10,8 +10,8 @@ equal.
 
 from __future__ import annotations
 
-import io
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -100,29 +100,34 @@ def lg_rule(n: int) -> QuadratureRule:
     return QuadratureRule(kind="LG", n=int(n), alpha=0.5, nodes=nodes, weights=weights)
 
 
+@contextmanager
+def _opened(path_or_file, mode: str):
+    """A path opened as text without newline translation, or an open file as it is."""
+    if isinstance(path_or_file, (str, bytes)):
+        with open(path_or_file, mode, newline="") as fh:
+            yield fh
+    else:
+        yield path_or_file
+
+
+def _write_lines(path_or_file, *chunks) -> None:
+    """The package's one CSV writer: stream each chunk of finished lines (line ends included)."""
+    with _opened(path_or_file, "w") as fh:
+        for chunk in chunks:
+            fh.writelines(chunk)
+
+
 def rule_to_csv(rule: QuadratureRule, path_or_file) -> None:
     """Write ``kind,n,alpha`` header then one ``node,weight`` row per point."""
-    own = isinstance(path_or_file, (str, bytes))
-    fh = open(path_or_file, "w", newline="") if own else path_or_file
-    try:
-        fh.write("kind,n,alpha\n")
-        fh.write(f"{rule.kind},{rule.n},{rule.alpha:.17g}\n")
-        for x, w in zip(rule.nodes, rule.weights):
-            fh.write(f"{x:.17g},{w:.17g}\n")
-    finally:
-        if own:
-            fh.close()
+    points = zip(rule.nodes.tolist(), rule.weights.tolist())
+    _write_lines(path_or_file, [f"kind,n,alpha\n{rule.kind},{rule.n},{rule.alpha:.17g}\n"],
+                 (f"{x:.17g},{w:.17g}\n" for x, w in points))
 
 
 def rule_from_csv(path_or_file) -> QuadratureRule:
     """Inverse of :func:`rule_to_csv`."""
-    own = isinstance(path_or_file, (str, bytes))
-    fh = open(path_or_file, "r", newline="") if own else path_or_file
-    try:
+    with _opened(path_or_file, "r") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
-    finally:
-        if own:
-            fh.close()
     if not lines or lines[0] != "kind,n,alpha":
         raise ValueError("not a quadrature-rule CSV")
     kind, n_s, alpha_s = lines[1].split(",")
@@ -132,9 +137,3 @@ def rule_from_csv(path_or_file) -> QuadratureRule:
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return QuadratureRule(kind=kind, n=int(n_s), alpha=float(alpha_s), nodes=nodes, weights=weights)
-
-
-def rule_to_csv_string(rule: QuadratureRule) -> str:
-    buf = io.StringIO()
-    rule_to_csv(rule, buf)
-    return buf.getvalue()

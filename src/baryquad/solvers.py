@@ -20,17 +20,16 @@ mapped to [0, 1].
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConvergenceError
-from .gim import build_gim_gg, map_to_unit, qth_order_gim, row_gim_endpoint
-from .optimal import OptimalConfig, build_optimal_gim, map_to_unit_optimal
+from .gim import apply_quadrature, build_gim_gg, map_to_unit, qth_order_gim, row_gim_endpoint
+from .optimal import OptimalConfig, build_optimal_gim
 from .polynomials import EPS_MACH, GegenbauerParam
-from .rules import gg_rule
+from .rules import _write_lines, gg_rule
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -159,7 +158,7 @@ def solve_example1(n: int, m: int, param: GegenbauerParam,
     elif config.m != m:
         raise ValueError("config.m must match the requested expansion degree")
     rule, s, square, endpoint = _unit_interval_operators(n, param)
-    optimal = map_to_unit_optimal(build_optimal_gim(rule.nodes, config))
+    optimal = map_to_unit(build_optimal_gim(rule.nodes, config))
 
     kernel = np.exp(np.outer(s, s))
     a = np.eye(n + 1) - square.entries - (square.entries @ kernel) * endpoint[None, :]
@@ -167,7 +166,7 @@ def solve_example1(n: int, m: int, param: GegenbauerParam,
     def source(t):
         return (1.0 - np.exp(t + 1.0)) / (t + 1.0)
 
-    b = 1.0 + (optimal.entries * source(optimal.adjoint_nodes)).sum(axis=1)
+    b = 1.0 + apply_quadrature(optimal, source(optimal.source_nodes))
     values = np.linalg.solve(a, b)
     exact = np.exp(s)
     mae = float(np.max(np.abs(values - exact)))
@@ -245,23 +244,10 @@ def example2_residual(solution: CollocationSolution):
 
 def solution_to_csv(solution: CollocationSolution, path_or_file) -> None:
     """Metadata header then ``x,u_approx,u_exact,abs_error`` rows."""
-    own = isinstance(path_or_file, (str, bytes))
-    fh = open(path_or_file, "w", newline="") if own else path_or_file
-    try:
-        fh.write("n,m,alpha,mae,cd,kappa2\n")
-        m_s = "" if solution.m is None else str(solution.m)
-        k_s = "" if solution.kappa2 is None else f"{solution.kappa2:.17g}"
-        fh.write(f"{solution.n},{m_s},{solution.alpha:.17g},{solution.mae:.17g},"
-                 f"{solution.cd:.17g},{k_s}\n")
-        fh.write("x,u_approx,u_exact,abs_error\n")
-        for x, u, ex in zip(solution.nodes, solution.values, solution.exact):
-            fh.write(f"{x:.17g},{u:.17g},{ex:.17g},{abs(u - ex):.17g}\n")
-    finally:
-        if own:
-            fh.close()
-
-
-def solution_to_csv_string(solution: CollocationSolution) -> str:
-    buf = io.StringIO()
-    solution_to_csv(solution, buf)
-    return buf.getvalue()
+    m_s = "" if solution.m is None else str(solution.m)
+    k_s = "" if solution.kappa2 is None else f"{solution.kappa2:.17g}"
+    head = (f"n,m,alpha,mae,cd,kappa2\n{solution.n},{m_s},{solution.alpha:.17g},"
+            f"{solution.mae:.17g},{solution.cd:.17g},{k_s}\nx,u_approx,u_exact,abs_error\n")
+    columns = (solution.nodes.tolist(), solution.values.tolist(), solution.exact.tolist())
+    _write_lines(path_or_file, [head], (f"{x:.17g},{u:.17g},{ex:.17g},{abs(u - ex):.17g}\n"
+                                        for x, u, ex in zip(*columns)))

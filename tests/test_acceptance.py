@@ -198,8 +198,8 @@ def test_optimal_matrix_invariants():
     fast = build_optimal_gim_symmetric(targets, cfg)
     general = build_optimal_gim(targets, cfg)
     path_gap = float(np.max(np.abs(fast.entries - general.entries)))
-    palindromic = np.array_equal(fast.alpha_star, fast.alpha_star[::-1]) and \
-        np.array_equal(general.alpha_star, general.alpha_star[::-1])
+    palindromic = np.array_equal(fast.alpha, fast.alpha[::-1]) and \
+        np.array_equal(general.alpha, general.alpha[::-1])
 
     fixed_cfg = OptimalConfig(m=25, m_max=20, alpha_a=0.0)
     above = build_optimal_gim(np.linspace(-0.9, 0.9, 7), fixed_cfg)
@@ -211,7 +211,7 @@ def test_optimal_matrix_invariants():
         pts = np.sort(rng.uniform(-1, 1, 6))
         mat = build_optimal_gim(pts, OptimalConfig(m=m))
         coeffs = rng.uniform(-1, 1, m + 1)
-        samples = np.polynomial.polynomial.polyval(mat.adjoint_nodes, coeffs)
+        samples = np.polynomial.polynomial.polyval(mat.source_nodes, coeffs)
         exact = sum(c * running_monomial_integral(pts, p) for p, c in enumerate(coeffs))
         got = (mat.entries * samples).sum(axis=1)
         worst_exact = max(worst_exact, float(np.max(np.abs(got - exact))))

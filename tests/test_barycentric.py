@@ -70,6 +70,14 @@ class TestEval:
         for i in range(6):
             assert bary_eval(basis, values, rule.nodes[i]) == values[i]
 
+    def test_wide_tolerance_takes_nearest_node_lower_on_tie(self):
+        rule = gg_rule(3, GegenbauerParam(0.5))
+        x, basis = rule.nodes, bary_weights_gg(rule)
+        values = np.array([10.0, 11.0, 12.0, 13.0])
+        # both points lie within the tolerance of x[1] and x[2]; 0 is equidistant
+        got = bary_eval(basis, values, [0.5 * x[1], 0.0, 0.5 * x[2]], exact_hit_tol=2.0 * x[2])
+        assert got.tolist() == [11.0, 11.0, 12.0]
+
     def test_constant_reproduced_anywhere(self, rng):
         basis = bary_weights_gg(gg_rule(9, GegenbauerParam(1.0)))
         values = np.full(10, 3.75)

@@ -10,8 +10,8 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
-from baryquad import (CollisionError, GegenbauerParam, apply_quadrature, build_basis_gim,
-                      build_gim_arbitrary, build_gim_gg, build_gim_gg_bumped,
+from baryquad import (CollisionError, GegenbauerParam, IntegrationMatrix, apply_quadrature,
+                      build_basis_gim, build_gim_arbitrary, build_gim_gg, build_gim_gg_bumped,
                       build_gim_gg_guarded, check_gg_condition, gg_rule, map_to_unit,
                       lg_rule, matrix_to_csv, qth_order_gim, row_gim_endpoint)
 from baryquad.barycentric import _HitDetected, bary_weights_gg, lagrange_matrix
@@ -245,6 +245,10 @@ class TestArbitraryTargets:
         with pytest.raises(ValueError):
             build_gim_arbitrary(np.array([0.0, 1.1]), 5, GegenbauerParam(0.5))
 
+    def test_nan_target_rejected(self):
+        with pytest.raises(ValueError, match="must lie in"):
+            build_gim_arbitrary(np.array([0.0, np.nan]), 5, GegenbauerParam(0.5))
+
 
 class TestHigherOrder:
     def test_first_order_is_identity_transform(self):
@@ -292,6 +296,22 @@ class TestApply:
         m = build_gim_gg(5, GegenbauerParam(0.5))
         with pytest.raises(ValueError):
             apply_quadrature(m, np.ones(5))
+
+    def test_per_row_source_nodes_apply_row_by_row(self):
+        m = IntegrationMatrix(entries=[[1.0, 2.0], [3.0, 4.0]], order=1,
+                              source_nodes=[[-0.5, 0.5], [-0.25, 0.25]], target_nodes=[0.0, 1.0],
+                              interval="[-1,1]", alpha=[0.5, 1.5])
+        assert apply_quadrature(m, [[1.0, 1.0], [2.0, 0.5]]).tolist() == [3.0, 8.0]
+        with pytest.raises(ValueError):
+            apply_quadrature(m, [1.0, 1.0])
+
+    @pytest.mark.parametrize("source_nodes, alpha", [
+        (np.zeros(3), 0.5), (np.zeros((3, 2)), 0.5), (np.zeros((2, 2)), np.zeros(3)),
+    ])
+    def test_per_row_shapes_checked(self, source_nodes, alpha):
+        with pytest.raises(ValueError):
+            IntegrationMatrix(entries=np.ones((2, 2)), order=1, source_nodes=source_nodes,
+                              target_nodes=[0.0, 1.0], interval="[-1,1]", alpha=alpha)
 
     @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     def test_gaussian_against_adaptive_reference(self):

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from baryquad import (CollisionError, GegenbauerParam, OptimalConfig, build_gim_arbitrary,
-                      build_gim_gg, build_optimal_gim, build_optimal_gim_symmetric,
-                      check_condition_mmax, eta, gg_rule, lg_rule, map_to_unit_optimal,
-                      optimal_bary_basis, optimal_to_csv, optimize_alpha, qth_order_optimal)
+from baryquad import (CollisionError, GegenbauerParam, IntegrationMatrix, OptimalConfig,
+                      apply_quadrature, build_gim_arbitrary, build_gim_gg, build_optimal_gim,
+                      build_optimal_gim_symmetric, check_condition_mmax, eta, gg_rule, lg_rule,
+                      map_to_unit, matrix_to_csv, optimal_bary_basis, optimize_alpha,
+                      qth_order_gim)
 from baryquad.optimal import _GRID_SAMPLES, _grid_objective, _optimal_row
 from baryquad.polynomials import EPS_MACH
 
@@ -55,6 +56,13 @@ class TestOptimizeAlpha:
             for ref in (0.0, 0.5):
                 assert best <= eta(x, 11, GegenbauerParam(ref)) ** 2 * (1 + 1e-9) + 1e-30
 
+    @pytest.mark.parametrize("m", [3, 4, 7, 12])
+    def test_alpha_b_where_the_error_factor_vanishes(self, m):
+        # at -1, and at 1 for even m, the error factor is zero for every parameter
+        cfg = OptimalConfig(m=m, alpha_b=1.25)
+        for x in ((-1.0, 1.0) if m % 2 == 0 else (-1.0,)):
+            assert optimize_alpha(x, m, cfg) == 1.25
+
     def test_out_of_range_target_rejected(self):
         with pytest.raises(ValueError):
             optimize_alpha(1.5, 8, OptimalConfig(m=8))
@@ -82,7 +90,7 @@ class TestAlphaStarRegression:
     def test_alpha_star_unchanged(self, m):
         targets = gg_rule(10, GegenbauerParam(0.5)).nodes
         mat = build_optimal_gim(targets, OptimalConfig(m=m))
-        assert_allclose(mat.alpha_star, self.ALPHA_STAR[m], rtol=0.0, atol=1e-6)
+        assert_allclose(mat.alpha, self.ALPHA_STAR[m], rtol=0.0, atol=1e-6)
 
 
 class TestAdjointBasis:
@@ -103,17 +111,25 @@ class TestBuildOptimal:
     def test_ones_rows_give_interval_lengths(self):
         targets = gg_rule(6, GegenbauerParam(0.4)).nodes
         mat = build_optimal_gim(targets, OptimalConfig(m=9))
-        got = (mat.entries * np.ones_like(mat.adjoint_nodes)).sum(axis=1)
+        got = (mat.entries * np.ones_like(mat.source_nodes)).sum(axis=1)
         assert_allclose(got, targets + 1.0, atol=1e-13)
+
+    def test_per_row_source_nodes_and_alpha(self):
+        targets = np.linspace(-0.6, 0.6, 4)
+        mat = build_optimal_gim(targets, OptimalConfig(m=5))
+        assert isinstance(mat, IntegrationMatrix)
+        assert mat.source_nodes.shape == (4, 6) and mat.alpha.shape == (4,)
+        for nodes, a in zip(mat.source_nodes, mat.alpha):
+            assert np.array_equal(nodes, gg_rule(5, GegenbauerParam(a)).nodes)
 
     @pytest.mark.parametrize("m", [6, 9, 14])
     def test_rows_integrate_polynomials_exactly(self, m, rng):
         targets = np.sort(rng.uniform(-1, 1, 8))
         mat = build_optimal_gim(targets, OptimalConfig(m=m))
         coeffs = rng.uniform(-1, 1, m + 1)
-        samples = np.polynomial.polynomial.polyval(mat.adjoint_nodes, coeffs)
+        samples = np.polynomial.polynomial.polyval(mat.source_nodes, coeffs)
         exact = sum(c * running_monomial_integral(targets, p) for p, c in enumerate(coeffs))
-        got = (mat.entries * samples).sum(axis=1)
+        got = apply_quadrature(mat, samples)
         assert np.max(np.abs(got - exact)) <= 1e-11
 
     def test_above_mmax_equals_fixed_parameter_matrix(self):
@@ -122,7 +138,8 @@ class TestBuildOptimal:
         mat = build_optimal_gim(targets, cfg)
         fixed = build_gim_arbitrary(targets, 25, GegenbauerParam(0.0))
         assert np.array_equal(mat.entries, fixed.entries)
-        assert np.all(mat.alpha_star == 0.0)
+        assert np.all(mat.alpha == 0.0)
+        assert np.array_equal(mat.source_nodes, np.tile(fixed.source_nodes, (8, 1)))
 
     def test_above_mmax_gg_targets_recover_square_matrix(self):
         cfg = OptimalConfig(m=22, m_max=20, alpha_a=0.0)
@@ -133,18 +150,18 @@ class TestBuildOptimal:
 
     @pytest.mark.parametrize("m", [4, 8, 12])
     def test_target_just_below_one_gets_endpoint_bump(self, m):
-        # alpha* at the endpoint is not pinned (the error factor vanishes
-        # there for even m), so compare with the target-1 row on the same
-        # adjoint nodes
+        # alpha* just below the endpoint is set by rounding (the error factor
+        # vanishes at 1 for even m), so compare with the target-1 row on the
+        # same adjoint nodes
         opt = build_optimal_gim([np.nextafter(1.0, 0.0)], OptimalConfig(m=m))
-        at_one = build_gim_arbitrary([1.0], m, GegenbauerParam(opt.alpha_star[0]))
+        at_one = build_gim_arbitrary([1.0], m, GegenbauerParam(opt.alpha[0]))
         assert_allclose(opt.entries, at_one.entries, rtol=0.0, atol=1e-14)
 
     def test_alpha_star_bounds(self):
         cfg = OptimalConfig(m=10)
         targets = np.linspace(-1, 1, 9)
         mat = build_optimal_gim(targets, cfg)
-        for a in mat.alpha_star:
+        for a in mat.alpha:
             assert (-0.5 < a <= cfg.r) or a == cfg.alpha_b
 
 
@@ -155,12 +172,12 @@ class TestSymmetricFastPath:
         fast = build_optimal_gim_symmetric(targets, cfg)
         general = build_optimal_gim(targets, cfg)
         assert np.max(np.abs(fast.entries - general.entries)) <= 1e-12
-        assert np.array_equal(fast.alpha_star, general.alpha_star)
+        assert np.array_equal(fast.alpha, general.alpha)
 
     def test_alpha_star_palindromic(self):
         targets = gg_rule(9, GegenbauerParam(0.2)).nodes
         mat = build_optimal_gim_symmetric(targets, OptimalConfig(m=12))
-        assert np.array_equal(mat.alpha_star, mat.alpha_star[::-1])
+        assert np.array_equal(mat.alpha, mat.alpha[::-1])
 
     def test_odd_m_rejected(self):
         targets = gg_rule(4, GegenbauerParam(0.5)).nodes
@@ -192,6 +209,10 @@ class TestConditionMmax:
         report = check_condition_mmax(np.array([x]), m, 0.0)
         assert not report.feasible
         assert (i, s, 0) in report.violations
+
+    def test_nan_target_rejected(self):
+        with pytest.raises(ValueError):
+            check_condition_mmax(np.array([0.0, np.nan]), 6, 0.5)
 
     def test_left_endpoint_target_vacuous(self):
         report = check_condition_mmax(np.array([-1.0]), 6, 0.5)
@@ -236,32 +257,32 @@ class TestHigherOrderOptimal:
     def test_first_order_unchanged(self):
         targets = np.linspace(-0.8, 0.8, 5)
         mat = build_optimal_gim(targets, OptimalConfig(m=6))
-        assert qth_order_optimal(mat, 1) is mat
+        assert qth_order_gim(mat, 1) is mat
 
     def test_second_order_matches_iterated_integral(self, rng):
         m = 10
         targets = np.sort(rng.uniform(-1, 1, 6))
-        mat = qth_order_optimal(build_optimal_gim(targets, OptimalConfig(m=m)), 2)
+        mat = qth_order_gim(build_optimal_gim(targets, OptimalConfig(m=m)), 2)
         coeffs = rng.uniform(-1, 1, m)  # degree m-1
-        samples = np.polynomial.polynomial.polyval(mat.adjoint_nodes, coeffs)
+        samples = np.polynomial.polynomial.polyval(mat.source_nodes, coeffs)
         x = targets
         exact = sum(c * (x * running_monomial_integral(x, p)
                          - (x ** (p + 2) - (-1.0) ** (p + 2)) / (p + 2))
                     for p, c in enumerate(coeffs))
-        got = (mat.entries * samples).sum(axis=1)
+        got = apply_quadrature(mat, samples)
         assert np.max(np.abs(got - exact)) <= 1e-10
 
     def test_unit_interval_scaling(self):
         targets = np.linspace(-0.7, 0.9, 5)
         first = build_optimal_gim(targets, OptimalConfig(m=6))
-        second = qth_order_optimal(first, 2)
-        assert_allclose(map_to_unit_optimal(first).entries, first.entries / 2.0, atol=0.0)
-        assert_allclose(map_to_unit_optimal(second).entries, second.entries / 4.0, atol=0.0)
+        second = qth_order_gim(first, 2)
+        assert_allclose(map_to_unit(first).entries, first.entries / 2.0, atol=0.0)
+        assert_allclose(map_to_unit(second).entries, second.entries / 4.0, atol=0.0)
 
     def test_invalid_order_rejected(self):
         mat = build_optimal_gim(np.array([0.5]), OptimalConfig(m=4))
         with pytest.raises(ValueError):
-            qth_order_optimal(mat, 0)
+            qth_order_gim(mat, 0)
 
 
 class TestCollision:
@@ -290,7 +311,7 @@ class TestCsv:
     def test_byte_identical_to_csv_writer(self, unit):
         mat = build_optimal_gim(np.linspace(-1.0, 1.0, 7), OptimalConfig(m=6))
         if unit:
-            mat = map_to_unit_optimal(mat)
+            mat = map_to_unit(mat)
         want = io.StringIO()
         writer = csv.writer(want)
         writer.writerow(["rows", "cols", "q", "alpha", "interval"])
@@ -298,17 +319,17 @@ class TestCsv:
         for row in mat.entries:
             writer.writerow([f"{v:.17g}" for v in row])
         writer.writerow(["k", "alphaStar"])
-        for k, a in enumerate(mat.alpha_star):
+        for k, a in enumerate(mat.alpha):
             writer.writerow([k, f"{a:.17g}"])
         got = io.StringIO()
-        optimal_to_csv(mat, got)
+        matrix_to_csv(mat, got)
         assert got.getvalue() == want.getvalue()
 
     def test_contains_alpha_star_table(self):
         targets = np.linspace(-0.5, 0.5, 3)
         mat = build_optimal_gim(targets, OptimalConfig(m=5))
         buf = io.StringIO()
-        optimal_to_csv(mat, buf)
+        matrix_to_csv(mat, buf)
         lines = buf.getvalue().strip().splitlines()
         assert lines[0] == "rows,cols,q,alpha,interval"
         assert "k,alphaStar" in lines
@@ -317,4 +338,4 @@ class TestCsv:
         for k, line in enumerate(lines[idx + 1:]):
             cells = line.split(",")
             assert int(cells[0]) == k
-            assert float(cells[1]) == mat.alpha_star[k]
+            assert float(cells[1]) == mat.alpha[k]
