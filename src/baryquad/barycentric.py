@@ -72,25 +72,17 @@ def bary_weights_gg(rule: QuadratureRule) -> BarycentricBasis:
 def bary_eval(basis: BarycentricBasis, values, x, exact_hit_tol: float = EPS_MACH):
     """Evaluate the interpolant through (nodes, values) at ``x``.
 
-    Uses the second barycentric form, O(n) per point.  Points within
-    ``exact_hit_tol`` of a node return that node's value directly, which
-    keeps the cardinal property exact instead of dividing by ~0; a point
-    within the tolerance of two nodes takes the nearest one (the lower one
-    on a tie), as in :func:`lagrange_matrix`.
+    The "cardinal" table of :func:`lagrange_matrix` applied to the values,
+    O(n) per point: a point within ``exact_hit_tol`` of a node returns the
+    value of its nearest node (the lower one on a tie) instead of dividing
+    by ~0.
     """
     f = np.asarray(values, dtype=float)
     if f.shape != basis.nodes.shape:
         raise ValueError(f"expected {basis.nodes.size} values, got {f.size}")
     pts = np.asarray(x, dtype=float)
-    scalar = pts.ndim == 0
-    pts = np.atleast_1d(pts)
-    diff = pts[:, None] - basis.nodes[None, :]
-    hit = np.flatnonzero((np.abs(diff) <= exact_hit_tol).any(axis=1))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mu = basis.xi[None, :] / diff
-        out = (mu @ f) / mu.sum(axis=1)
-    out[hit] = f[np.abs(diff[hit]).argmin(axis=1)]
-    return float(out[0]) if scalar else out
+    out = lagrange_matrix(basis, np.atleast_1d(pts), exact_hit_tol, on_hit="cardinal") @ f
+    return float(out[0]) if pts.ndim == 0 else out
 
 
 def lagrange_matrix(basis: BarycentricBasis, points, exact_hit_tol: float = EPS_MACH,

@@ -88,14 +88,10 @@ def _write_rows(path, header, rows):
 
 def cmd_gim(args) -> int:
     param = GegenbauerParam(args.alpha)
-    try:
-        if args.variant == "basis":
-            matrix = build_basis_gim(args.n, param)
-        else:
-            matrix = _VARIANTS[args.variant](args.n, param, args.epsilon)
-    except CollisionError as exc:
-        print(f"CollisionError: {exc}", file=sys.stderr)
-        return INFEASIBLE
+    if args.variant == "basis":
+        matrix = build_basis_gim(args.n, param)
+    else:
+        matrix = _VARIANTS[args.variant](args.n, param, args.epsilon)
     if args.q > 1:
         matrix = qth_order_gim(matrix, args.q)
     matrix_to_csv(matrix, sys.stdout if args.out is None else args.out)
@@ -103,13 +99,8 @@ def cmd_gim(args) -> int:
 
 
 def cmd_quadbench(args) -> int:
-    try:
-        spec = BenchmarkSpec(integrand=args.f,
-                             n_grid=tuple(int(v) for v in parse_grid(args.n_grid)),
-                             alpha_grid=tuple(parse_grid(args.alpha_grid)))
-    except ValueError as exc:
-        print(f"UsageError: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    spec = BenchmarkSpec(integrand=args.f, n_grid=tuple(int(v) for v in parse_grid(args.n_grid)),
+                         alpha_grid=tuple(parse_grid(args.alpha_grid)))
     start = time.perf_counter()
     rows = [(str(n), f"{alpha:.17g}", str(j), f"{eb:.17g}", f"{es:.17g}")
             for n, alpha, j, eb, es in run_benchmark(spec)]
@@ -121,15 +112,10 @@ def cmd_quadbench(args) -> int:
 
 
 def cmd_feasibility(args) -> int:
-    try:
-        n_grid = [int(v) for v in parse_grid(args.n_grid)]
-        alpha_grid = parse_grid(args.alpha_grid)
-    except ValueError as exc:
-        print(f"UsageError: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    n_grid = [int(v) for v in parse_grid(args.n_grid)]
+    alpha_grid = parse_grid(args.alpha_grid)
     if any(a <= -0.5 for a in alpha_grid):
-        print("UsageError: alpha grid values must exceed -1/2", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError("alpha grid values must exceed -1/2")
     rows = []
     for n in n_grid:
         for alpha in alpha_grid:
@@ -141,24 +127,14 @@ def cmd_feasibility(args) -> int:
 
 def cmd_example(args) -> int:
     if args.id not in (1, 2):
-        print(f"UsageError: example id {args.id} is not supported (choose 1 or 2)",
-              file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError(f"example id {args.id} is not supported (choose 1 or 2)")
     param = GegenbauerParam(args.alpha)
-    try:
-        if args.id == 1:
-            if args.m is None:
-                print("UsageError: example 1 requires --m", file=sys.stderr)
-                return USAGE_ERROR
-            solution = solve_example1(args.n, args.m, param)
-        else:
-            solution = solve_example2(args.n, param)
-    except CollisionError as exc:
-        print(f"CollisionError: {exc}", file=sys.stderr)
-        return INFEASIBLE
-    except ConvergenceError as exc:
-        print(f"ConvergenceError: {exc}", file=sys.stderr)
-        return INFEASIBLE
+    if args.id == 1:
+        if args.m is None:
+            raise ValueError("example 1 requires --m")
+        solution = solve_example1(args.n, args.m, param)
+    else:
+        solution = solve_example2(args.n, param)
     if args.out is not None:
         solution_to_csv(solution, args.out)
     k_s = "n/a" if solution.kappa2 is None else f"{solution.kappa2:.6g}"
@@ -219,6 +195,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"UsageError: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except (CollisionError, ConvergenceError) as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return INFEASIBLE
 
 
 def entry() -> None:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .barycentric import BarycentricBasis, bary_weights_gg
 from .errors import CollisionError
-from .polynomials import EPS_MACH, GegenbauerParam, _norms, _table
+from .polynomials import EPS_MACH, GegenbauerParam, _integration_relation, _norms, _terms
 from .rules import _write_lines, gg_rule, lg_rule
 
 INTERVAL_BIUNIT = "[-1,1]"
@@ -136,6 +136,11 @@ def check_gg_condition(n: int, param: GegenbauerParam, epsilon: float = EPS_MACH
     Legendre-Gauss nodes used during construction.  Equality of the mapped
     Legendre point with a source node is exactly the overflow case.
 
+    This is the paper's condition, with epsilon on the ratio.  The builders
+    put it on the mapped point, whose gap is (1 + x_j) / 2 times the ratio's,
+    so for epsilon well above machine precision a feasible report does not
+    guarantee a build; the builder's screen decides, before any row is built.
+
     The (n+1)^2 ratios are searched in the sorted 1 + y_k rather than
     compared with every k, which takes O(n^2 log n) time and
     O(n^2 + #violations) memory.  Violations are (i, j, k) triples in
@@ -206,6 +211,26 @@ def _build_rows(target_nodes, basis: BarycentricBasis, lg, epsilon: float, on_hi
     return rows
 
 
+def _build_gim(targets, n: int, param: GegenbauerParam, epsilon: float, on_hit: str, count: int):
+    """The one matrix body: Gauss rule, barycentric weights, Legendre rule, rows.
+
+    ``targets`` None means the Gauss nodes (the square matrix).  ``on_hit`` is
+    a :func:`_build_rows` policy, or "bump": retry a collision with count + 1.
+    """
+    rule = gg_rule(n, param)
+    basis = bary_weights_gg(rule)
+    targets = rule.nodes if targets is None else targets
+    try:
+        entries = _build_rows(targets, basis, lg_rule(count), epsilon,
+                              "raise" if on_hit == "bump" else on_hit)
+    except CollisionError:
+        if on_hit != "bump":
+            raise
+        entries = _build_rows(targets, basis, lg_rule(count + 1), epsilon, "raise")
+    return IntegrationMatrix(entries=entries, order=1, source_nodes=rule.nodes,
+                             target_nodes=targets, interval=INTERVAL_BIUNIT, alpha=param.alpha)
+
+
 def build_gim_gg(n: int, param: GegenbauerParam, epsilon: float = EPS_MACH) -> IntegrationMatrix:
     """First-order square matrix on the n+1 Gauss nodes of the family.
 
@@ -216,12 +241,7 @@ def build_gim_gg(n: int, param: GegenbauerParam, epsilon: float = EPS_MACH) -> I
         node (the infeasible case); the guarded or bumped builders handle
         those parameter pairs.
     """
-    rule = gg_rule(n, param)
-    basis = bary_weights_gg(rule)
-    lg = lg_rule(_lg_count_default(n))
-    entries = _build_rows(rule.nodes, basis, lg, epsilon, on_hit="raise")
-    return IntegrationMatrix(entries=entries, order=1, source_nodes=rule.nodes,
-                             target_nodes=rule.nodes, interval=INTERVAL_BIUNIT, alpha=param.alpha)
+    return _build_gim(None, n, param, epsilon, "raise", _lg_count_default(n))
 
 
 def build_gim_gg_guarded(n: int, param: GegenbauerParam, epsilon: float = EPS_MACH) -> IntegrationMatrix:
@@ -231,12 +251,7 @@ def build_gim_gg_guarded(n: int, param: GegenbauerParam, epsilon: float = EPS_MA
     the interpolant value at the hit node is the sample itself, so the
     cardinal row preserves polynomial exactness instead of overflowing.
     """
-    rule = gg_rule(n, param)
-    basis = bary_weights_gg(rule)
-    lg = lg_rule(_lg_count_default(n))
-    entries = _build_rows(rule.nodes, basis, lg, epsilon, on_hit="cardinal")
-    return IntegrationMatrix(entries=entries, order=1, source_nodes=rule.nodes,
-                             target_nodes=rule.nodes, interval=INTERVAL_BIUNIT, alpha=param.alpha)
+    return _build_gim(None, n, param, epsilon, "cardinal", _lg_count_default(n))
 
 
 def build_gim_gg_bumped(n: int, param: GegenbauerParam, epsilon: float = EPS_MACH) -> IntegrationMatrix:
@@ -247,16 +262,7 @@ def build_gim_gg_bumped(n: int, param: GegenbauerParam, epsilon: float = EPS_MAC
     exists; the enlarged rule merely moves the evaluation points off the
     colliding configuration.
     """
-    rule = gg_rule(n, param)
-    basis = bary_weights_gg(rule)
-    try:
-        lg = lg_rule(_lg_count_default(n))
-        entries = _build_rows(rule.nodes, basis, lg, epsilon, on_hit="raise")
-    except CollisionError:
-        lg = lg_rule(_lg_count_default(n) + 1)
-        entries = _build_rows(rule.nodes, basis, lg, epsilon, on_hit="raise")
-    return IntegrationMatrix(entries=entries, order=1, source_nodes=rule.nodes,
-                             target_nodes=rule.nodes, interval=INTERVAL_BIUNIT, alpha=param.alpha)
+    return _build_gim(None, n, param, epsilon, "bump", _lg_count_default(n))
 
 
 def build_gim_arbitrary(target_nodes, n: int, param: GegenbauerParam,
@@ -268,11 +274,7 @@ def build_gim_arbitrary(target_nodes, n: int, param: GegenbauerParam,
     applies whenever a target lies within 2 epsilon of 1.
     """
     targets = _validated_targets(target_nodes)
-    rule = gg_rule(n, param)
-    lg = lg_rule(_lg_count(n, targets, epsilon))
-    entries = _build_rows(targets, bary_weights_gg(rule), lg, epsilon, on_hit="raise")
-    return IntegrationMatrix(entries=entries, order=1, source_nodes=rule.nodes,
-                             target_nodes=targets, interval=INTERVAL_BIUNIT, alpha=param.alpha)
+    return _build_gim(targets, n, param, epsilon, "raise", _lg_count(n, targets, epsilon))
 
 
 def row_gim_endpoint(n: int, param: GegenbauerParam, epsilon: float = EPS_MACH) -> np.ndarray:
@@ -291,23 +293,20 @@ def build_basis_gim(n: int, param: GegenbauerParam) -> IntegrationMatrix:
     expansion instead of evaluating the barycentric form; mathematically
     identical to :func:`build_gim_gg` and kept as the comparison baseline.
     The modal integrals I[l, j] = integral of G_l over [-1, x_j] come from
-    the ultraspherical integration relation of
-    :func:`baryquad.polynomials._running_integral`, applied to whole rows of
-    one table of G_0 ... G_{n+1} at the nodes: O(n^2) work plus one
-    matrix product.
+    :func:`baryquad.polynomials._integration_relation`, applied to whole
+    rows of one table of G_0 ... G_{n+1} at the nodes: O(n^2) work plus
+    one matrix product.
     """
     rule = gg_rule(n, param)
     x = rule.nodes
     alpha = param.alpha
-    table = _table(n + 1, alpha, x)
+    table = np.array(list(_terms(n + 1, alpha, x)))
     integrals = np.empty((n + 1, n + 1))
     integrals[0] = x + 1.0
     if n >= 1:
         integrals[1] = 0.5 * (x * x - 1.0)
     l = np.arange(2.0, n + 1.0)[:, None]
-    end = np.where(l % 2 == 1.0, 1.0, -1.0)  # G_{l+1}(-1) = G_{l-1}(-1)
-    integrals[2:] = ((l + 2.0 * alpha) / (l + 1.0) * (table[3:] - end)
-                     - l / (l + 2.0 * alpha - 1.0) * (table[1:n] - end)) / (2.0 * (l + alpha))
+    integrals[2:] = _integration_relation(l, alpha, table[1:n], table[3:])
     entries = (integrals.T @ (table[:n + 1] / _norms(n, alpha)[:, None])) * rule.weights[None, :]
     return IntegrationMatrix(entries=entries, order=1, source_nodes=x,
                              target_nodes=x, interval=INTERVAL_BIUNIT, alpha=alpha)

@@ -212,6 +212,10 @@ def check_condition_mmax(target_nodes, m: int, alpha_a: float, epsilon: float = 
     Feasible when |y_s - (1 - x_k + 2 z_i) / (1 + x_k)| > epsilon for all
     adjoint indices i, Legendre indices s and targets x_k; a target at -1
     contributes an empty integration interval and is vacuously feasible.
+    The Legendre count is the builder's, endpoint bump included.  As in
+    :func:`baryquad.gim.check_gg_condition`, epsilon bounds the ratio's gap;
+    the builder bounds the mapped point's, (1 + x_k) / 2 times the ratio's,
+    so for large epsilon a feasible report does not guarantee a build.
 
     The ratios for each (target, adjoint node) pair are searched in the
     sorted Legendre nodes, which takes O(T m log m) time and
@@ -222,7 +226,7 @@ def check_condition_mmax(target_nodes, m: int, alpha_a: float, epsilon: float = 
         raise ValueError("epsilon must be positive")
     targets = _validated_targets(target_nodes)
     z = gg_rule(m, GegenbauerParam(alpha_a)).nodes
-    y = lg_rule(m // 2).nodes
+    y = lg_rule(_lg_count(m, targets, epsilon)).nodes
     kept = np.flatnonzero(targets != -1.0)
     x = targets[kept, None]
     ratios = (1.0 - x + 2.0 * z[None, :]) / (1.0 + x)

@@ -12,6 +12,7 @@ from baryquad import (CollisionError, GegenbauerParam, IntegrationMatrix, Optima
                       build_optimal_gim_symmetric, check_condition_mmax, eta, gg_rule, lg_rule,
                       map_to_unit, matrix_to_csv, optimal_bary_basis, optimize_alpha,
                       qth_order_gim)
+from baryquad.gim import _lg_count
 from baryquad.optimal import _GRID_SAMPLES, _grid_objective, _optimal_row
 from baryquad.polynomials import EPS_MACH
 
@@ -222,11 +223,19 @@ class TestConditionMmax:
         with pytest.raises(ValueError):
             check_condition_mmax(np.array([0.0]), 6, 0.5, epsilon=-1.0)
 
+    @pytest.mark.parametrize("m", [24, 28])
+    def test_uses_the_builders_legendre_count(self, m):
+        # the target 1 bumps the Legendre count of the m > m_max branch, and the
+        # check must use that count: with m // 2 it finds a collision the builder never meets
+        targets = [0.3, 1.0]
+        assert check_condition_mmax(targets, m, 0.0).feasible
+        build_optimal_gim(targets, OptimalConfig(m=m))
+
 
 def dense_mmax_violations(targets, m, alpha_a, epsilon):
     """Reference: one dense (adjoint node, Legendre node) test per target."""
     z = gg_rule(m, GegenbauerParam(alpha_a)).nodes
-    y = lg_rule(m // 2).nodes
+    y = lg_rule(_lg_count(m, targets, epsilon)).nodes
     violations = []
     for k, x_k in enumerate(targets):
         if x_k == -1.0:
@@ -242,11 +251,12 @@ class TestConditionMmaxMatchesDenseOracle:
         for m in range(0, 31):
             for alpha_a in (0.0, 0.5):
                 z = gg_rule(m, GegenbauerParam(alpha_a)).nodes
-                y = lg_rule(m // 2).nodes
+                grid = np.linspace(-0.99, 1.0, 15)
+                y = lg_rule(_lg_count(m, grid, epsilon)).nodes
                 # targets that put a mapped Legendre point on an adjoint node
                 hits = [(1.0 + 2.0 * zi - ys) / (1.0 + ys) for zi in z for ys in y]
                 hits = [x for x in hits if -1.0 < x < 1.0][:12]
-                targets = np.concatenate([[-1.0], np.linspace(-0.99, 1.0, 15), hits, [-1.0]])
+                targets = np.concatenate([[-1.0], grid, hits, [-1.0]])
                 report = check_condition_mmax(targets, m, alpha_a, epsilon)
                 want = dense_mmax_violations(targets, m, alpha_a, epsilon)
                 assert report.violations == want, (m, alpha_a)

@@ -1,0 +1,37 @@
+"""Tier-1 guards for what the benchmark in ``perfbench/`` relies on.
+
+Both tests read ``perfbench/`` files and change none of them.
+"""
+
+import importlib
+import importlib.util
+import json
+from pathlib import Path
+
+from baryquad import GegenbauerParam, check_gg_condition
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_every_traced_name_resolves():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", PERFBENCH / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for qualified in spans.TRACED:
+        module_name, attr = qualified.split(".")
+        module = importlib.import_module("baryquad." + module_name)
+        assert callable(getattr(module, attr, None)), qualified
+
+
+def test_feasibility_flags_on_the_default_grid_match_the_reference():
+    # the README's default grid, n = 1..100 and alpha = -0.4:0.1:2, is every
+    # other point of the reference's 0.05 grid, which tier-1 otherwise leaves
+    # to the benchmark; the flags do not pin the nodes' last bits (they also
+    # hold with the Newton polish switched off)
+    ref = json.loads((PERFBENCH / "reference.json").read_text())
+    units = ref["grid_units"]
+    ks = range(-8, 41, 2)  # alpha = k / units
+    for n in range(1, 101):
+        got = "".join("1" if check_gg_condition(n, GegenbauerParam(k / units)).feasible else "0"
+                      for k in ks)
+        assert got == ref["scan"][str(n)][::2], n

@@ -83,6 +83,19 @@ class TestNormAndLeading:
         assert_allclose(got, want, rtol=1e-14, atol=0.0)
         assert_allclose(_norms(0, alpha), want[:1], rtol=1e-14, atol=0.0)
 
+    @pytest.mark.parametrize("alpha", [-0.4, 0.0, 0.5, 2.0])
+    def test_norms_against_mpmath_jacobi_normalization(self, alpha):
+        # G_n is the Jacobi P_n^(a-1/2, a-1/2) divided by its value at 1, so
+        # its norm is the Jacobi norm over P_n(1)^2; G_0 = 1 has the weight's mass
+        with mpmath.workdps(30):
+            a = mpmath.mpf(alpha)
+            want = [mpmath.sqrt(mpmath.pi) * mpmath.gamma(a + 0.5) / mpmath.gamma(a + 1)]
+            for n in range(1, 641):
+                jacobi = (2 ** (2 * a) * mpmath.gamma(n + a + 0.5) ** 2
+                          / ((2 * n + 2 * a) * mpmath.factorial(n) * mpmath.gamma(n + 2 * a)))
+                want.append(jacobi / mpmath.binomial(n + a - 0.5, n) ** 2)
+        assert_allclose(_norms(640, alpha), np.array(want, dtype=float), rtol=5e-12, atol=0.0)
+
     def test_classical_normalization_agrees_at_legendre(self):
         # the classical factor 2^(1-2a) pi G(n+2a) / (n! (n+a) G(a)^2) matches
         # this standardization exactly at alpha = 1/2
