@@ -12,6 +12,7 @@ from scipy.integrate import IntegrationWarning, quad
 from .errors import CollisionError
 from .gim import apply_quadrature, build_basis_gim, build_gim_gg
 from .polynomials import GegenbauerParam
+from .rules import _nodes_weights
 
 #: named test integrands
 INTEGRANDS = {
@@ -86,9 +87,10 @@ def run_benchmark(spec: BenchmarkSpec):
     single row with NaN errors and node index -1.
     """
     f = make_integrand(spec.integrand)
+    params = [GegenbauerParam(a) for a in spec.alpha_grid]
     for n in spec.n_grid:
-        for alpha in spec.alpha_grid:
-            param = GegenbauerParam(alpha)
+        _nodes_weights(n, spec.alpha_grid)  # the Gauss rules of all alpha in one batch
+        for alpha, param in zip(spec.alpha_grid, params):
             try:
                 bary = build_gim_gg(n, param)
             except CollisionError:

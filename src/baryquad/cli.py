@@ -24,7 +24,7 @@ from .errors import CollisionError, ConvergenceError
 from .gim import (build_basis_gim, build_gim_gg, build_gim_gg_bumped, build_gim_gg_guarded,
                   check_gg_condition, matrix_to_csv, qth_order_gim)
 from .polynomials import EPS_MACH, GegenbauerParam
-from .rules import _write_lines
+from .rules import _nodes_weights, _write_lines
 from .solvers import solve_example1, solve_example2, solution_to_csv
 
 USAGE_ERROR = 1
@@ -116,11 +116,13 @@ def cmd_feasibility(args) -> int:
     alpha_grid = parse_grid(args.alpha_grid)
     if any(a <= -0.5 for a in alpha_grid):
         raise ValueError("alpha grid values must exceed -1/2")
+    params = [GegenbauerParam(a) for a in alpha_grid]
     rows = []
     for n in n_grid:
-        for alpha in alpha_grid:
-            report = check_gg_condition(n, GegenbauerParam(alpha), args.epsilon)
-            rows.append((str(n), f"{alpha:.17g}", "true" if report.feasible else "false"))
+        _nodes_weights(n, tuple(p.alpha for p in params))  # the Gauss rules of all alpha in one batch
+        for param in params:
+            report = check_gg_condition(n, param, args.epsilon)
+            rows.append((str(n), f"{param.alpha:.17g}", "true" if report.feasible else "false"))
     _write_rows(args.out, "n,alpha,feasible", rows)
     return 0
 

@@ -156,7 +156,24 @@ def check_gg_condition(n: int, param: GegenbauerParam, epsilon: float = EPS_MACH
     return FeasibilityReport(feasible=not violations, violations=violations)
 
 
-def _build_rows(target_nodes, basis: BarycentricBasis, lg, epsilon: float, on_hit: str):
+def _screen(targets: np.ndarray, nodes: np.ndarray, lg, epsilon: float):
+    """Legendre points mapped onto [-1, x_j] per target x_j, their gap to the nearest node, hits.
+
+    A point with |y_jk - x_i| <= epsilon is a hit.  Rounded differences are
+    monotone in x_i, so the smallest |y_jk - x_i| lies at one of the two
+    nodes next to y_jk in sorted order; those decide, for all targets at
+    once, which targets have a hit.  Returns ``(mapped, nearest, hit)``,
+    ``hit`` a list of one bool per target.
+    """
+    mapped = 0.5 * ((targets[:, None] + 1.0) * lg.nodes + targets[:, None] - 1.0)
+    # x_below < y <= x_above, so both differences are |y - x| without abs
+    padded = np.concatenate(([-np.inf], nodes, [np.inf]))
+    above = np.searchsorted(nodes, mapped) + 1
+    nearest = np.minimum(mapped - padded[above - 1], padded[above] - mapped)
+    return mapped, nearest, (nearest <= epsilon).any(axis=1).tolist()
+
+
+def _build_rows(target_nodes, basis: BarycentricBasis, lg, epsilon: float, on_hit: str, screen=None):
     """Shared row kernel: integrate the interpolant over [-1, x_j] for each target x_j.
 
     With y_j the Legendre points mapped onto [-1, x_j], mu = xi / (y_j - x)
@@ -171,24 +188,17 @@ def _build_rows(target_nodes, basis: BarycentricBasis, lg, epsilon: float, on_hi
     buffer, so memory stays O(p (n + T)) for p Legendre points and T
     targets.
 
-    A point with |y_jk - x_i| <= epsilon is a hit.  Rounded differences are
-    monotone in x_i, so the smallest |y_jk - x_i| lies at one of the two
-    nodes next to y_jk in sorted order; those decide, for all targets at
-    once, which targets have a hit.  ``on_hit`` "raise" reports the first
-    hit in (j, k, i) order as a :class:`CollisionError` (i, j, k) before
-    any row is built; "cardinal" replaces the point's cardinal values by
-    the unit row of its nearest node (the lower one on a tie), which the
-    cardinal property dictates, as :func:`lagrange_matrix` does.  A point
-    within epsilon of two nodes thus still counts once.
+    Hits are found by :func:`_screen`, or taken from ``screen``, its result
+    for these targets.  ``on_hit`` "raise" reports the first hit in
+    (j, k, i) order as a :class:`CollisionError` (i, j, k) before any row
+    is built; "cardinal" replaces the point's cardinal values by the unit
+    row of its nearest node (the lower one on a tie), which the cardinal
+    property dictates, as :func:`lagrange_matrix` does.  A point within
+    epsilon of two nodes thus still counts once.
     """
     targets = np.atleast_1d(np.asarray(target_nodes, dtype=float))
     nodes, xi, w = basis.nodes, basis.xi, lg.weights
-    mapped = 0.5 * ((targets[:, None] + 1.0) * lg.nodes + targets[:, None] - 1.0)
-    # x_below < y <= x_above, so both differences are |y - x| without abs
-    padded = np.concatenate(([-np.inf], nodes, [np.inf]))
-    above = np.searchsorted(nodes, mapped) + 1
-    nearest = np.minimum(mapped - padded[above - 1], padded[above] - mapped)
-    hit = (nearest <= epsilon).any(axis=1).tolist()
+    mapped, nearest, hit = _screen(targets, nodes, lg, epsilon) if screen is None else screen
     if on_hit == "raise" and any(hit):
         j = hit.index(True)
         k, i = np.nonzero(np.abs(mapped[j, :, None] - nodes) <= epsilon)  # in (k, i) order

@@ -18,9 +18,9 @@ import numpy as np
 from .barycentric import bary_weights_gg
 from .errors import CollisionError
 from .gim import (FeasibilityReport, INTERVAL_BIUNIT, IntegrationMatrix, _build_rows, _lg_count,
-                  _near_sorted, _validated_targets, build_gim_arbitrary)
+                  _near_sorted, _screen, _validated_targets, build_gim_arbitrary)
 from .polynomials import EPS_MACH, GegenbauerParam, _eta_scale, _running_integral, eta
-from .rules import gg_rule, lg_rule
+from .rules import _nodes_weights, gg_rule, lg_rule
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _GRID_SAMPLES = 64
@@ -146,15 +146,6 @@ def optimal_bary_basis(x_k: float, m: int, alpha_star: float):
     return rule, bary_weights_gg(rule)
 
 
-def _optimal_row(x_k, basis, lg, epsilon, k):
-    # the square matrices' row kernel, on this row's own adjoint basis
-    try:
-        return _build_rows(x_k, basis, lg, epsilon, on_hit="raise")[0]
-    except CollisionError as hit:
-        raise CollisionError(hit.i, k, hit.k,
-                             "mapped Legendre point coincides with an adjoint node") from None
-
-
 def build_optimal_gim(target_nodes, config: OptimalConfig) -> IntegrationMatrix:
     """First-order optimal matrix for an arbitrary target set.
 
@@ -166,7 +157,9 @@ def build_optimal_gim(target_nodes, config: OptimalConfig) -> IntegrationMatrix:
     and adjoint sample set.  The parameter, adjoint rule and barycentric
     basis are computed once per distinct target, and for even m, where the
     error factor is even in the target, once per distinct ``|x_k|``, so
-    mirrored targets share them.
+    mirrored targets share them.  Every target is screened for collisions
+    before any row is built, and the rows that share a basis are built in
+    one call of the row kernel.
     """
     targets = _validated_targets(target_nodes)
     m = config.m
@@ -175,18 +168,34 @@ def build_optimal_gim(target_nodes, config: OptimalConfig) -> IntegrationMatrix:
         return replace(base, source_nodes=np.tile(base.source_nodes, (targets.size, 1)),
                        alpha=np.full(targets.size, config.alpha_a))
     lg = lg_rule(_lg_count(m, targets, config.epsilon))
+    groups = {}  # targets that share a parameter and basis, in order of first appearance
+    for k, x_k in enumerate(targets.tolist()):
+        groups.setdefault(abs(x_k) if m % 2 == 0 else x_k, []).append(k)
+    alpha_stars = [optimize_alpha(targets[ks[0]], m, config) for ks in groups.values()]
+    _nodes_weights(m, tuple(alpha_stars))  # the adjoint Gauss rules of all groups in one batch
+    shared, hit = [], [False] * targets.size
+    for ks, a_k in zip(groups.values(), alpha_stars):
+        rule, basis = optimal_bary_basis(targets[ks[0]], m, a_k)
+        screen = _screen(targets[ks], basis.nodes, lg, config.epsilon)
+        for k, h in zip(ks, screen[2]):
+            hit[k] = h
+        shared.append((ks, a_k, rule, basis, screen))
+    if any(hit):
+        # every group is screened, so the first hit is the first collision in target order;
+        # the rows of its group before it have no hit, so its group raises there
+        ks, _, _, basis, screen = next(group for group in shared if hit.index(True) in group[0])
+        try:
+            _build_rows(targets[ks], basis, lg, config.epsilon, "raise", screen)
+        except CollisionError as first:
+            raise CollisionError(first.i, ks[first.j], first.k,
+                                 "mapped Legendre point coincides with an adjoint node") from None
     entries = np.empty((targets.size, m + 1))
     adjoint_nodes = np.empty((targets.size, m + 1))
     alpha_star = np.empty(targets.size)
-    seen = {}
-    for k, x_k in enumerate(targets):
-        key = abs(x_k) if m % 2 == 0 else x_k
-        if key not in seen:
-            a_k = optimize_alpha(x_k, m, config)
-            seen[key] = (a_k, *optimal_bary_basis(x_k, m, a_k))
-        alpha_star[k], rule, basis = seen[key]
-        adjoint_nodes[k] = rule.nodes
-        entries[k] = _optimal_row(x_k, basis, lg, config.epsilon, k)
+    for ks, a_k, rule, basis, screen in shared:
+        entries[ks] = _build_rows(targets[ks], basis, lg, config.epsilon, "raise", screen)
+        adjoint_nodes[ks] = rule.nodes
+        alpha_star[ks] = a_k
     return IntegrationMatrix(entries=entries, order=1, source_nodes=adjoint_nodes,
                              target_nodes=targets, interval=INTERVAL_BIUNIT, alpha=alpha_star)
 

@@ -124,6 +124,11 @@ class TestFeasibilityCommand:
     def test_invalid_alpha_grid_exits_one(self, capsys):
         assert main(["feasibility", "--n-grid", "3", "--alpha-grid", "-0.6"]) == 1
 
+    def test_rule_past_its_alpha_range_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "feas.csv"
+        assert main(["feasibility", "--n-grid", "640", "--alpha-grid", "30", "--out", str(out)]) == 2
+        assert "ConvergenceError" in capsys.readouterr().err and not out.exists()
+
 
 class TestReadmeRangeGrids:
     @pytest.mark.parametrize("argv", [

@@ -2,6 +2,7 @@
 
 import csv
 import io
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -12,8 +13,9 @@ from baryquad import (CollisionError, GegenbauerParam, IntegrationMatrix, Optima
                       build_optimal_gim_symmetric, check_condition_mmax, eta, gg_rule, lg_rule,
                       map_to_unit, matrix_to_csv, optimal_bary_basis, optimize_alpha,
                       qth_order_gim)
+from baryquad import rules
 from baryquad.gim import _lg_count
-from baryquad.optimal import _GRID_SAMPLES, _grid_objective, _optimal_row
+from baryquad.optimal import _GRID_SAMPLES, _grid_objective
 from baryquad.polynomials import EPS_MACH
 
 
@@ -297,13 +299,51 @@ class TestHigherOrderOptimal:
 
 class TestCollision:
     def test_optimal_row_names_the_adjoint_node(self):
-        # the square pair (4, alpha = 1) puts a mapped Legendre point on node 1
-        # for target 2; the row index reported is the caller's
-        rule = gg_rule(4, GegenbauerParam(1.0))
-        basis = optimal_bary_basis(rule.nodes[2], 4, 1.0)[1]
+        # at m = 4 with epsilon = 0.01, target -0.9 puts a mapped Legendre point
+        # within epsilon of an adjoint node; the row index reported is the caller's
+        cfg = OptimalConfig(m=4, epsilon=0.01)
+        targets = np.array([0.3, 0.5, 0.7, 0.2, 0.4, 0.6, 0.8, -0.9])
         with pytest.raises(CollisionError, match="adjoint node") as hit:
-            _optimal_row(rule.nodes[2], basis, lg_rule(2), EPS_MACH, 7)
-        assert (hit.value.i, hit.value.j, hit.value.k) == (1, 7, 1)
+            build_optimal_gim(targets, cfg)
+        z = gg_rule(4, GegenbauerParam(optimize_alpha(-0.9, 4, cfg))).nodes
+        y = 0.5 * ((-0.9 + 1.0) * lg_rule(_lg_count(4, targets, 0.01)).nodes - 0.9 - 1.0)
+        s, i = np.argwhere(np.abs(y[:, None] - z) <= 0.01)[0]  # the first in (s, i) order
+        assert (hit.value.i, hit.value.j, hit.value.k) == (i, 7, s)
+
+    def test_first_collision_in_target_order_across_groups(self):
+        # rows 0 and 2 share a basis (m even), row 1 has its own; rows 1 and 2
+        # collide, so the group built first holds the later collision
+        cfg = OptimalConfig(m=4, epsilon=0.01)
+        build_optimal_gim([0.1], cfg)
+        alone = {}
+        for x in (-0.9, -0.1):
+            with pytest.raises(CollisionError) as hit:
+                build_optimal_gim([x], cfg)
+            alone[x] = (hit.value.i, hit.value.k)
+        with pytest.raises(CollisionError) as first:
+            build_optimal_gim([0.1, -0.9, -0.1], cfg)
+        assert (first.value.i, first.value.j, first.value.k) == (alone[-0.9][0], 1, alone[-0.9][1])
+
+    def test_adjoint_rules_are_polished_in_one_batch(self, monkeypatch):
+        monkeypatch.setattr(rules, "_RULES", OrderedDict())
+        batches = []
+        polish = rules._polish
+
+        def recorded(n, alphas, nodes):
+            batches.append((n, list(alphas)))
+            return polish(n, alphas, nodes)
+
+        monkeypatch.setattr(rules, "_polish", recorded)
+        mat = build_optimal_gim(gg_rule(10, GegenbauerParam(0.5)).nodes, OptimalConfig(m=14))
+        adjoint = [(n, alphas) for n, alphas in batches if n == 14]
+        assert adjoint == [(14, list(dict.fromkeys(mat.alpha.tolist())))]
+
+    @pytest.mark.parametrize("m", [6, 7, 14])
+    def test_rows_sharing_a_basis_equal_one_row_builds(self, m):
+        targets = gg_rule(10, GegenbauerParam(0.5)).nodes
+        mat = build_optimal_gim(targets, OptimalConfig(m=m))
+        for k, x_k in enumerate(targets):
+            assert np.array_equal(mat.entries[k], build_optimal_gim([x_k], OptimalConfig(m=m)).entries[0])
 
     def test_row_collision_reports_indices(self):
         # adjoint rule fixed at alpha_a = 1, m = 4 reproduces the known

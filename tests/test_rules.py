@@ -2,15 +2,24 @@
 
 import io
 import math
+import sys
+import threading
+from collections import OrderedDict
 
 import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import eigh_tridiagonal
 
-from baryquad import GegenbauerParam, QuadratureRule, gg_rule, lg_rule, rule_from_csv, rule_to_csv
+from baryquad import (ConvergenceError, GegenbauerParam, QuadratureRule, gg_rule, lg_rule,
+                      rule_from_csv, rule_to_csv)
+from baryquad import rules
+from baryquad.polynomials import EPS_MACH
 
 ALPHAS = [-0.4, -0.25, 0.0, 0.5, 1.0, 2.0]
+#: the feasibility command's default alpha grid, -0.4:0.1:2
+GRID = tuple(round(-0.4 + 0.1 * i, 12) for i in range(25))
 
 
 def total_mass(alpha):
@@ -23,6 +32,61 @@ def weighted_moment(k, alpha):
         return 0.0
     return math.exp(math.lgamma((k + 1) / 2.0) + math.lgamma(alpha + 0.5)
                     - math.lgamma(k / 2.0 + alpha + 1.0))
+
+
+def scalar_recurrence_with_derivative(n, alpha, x):
+    g0, d0, g1, d1 = np.ones_like(x), np.zeros_like(x), x.copy(), np.ones_like(x)
+    for k in range(2, n + 1):
+        c1 = 2.0 * (k + alpha - 1.0) / (k + 2.0 * alpha - 1.0)
+        c2 = (k - 1.0) / (k + 2.0 * alpha - 1.0)
+        g2 = c1 * x * g1 - c2 * g0
+        d2 = c1 * (x * d1 + g1) - c2 * d0
+        g0, g1 = g1, g2
+        d0, d1 = d1, d2
+    return g1, d1
+
+
+def oracle_nodes_weights(n, alpha):
+    """One rule alone: its own eigensolve and a Newton polish with a float alpha.
+
+    Returns nodes, weights and the number of Newton steps taken.
+    """
+    if n == 0:
+        return np.array([0.0]), np.array([total_mass(alpha)]), 0
+    k = np.arange(2.0, n + 1.0)
+    beta = np.empty(n)
+    beta[0] = 1.0 / (2.0 * (alpha + 1.0))
+    beta[1:] = k * (k + 2.0 * alpha - 1.0) / (4.0 * (k + alpha) * (k + alpha - 1.0))
+    nodes, vectors = eigh_tridiagonal(np.zeros(n + 1), np.sqrt(beta))
+    weights = total_mass(alpha) * vectors[0] ** 2
+    for steps in range(1, 11):
+        g, d = scalar_recurrence_with_derivative(n + 1, alpha, nodes)
+        step = g / d
+        nodes = nodes - step
+        if np.max(np.abs(step)) <= 4.0 * EPS_MACH:
+            break
+    nodes = 0.5 * (nodes - nodes[::-1])
+    weights = 0.5 * (weights + weights[::-1])
+    if (n + 1) % 2 == 1:
+        nodes[n // 2] = 0.0
+    return nodes, weights, steps
+
+
+@pytest.fixture
+def empty_cache(monkeypatch):
+    monkeypatch.setattr(rules, "_RULES", OrderedDict())
+
+
+@pytest.fixture
+def eigensolves(monkeypatch):
+    calls = []
+
+    def counted(d, e, *args, **kwargs):
+        calls.append(d.size - 1)
+        return eigh_tridiagonal(d, e, *args, **kwargs)
+
+    monkeypatch.setattr(rules, "eigh_tridiagonal", counted)
+    return calls
 
 
 class TestClosedForms:
@@ -126,6 +190,106 @@ class TestWeightsAgainstMpmath:
                 exact = float(mpmath.beta(j + half, mpmath.mpf(alpha) + half))
                 got = np.sum(rule.weights * rule.nodes ** (2 * j))
                 assert abs(got - exact) <= 1e-12 * exact
+
+
+@pytest.mark.usefixtures("empty_cache")
+class TestBatchedRules:
+    # feasibility flags turn on single ulps of the nodes, so only equal bits pass
+    @pytest.mark.parametrize("n", list(range(1, 101)) + [160, 320, 400, 640, 1000])
+    def test_bit_identical_to_one_rule_at_a_time(self, n):
+        for alpha, (nodes, weights) in zip(GRID, rules._nodes_weights(n, GRID)):
+            want_nodes, want_weights, _ = oracle_nodes_weights(n, alpha)
+            assert np.array_equal(nodes, want_nodes), alpha
+            assert np.array_equal(weights, want_weights), alpha
+
+    def test_rows_stop_after_their_own_step_counts(self):
+        # at n = 24 one alpha of the grid takes a second Newton step
+        steps = {alpha: oracle_nodes_weights(24, alpha)[2] for alpha in GRID}
+        assert len(set(steps.values())) > 1
+        alphas = (min(steps, key=steps.get), max(steps, key=steps.get), 0.5)
+        for alpha, (nodes, weights) in zip(alphas, rules._nodes_weights(24, alphas)):
+            want_nodes, want_weights, _ = oracle_nodes_weights(24, alpha)
+            assert np.array_equal(nodes, want_nodes) and np.array_equal(weights, want_weights)
+
+    def test_batch_fills_the_cache_of_gg_rule(self, eigensolves):
+        batch = rules._nodes_weights(30, GRID)
+        assert eigensolves == [30] * len(GRID)
+        for alpha, (nodes, weights) in zip(GRID, batch):
+            rule = gg_rule(30, GegenbauerParam(alpha))
+            assert rule.nodes is nodes and rule.weights is weights
+        assert lg_rule(30).nodes is batch[GRID.index(0.5)][0]
+        assert eigensolves == [30] * len(GRID)
+
+    def test_batch_computes_only_the_missing_rules(self, eigensolves):
+        cached = gg_rule(12, GegenbauerParam(1.0))
+        batch = rules._nodes_weights(12, (0.0, 1.0, 2.0, 0.0))
+        assert eigensolves == [12, 12, 12]
+        assert batch[1][0] is cached.nodes and batch[3][0] is batch[0][0]
+
+    def test_cache_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(rules, "_CACHE_SIZE", 4)
+        rules._nodes_weights(3, (0.0, 0.1, 0.2))
+        rules._nodes_weights(3, (0.0, 0.3, 0.4))  # 0.0 is a hit, so 0.1 goes first
+        assert list(rules._RULES) == [(3, 0.2), (3, 0.0), (3, 0.3), (3, 0.4)]
+        rules._nodes_weights(4, GRID[:6])  # a larger batch is kept whole
+        assert list(rules._RULES) == [(4, a) for a in GRID[:6]]
+        rules._nodes_weights(4, GRID[:3] + GRID[6:9])  # hits and new rules alike
+        assert list(rules._RULES) == [(4, a) for a in GRID[:3] + GRID[6:9]]
+
+    def test_threads_share_the_cache(self, monkeypatch):
+        # a small cache evicts while other threads read it
+        monkeypatch.setattr(rules, "_CACHE_SIZE", 3)
+        want = {a: oracle_nodes_weights(6, a)[0] for a in GRID}
+        errors = []
+
+        def work(offset):
+            try:
+                for i in range(500):
+                    alpha = GRID[(offset + 7 * i) % len(GRID)]
+                    got = gg_rule(6, GegenbauerParam(alpha)).nodes
+                    if not np.array_equal(got, want[alpha]):
+                        errors.append(alpha)
+                    rules._nodes_weights(6, GRID[i % 5:i % 5 + 4])
+            except Exception as exc:  # reported through errors below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(rules._RULES) <= 4
+
+    def test_rejects_a_non_integer_degree(self):
+        with pytest.raises(ValueError):
+            rules._nodes_weights(2.5, (0.5,))
+
+
+@pytest.mark.usefixtures("empty_cache")
+class TestMomentCheck:
+    def test_large_alpha_raises(self):
+        # n = 640, alpha = 30: nodes ordered and weights positive, but the
+        # weights near +-1 have lost every digit
+        with pytest.raises(ConvergenceError, match="n=640, alpha=30.0: even-moment error"):
+            gg_rule(640, GegenbauerParam(30.0))
+
+    def test_the_first_failing_alpha_names_itself_and_nothing_is_cached(self):
+        with pytest.raises(ConvergenceError, match="alpha=10.0"):
+            rules._nodes_weights(640, (1.0, 10.0, 30.0))
+        assert not rules._RULES
+
+    @pytest.mark.parametrize("n", [1, 2, 17, 100, 400, 640, 1000])
+    def test_margin_in_the_tested_domain(self, n, monkeypatch):
+        # alpha in (-1/2, 2]; near -1/2 the mass diverges
+        monkeypatch.setattr(rules, "MOMENT_RTOL", rules.MOMENT_RTOL / 100.0)
+        rules._nodes_weights(n, (-0.4999999, -0.49999, -0.499, -0.45, -0.2, 0.0, 0.5, 1.0, 1.55, 1.95, 2.0))
 
 
 class TestCsv:
