@@ -81,6 +81,14 @@ def _attach_grid_values(argv):
     return out
 
 
+def _parse_degrees(text: str):
+    """Parse a degree grid as :func:`parse_grid` does; every value must be an integer."""
+    values = parse_grid(text)
+    if not all(v.is_integer() for v in values):
+        raise ValueError(f"degree grid values must be integers, got {text!r}")
+    return [int(v) for v in values]
+
+
 def _write_rows(path, header, rows):
     _write_lines(sys.stdout if path is None else path, [header + "\n"],
                  (",".join(cells) + "\n" for cells in rows))
@@ -99,7 +107,7 @@ def cmd_gim(args) -> int:
 
 
 def cmd_quadbench(args) -> int:
-    spec = BenchmarkSpec(integrand=args.f, n_grid=tuple(int(v) for v in parse_grid(args.n_grid)),
+    spec = BenchmarkSpec(integrand=args.f, n_grid=tuple(_parse_degrees(args.n_grid)),
                          alpha_grid=tuple(parse_grid(args.alpha_grid)))
     start = time.perf_counter()
     rows = [(str(n), f"{alpha:.17g}", str(j), f"{eb:.17g}", f"{es:.17g}")
@@ -112,7 +120,7 @@ def cmd_quadbench(args) -> int:
 
 
 def cmd_feasibility(args) -> int:
-    n_grid = [int(v) for v in parse_grid(args.n_grid)]
+    n_grid = _parse_degrees(args.n_grid)
     alpha_grid = parse_grid(args.alpha_grid)
     if any(a <= -0.5 for a in alpha_grid):
         raise ValueError("alpha grid values must exceed -1/2")

@@ -221,28 +221,72 @@ def _build_rows(target_nodes, basis: BarycentricBasis, lg, epsilon: float, on_hi
     return rows
 
 
+def _reflected_rows(basis: BarycentricBasis, lg, epsilon: float):
+    """The square matrix from its rows with x_j <= 0, or None when a screened point hits.
+
+    The Gauss nodes are symmetric, x_{n-j} = -x_j, and so are the cardinal
+    functions, l_{n-i}(-x) = l_i(x); hence Q[j, i] = E_i - Q[n-j, n-i] with
+    E_i the integral of l_i over [-1, 1].  The rows with x_j > 0 are taken
+    that way.  For even n the middle node is exactly 0, so
+    E = Q[n/2] + Q[n/2, ::-1]; for odd n, E is the row of the target 1,
+    built in the same kernel call (the count takes no endpoint bump for
+    odd n).  All n + 1 Gauss targets, and for odd n the target 1, are
+    screened before any row is built.
+    """
+    nodes = basis.nodes
+    n = nodes.size - 1
+    half = n // 2 + 1  # the rows with x_j <= 0
+    kept = half + n % 2  # and, for odd n, the target 1 right after them
+    targets = np.concatenate((nodes[:half], [1.0], nodes[half:])) if n % 2 else nodes
+    mapped, nearest, hit = _screen(targets, nodes, lg, epsilon)
+    if any(hit):
+        return None
+    rows = _build_rows(targets[:kept], basis, lg, epsilon, "raise",
+                       (mapped[:kept], nearest[:kept], hit[:kept]))
+    total = rows[half] if n % 2 else rows[half - 1] + rows[half - 1, ::-1]
+    entries = np.empty((n + 1, n + 1))
+    entries[:half] = rows[:half]
+    entries[half:] = total - rows[:n + 1 - half][::-1, ::-1]
+    return entries
+
+
 def _build_gim(targets, n: int, param: GegenbauerParam, epsilon: float, on_hit: str, count: int):
     """The one matrix body: Gauss rule, barycentric weights, Legendre rule, rows.
 
-    ``targets`` None means the Gauss nodes (the square matrix).  ``on_hit`` is
+    ``targets`` None means the Gauss nodes (the square matrix), which are
+    built by reflection (:func:`_reflected_rows`) when no screened point
+    hits, and otherwise row by row as any other target set.  ``on_hit`` is
     a :func:`_build_rows` policy, or "bump": retry a collision with count + 1.
     """
     rule = gg_rule(n, param)
     basis = bary_weights_gg(rule)
-    targets = rule.nodes if targets is None else targets
-    try:
-        entries = _build_rows(targets, basis, lg_rule(count), epsilon,
-                              "raise" if on_hit == "bump" else on_hit)
-    except CollisionError:
-        if on_hit != "bump":
-            raise
-        entries = _build_rows(targets, basis, lg_rule(count + 1), epsilon, "raise")
+    lg = lg_rule(count)
+    entries = None
+    if targets is None:
+        targets = rule.nodes
+        entries = _reflected_rows(basis, lg, epsilon)
+    if entries is None:
+        try:
+            entries = _build_rows(targets, basis, lg, epsilon,
+                                  "raise" if on_hit == "bump" else on_hit)
+        except CollisionError:
+            if on_hit != "bump":
+                raise
+            entries = _build_rows(targets, basis, lg_rule(count + 1), epsilon, "raise")
     return IntegrationMatrix(entries=entries, order=1, source_nodes=rule.nodes,
                              target_nodes=targets, interval=INTERVAL_BIUNIT, alpha=param.alpha)
 
 
 def build_gim_gg(n: int, param: GegenbauerParam, epsilon: float = EPS_MACH) -> IntegrationMatrix:
     """First-order square matrix on the n+1 Gauss nodes of the family.
+
+    When no mapped Legendre point hits a node, only the rows with x_j <= 0
+    go through the row kernel; the others follow by reflection,
+    Q[j, i] = E_i - Q[n-j, n-i] with E the full-interval row, which moves
+    entries at the rounding level (2e-13 at most up to n = 641, alpha <= 2)
+    against building every row.  On a hit all rows are built, and the
+    guarded and bumped builders handle it as they describe; on the
+    feasible set the three builders return the same bits.
 
     Raises
     ------
@@ -291,9 +335,11 @@ def row_gim_endpoint(n: int, param: GegenbauerParam, epsilon: float = EPS_MACH) 
     """Quadrature row for the full interval: coefficients for the integral to 1.
 
     The row of :func:`build_gim_arbitrary` for the target 1, which always
-    takes the endpoint parity bump.
+    takes the endpoint parity bump, straight from the row kernel.
     """
-    return build_gim_arbitrary([1.0], n, param, epsilon).entries[0]
+    target = np.ones(1)
+    basis = bary_weights_gg(gg_rule(n, param))
+    return _build_rows(target, basis, lg_rule(_lg_count(n, target, epsilon)), epsilon, "raise")[0]
 
 
 def build_basis_gim(n: int, param: GegenbauerParam) -> IntegrationMatrix:

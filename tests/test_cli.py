@@ -104,6 +104,12 @@ class TestQuadbenchCommand:
         assert main(["quadbench", "--f", "__import__('os')", "--n-grid", "8",
                      "--alpha-grid", "0.5"]) == 1
 
+    def test_non_integer_degree_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "bench.csv"
+        assert main(["quadbench", "--n-grid", "3.7", "--alpha-grid", "0.5",
+                     "--out", str(out)]) == 1
+        assert "UsageError" in capsys.readouterr().err and not out.exists()
+
 
 class TestFeasibilityCommand:
     def test_known_failure_row(self, tmp_path):
@@ -123,6 +129,12 @@ class TestFeasibilityCommand:
 
     def test_invalid_alpha_grid_exits_one(self, capsys):
         assert main(["feasibility", "--n-grid", "3", "--alpha-grid", "-0.6"]) == 1
+
+    def test_non_integer_degree_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "feas.csv"
+        assert main(["feasibility", "--n-grid", "2.5", "--alpha-grid", "0.5",
+                     "--out", str(out)]) == 1
+        assert "UsageError" in capsys.readouterr().err and not out.exists()
 
     def test_rule_past_its_alpha_range_exits_two(self, tmp_path, capsys):
         out = tmp_path / "feas.csv"

@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
@@ -127,6 +128,55 @@ class TestSquareBuild:
         assert (err.value.i, err.value.j, err.value.k) == (1, 2, 1)
 
 
+#: largest |entry| change of the reflected square matrix against the full kernel, for
+#: n <= 641 and alpha in [-0.4, 2]; the worst measured is 7.1e-14 (n = 640, alpha = 2)
+REFLECTION_ATOL = 2e-13
+
+
+class TestReflectedSquare:
+    @pytest.mark.parametrize("alpha", [-0.4, 0.0, 0.5, 1.5, 2.0])
+    @pytest.mark.parametrize("n", [1, 2, 3, 9, 10, 11, 80, 81, 160, 161, 640, 641])
+    def test_matches_full_kernel(self, n, alpha):
+        param = GegenbauerParam(alpha)
+        square = build_gim_gg(n, param)
+        full = build_gim_arbitrary(gg_rule(n, param).nodes, n, param)
+        assert np.max(np.abs(square.entries - full.entries)) <= REFLECTION_ATOL
+        # on the feasible set the three square builders return the same bits
+        assert np.array_equal(build_gim_gg_guarded(n, param).entries, square.entries)
+        assert np.array_equal(build_gim_gg_bumped(n, param).entries, square.entries)
+
+    @pytest.mark.parametrize("n, alpha, epsilon, triple", [
+        (4, 1.0, EPS_MACH, (1, 2, 1)), (16, 1.0, EPS_MACH, (5, 8, 4)),
+        (160, 1.0, EPS_MACH, (53, 80, 40)),
+        # only the target x_7 > 0 has a hit: the screen of every target finds it
+        (8, 2.0, 1e-4, (0, 7, 0))])
+    def test_infeasible_pairs_build_every_row(self, n, alpha, epsilon, triple):
+        # the first hit in (j, k, i) order, as before any row is reflected
+        param = GegenbauerParam(alpha)
+        with pytest.raises(CollisionError) as err:
+            build_gim_gg(n, param, epsilon)
+        assert (err.value.i, err.value.j, err.value.k) == triple
+        nodes, basis, lg = _kernel_inputs(n, alpha)
+        guarded = _build_rows(nodes, basis, lg, epsilon, on_hit="cardinal")
+        bumped = _build_rows(nodes, basis, lg_rule(_lg_count_default(n) + 1), epsilon,
+                             on_hit="raise")
+        assert np.array_equal(build_gim_gg_guarded(n, param, epsilon).entries, guarded)
+        assert np.array_equal(build_gim_gg_bumped(n, param, epsilon).entries, bumped)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 400), alpha=st.floats(-0.45, 2.0), data=st.data())
+    def test_reflection_identity_on_full_kernel(self, n, alpha, data):
+        # Q[j, i] + Q[n-j, n-i] = E_i, every row from the full kernel
+        j = data.draw(st.integers(0, n), label="j")
+        param = GegenbauerParam(alpha)
+        x = gg_rule(n, param).nodes
+        try:
+            rows = build_gim_arbitrary([x[j], x[n - j], 1.0], n, param).entries
+        except CollisionError:
+            reject()
+        assert np.max(np.abs(rows[0] + rows[1, ::-1] - rows[2])) <= 1e-13
+
+
 class TestGuardedAndBumped:
     def test_guarded_equals_plain_when_feasible(self):
         plain = build_gim_gg(10, GegenbauerParam(0.0))
@@ -207,18 +257,22 @@ class TestEndpointRow:
         assert row @ nodes ** 4 == pytest.approx(2.0 / 5.0, abs=1e-14)
 
     def test_equals_arbitrary_build_with_endpoint_target(self):
-        for n in (4, 7, 10):
+        for n in (4, 7, 10, 80):
             row = row_gim_endpoint(n, GegenbauerParam(0.2))
             m = build_gim_arbitrary(np.array([1.0]), n, GegenbauerParam(0.2))
-            assert_allclose(m.entries[0], row, atol=1e-15)
+            assert np.array_equal(m.entries[0], row)
 
 
 class TestArbitraryTargets:
     def test_gg_targets_recover_square_matrix(self):
+        # the rows with x_j <= 0 come from the same kernel; the others by reflection
         param = GegenbauerParam(0.4)
-        square = build_gim_gg(8, param)
-        arb = build_gim_arbitrary(square.target_nodes, 8, param)
-        assert_allclose(arb.entries, square.entries, atol=0.0)
+        for n in (8, 9):
+            square = build_gim_gg(n, param)
+            arb = build_gim_arbitrary(square.target_nodes, n, param)
+            half = n // 2 + 1
+            assert np.array_equal(arb.entries[:half], square.entries[:half])
+            assert_allclose(arb.entries, square.entries, rtol=0.0, atol=1e-15)
 
     def test_ones_law_on_random_targets(self, rng):
         targets = np.sort(rng.uniform(-1, 1, 13))
