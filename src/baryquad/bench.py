@@ -7,7 +7,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from .errors import CollisionError
 from .gim import apply_quadrature, build_basis_gim, build_gim_gg
@@ -19,6 +18,15 @@ INTEGRANDS = {
     "f1": lambda x: x ** 20,
     "f2": lambda x: np.exp(-x ** 2),
     "f3": lambda x: 1.0 / (1.0 + 25.0 * x ** 2),
+}
+
+_ERF = np.vectorize(math.erf, otypes=[float])
+
+#: exact integrals of the named integrands over [-1, x]: the oracle of quadbench for them
+EXACT_INTEGRALS = {
+    "f1": lambda x: (x ** 21 + 1.0) / 21.0,
+    "f2": lambda x: 0.5 * math.sqrt(math.pi) * (_ERF(x) + math.erf(1.0)),
+    "f3": lambda x: (np.arctan(5.0 * x) + np.arctan(5.0)) / 5.0,
 }
 
 _EXPR_NAMESPACE = {
@@ -66,8 +74,12 @@ def reference_integrals(f, targets) -> np.ndarray:
     """Adaptive (Gauss-Kronrod) integrals of f over [-1, x_j], 1e-14 target.
 
     Independent of the package's own rules on purpose: this is the
-    comparison oracle.
+    comparison oracle for integrand expressions; the named integrands use
+    :data:`EXACT_INTEGRALS`.  ``scipy.integrate`` is imported here, not at
+    module level, so importing the package and the CLI does not load it.
     """
+    from scipy.integrate import IntegrationWarning, quad
+
     out = np.empty(len(targets))
     with warnings.catch_warnings():
         # the 1e-14 request sits at the roundoff floor for short intervals;
@@ -82,11 +94,15 @@ def reference_integrals(f, targets) -> np.ndarray:
 def run_benchmark(spec: BenchmarkSpec):
     """Per-node absolute errors of the barycentric and basis quadratures.
 
+    The reference is the exact integral for a named integrand and
+    :func:`reference_integrals` for an expression.
+
     Yields ``(n, alpha, node_index, err_bary, err_basis)`` tuples; grid
     points whose square matrix cannot be built (node collision) produce a
     single row with NaN errors and node index -1.
     """
     f = make_integrand(spec.integrand)
+    exact = EXACT_INTEGRALS.get(spec.integrand)
     params = [GegenbauerParam(a) for a in spec.alpha_grid]
     for n in spec.n_grid:
         _nodes_weights(n, spec.alpha_grid)  # the Gauss rules of all alpha in one batch
@@ -98,7 +114,8 @@ def run_benchmark(spec: BenchmarkSpec):
                 continue
             basis = build_basis_gim(n, param)
             samples = f(bary.source_nodes)
-            ref = reference_integrals(f, bary.target_nodes)
+            targets = bary.target_nodes
+            ref = exact(targets) if exact else reference_integrals(f, targets)
             err_bary = np.abs(apply_quadrature(bary, samples) - ref)
             err_basis = np.abs(apply_quadrature(basis, samples) - ref)
             for j in range(len(ref)):

@@ -167,7 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="output CSV path (default: stdout)")
     p.set_defaults(func=cmd_gim)
 
-    p = sub.add_parser("quadbench", help="benchmark quadrature errors against adaptive references")
+    p = sub.add_parser("quadbench", help="benchmark quadrature errors against exact integrals "
+                       "(f1, f2, f3) or adaptive quadrature (expressions)")
     p.add_argument("--f", default="f2",
                    help="f1 (x^20), f2 (exp(-x^2)), f3 (Runge) or an expression in x")
     p.add_argument("--n-grid", default="20,80")

@@ -1,0 +1,74 @@
+"""Tests for the quadrature benchmark: its exact oracle and its import footprint."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import mpmath
+import numpy as np
+import pytest
+
+from baryquad import GegenbauerParam, gg_rule
+from baryquad.bench import EXACT_INTEGRALS, INTEGRANDS, reference_integrals
+
+REPO = Path(__file__).resolve().parents[1]
+
+_MP_INTEGRANDS = {
+    "f1": lambda t: t ** 20,
+    "f2": lambda t: mpmath.exp(-t ** 2),
+    "f3": lambda t: 1 / (1 + 25 * t ** 2),
+}
+
+# runs in a fresh interpreter: reports whether scipy.integrate is loaded after
+# each step, and whether quadbench wrote finite errors for a named integrand
+# and for an expression
+_IMPORT_PROBE = """
+import json, sys
+import numpy as np
+import baryquad, baryquad.cli
+state = {"import": "scipy.integrate" in sys.modules}
+for key, f in (("named", "f3"), ("expression", "exp(-x**2)")):
+    path = sys.argv[1] + "/" + key + ".csv"
+    code = baryquad.cli.main(["quadbench", "--f", f, "--n-grid", "8",
+                              "--alpha-grid", "0.5", "--out", path])
+    errs = np.loadtxt(path, delimiter=",", skiprows=1)[:, 3:]
+    state[key] = {"code": code, "loaded": "scipy.integrate" in sys.modules,
+                  "finite": errs.shape == (9, 2) and bool(np.all(np.isfinite(errs)))}
+print(json.dumps(state))
+"""
+
+
+class TestImportFootprint:
+    def test_scipy_integrate_loads_only_for_expressions(self, tmp_path):
+        env = {**os.environ, "PYTHONPATH": "src"}
+        out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(tmp_path)], cwd=REPO,
+                             env=env, capture_output=True, text=True, check=True).stdout
+        state = json.loads(out)
+        assert state["import"] is False
+        assert state["named"] == {"code": 0, "loaded": False, "finite": True}
+        assert state["expression"] == {"code": 0, "loaded": True, "finite": True}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_INTEGRALS))
+class TestExactIntegrals:
+    @pytest.mark.parametrize("n", [4, 20, 80])
+    @pytest.mark.parametrize("alpha", [-0.25, 0.5, 2.0])
+    def test_match_adaptive_oracle_at_gauss_nodes(self, name, n, alpha):
+        x = gg_rule(n, GegenbauerParam(alpha)).nodes
+        exact = EXACT_INTEGRALS[name](x)
+        np.testing.assert_allclose(exact, reference_integrals(INTEGRANDS[name], x),
+                                   rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("alpha", [-0.25, 0.5, 2.0])
+    def test_match_mpmath_at_thirty_digits(self, name, alpha):
+        x = gg_rule(20, GegenbauerParam(alpha)).nodes[[0, 3, 10, 17, 20]]
+        with mpmath.workdps(30):
+            # split at the Runge peak 0 when the interval contains it
+            want = [float(mpmath.quad(_MP_INTEGRANDS[name], [-1, 0, t] if t > 0 else [-1, t]))
+                    for t in map(mpmath.mpf, x)]
+        np.testing.assert_allclose(EXACT_INTEGRALS[name](x), want, rtol=0, atol=1e-15)
+
+    def test_zero_at_left_endpoint(self, name):
+        assert EXACT_INTEGRALS[name](np.array([-1.0]))[0] == 0.0

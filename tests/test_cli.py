@@ -1,5 +1,7 @@
 """Tests for the command-line interface and its exit-code contract."""
 
+import hashlib
+import json
 import re
 import shlex
 from pathlib import Path
@@ -212,6 +214,10 @@ class TestRowWriter:
         assert capsys.readouterr().out == self.WANT
 
 
+#: SHA-256 of the CSV each README command with --out writes, keyed by the command
+README_CSV_SHA256 = json.loads((Path(__file__).with_name("readme_csv_sha256.json")).read_text())
+
+
 def _readme_commands():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = re.search(r"## Command line\s+```sh\n(.*?)```", readme, re.S).group(1)
@@ -222,5 +228,13 @@ class TestReadmeCommands:
     @pytest.mark.parametrize("line", _readme_commands())
     def test_runs_with_documented_exit_code(self, line, tmp_path, monkeypatch, capsys):
         command, _, comment = line.partition("#")
+        argv = shlex.split(command)[1:]
         monkeypatch.chdir(tmp_path)  # relative --out paths land here
-        assert main(shlex.split(command)[1:]) == (2 if "exit 2" in comment else 0)
+        assert main(argv) == (2 if "exit 2" in comment else 0)
+        if "--out" in argv:
+            written = (tmp_path / argv[argv.index("--out") + 1]).read_bytes()
+            assert hashlib.sha256(written).hexdigest() == README_CSV_SHA256[command.strip()]
+
+    def test_every_pinned_command_is_in_the_readme(self):
+        assert sorted(README_CSV_SHA256) == sorted(
+            line.partition("#")[0].strip() for line in _readme_commands() if "--out" in line)
