@@ -7,7 +7,7 @@ rectangular variants, the feasibility tests guarding their construction,
 and collocation solvers that use them on two benchmark problems.
 """
 
-from .barycentric import BarycentricBasis, bary_eval, bary_weights_direct, bary_weights_gg
+from .barycentric import BarycentricBasis, bary_eval, bary_weights_gg
 from .errors import CollisionError, ConvergenceError
 from .gim import (FeasibilityReport, IntegrationMatrix, apply_quadrature, build_basis_gim,
                   build_gim_arbitrary, build_gim_gg, build_gim_gg_bumped, build_gim_gg_guarded,
@@ -28,7 +28,7 @@ __all__ = [
     "BarycentricBasis", "CollisionError", "CollocationSolution", "ConvergenceError",
     "EPS_MACH", "ErrorBoundInput", "FeasibilityReport", "GegenbauerParam",
     "IntegrationMatrix", "NormAndLeading", "OptimalConfig", "PolySpec", "QuadratureRule",
-    "apply_quadrature", "bary_eval", "bary_weights_direct", "bary_weights_gg",
+    "apply_quadrature", "bary_eval", "bary_weights_gg",
     "build_basis_gim", "build_gim_arbitrary", "build_gim_gg", "build_gim_gg_bumped",
     "build_gim_gg_guarded", "build_optimal_gim", "build_optimal_gim_symmetric",
     "check_condition_mmax", "check_gg_condition", "condition_number_2",

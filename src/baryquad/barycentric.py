@@ -41,23 +41,6 @@ class BarycentricBasis:
         return self.nodes.size
 
 
-def bary_weights_direct(nodes) -> BarycentricBasis:
-    """Weights from the defining product, xi_j = 1 / prod_{i != j} (x_j - x_i).
-
-    Subject to cancellation for large node counts; prefer
-    :func:`bary_weights_gg` on Gauss nodes.
-    """
-    x = np.asarray(nodes, dtype=float)
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError("nodes must be a non-empty 1-D array")
-    if np.unique(x).size != x.size:
-        raise ValueError("nodes must be pairwise distinct")
-    diff = x[:, None] - x[None, :]
-    np.fill_diagonal(diff, 1.0)
-    xi = 1.0 / diff.prod(axis=1)
-    return BarycentricBasis(nodes=np.sort(x), xi=xi[np.argsort(x)])
-
-
 def bary_weights_gg(rule: QuadratureRule) -> BarycentricBasis:
     """Cancellation-free weights for Gauss nodes.
 

@@ -1,14 +1,17 @@
 """Gauss rules for the Gegenbauer and Legendre weight functions.
 
-Nodes come from a Golub-Welsch eigensolve of the symmetric Jacobi matrix,
-one per alpha, followed by a short Newton polish against the three-term
-recurrence, one per n: the rules of several alpha of one n are polished
-together, each to the bits it would reach alone.  Weights are the squared
-first eigenvector components rescaled by the total weight-function mass.
-Nodes and weights are symmetrized exactly, so the middle node of an
-odd-count rule is 0.0 and paired weights are bitwise equal.  Every rule is
-checked on a closed-form even moment before it is cached, so a rule past
-the parameter range where it holds (alpha well above 2 at large n) raises.
+The weight is even, so the Jacobi matrix T, with its even-index rows
+first, is [[0, B], [B^T, 0]] with B lower bidiagonal and of half the size
+(Golub & Welsch 1969; Meurant & Sommariva 2014).  The positive nodes are
+the singular values of B; a pair +-x shares the mass times the squared
+first component of its left singular vector, and for even n the null
+vector of B^T gives the node 0.  One SVD per n takes the blocks of every
+alpha, then one Newton polish against the three-term recurrence polishes
+each rule to the bits it would reach alone.  Nodes and weights are
+symmetrized exactly, so the middle node of an odd-count rule is 0.0 and
+paired weights are bitwise equal.  Every rule is checked on a closed-form
+even moment before it is cached, so a rule past the parameter range where
+it holds (alpha well above 2 at large n) raises.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import ConvergenceError
 from .polynomials import EPS_MACH, GegenbauerParam, _recurrence_with_derivative
@@ -52,8 +54,8 @@ def _total_mass(alpha: float) -> float:
 
 
 #: relative tolerance of each rule's check on the even moment B(n // 2 + 1/2, alpha + 1/2).
-#: For alpha <= 2 and n <= 1000 the check reads at most 9.9e-13 (0.05 alpha grid,
-#: lgamma's rounding included); at n = 640 it reads 1.6e-9 at alpha = 10, 1.8e9 at 30
+#: For alpha <= 2 and n <= 1000 the check reads at most 1.7e-12 (0.05 alpha grid,
+#: lgamma's rounding included); at n = 640 it reads 2.1e-8 at alpha = 10, 3.7e11 at 30
 MOMENT_RTOL = 3e-10
 _CACHE_SIZE = 512
 #: (n, alpha) -> (nodes, weights), least recently used first; used under _LOCK
@@ -86,19 +88,26 @@ def _polish(n: int, alphas, nodes: np.ndarray) -> None:
 
 
 def _gauss_rules(n: int, alphas):
-    """Nodes and weights, (len(alphas), n + 1) each: one eigensolve per alpha, one polish for all."""
-    nodes = np.empty((len(alphas), n + 1))
-    weights = np.empty((len(alphas), n + 1))
+    """Nodes and weights, (len(alphas), n + 1) each: one SVD and one polish for all alpha."""
+    m, rows, cols = len(alphas), n // 2 + 1, (n + 1) // 2
+    a = np.array(alphas)[:, None]
     k = np.arange(2.0, n + 1.0)
-    for r, alpha in enumerate(alphas):
-        beta = np.empty(n)
-        beta[:1] = 1.0 / (2.0 * (alpha + 1.0))  # no entry at n = 0, a 1 x 1 matrix
-        beta[1:] = k * (k + 2.0 * alpha - 1.0) / (4.0 * (k + alpha) * (k + alpha - 1.0))
-        try:
-            nodes[r], vectors = eigh_tridiagonal(np.zeros(n + 1), np.sqrt(beta))
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-            raise ConvergenceError(f"eigensolve failed for n={n}, alpha={alpha}: {exc}") from exc
-        weights[r] = _total_mass(alpha) * vectors[0] ** 2
+    b = np.empty((m, n))  # beta_j, then b_j = sqrt(beta_j), at b[:, j - 1]
+    b[:, :1] = 1.0 / (2.0 * (a + 1.0))  # no entry at n = 0, a 1 x 1 matrix
+    b[:, 1:] = k * (k + 2.0 * a - 1.0) / (4.0 * (k + a) * (k + a - 1.0))
+    np.sqrt(b, out=b)
+    # B[r, r] = b_{2r+1} and B[r, r-1] = b_{2r}: two diagonals of stride cols + 1 in a flat block
+    blocks = np.zeros((m, rows, cols))
+    blocks.reshape(m, -1)[:, ::cols + 1] = b[:, 0::2]
+    blocks.reshape(m, -1)[:, cols::cols + 1] = b[:, 1::2]
+    try:
+        u, s, _ = np.linalg.svd(blocks)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise ConvergenceError(f"SVD failed for n={n}, alpha in {list(alphas)}: {exc}") from exc
+    first = u[:, 0] ** 2 * np.array([_total_mass(alpha) for alpha in alphas])[:, None]
+    half = 0.5 * first[:, :cols]  # the +-s pairs; the null vector of B^T (even n) is node 0
+    nodes = np.concatenate([-s, np.zeros((m, rows - cols)), s[:, ::-1]], axis=1)
+    weights = np.concatenate([half, first[:, cols:], half[:, ::-1]], axis=1)
     _polish(n, alphas, nodes)
     nodes = 0.5 * (nodes - nodes[:, ::-1])
     weights = 0.5 * (weights + weights[:, ::-1])

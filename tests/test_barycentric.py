@@ -6,8 +6,24 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from baryquad import (BarycentricBasis, GegenbauerParam, bary_eval, bary_weights_direct,
-                      bary_weights_gg, gg_rule)
+from baryquad import BarycentricBasis, GegenbauerParam, bary_eval, bary_weights_gg, gg_rule
+
+
+def bary_weights_direct(nodes) -> BarycentricBasis:
+    """The product-formula oracle, xi_j = 1 / prod_{i != j} (x_j - x_i).
+
+    Subject to cancellation for large node counts, which
+    :func:`bary_weights_gg` avoids on Gauss nodes.
+    """
+    x = np.asarray(nodes, dtype=float)
+    if x.ndim != 1 or x.size == 0:
+        raise ValueError("nodes must be a non-empty 1-D array")
+    if np.unique(x).size != x.size:
+        raise ValueError("nodes must be pairwise distinct")
+    diff = x[:, None] - x[None, :]
+    np.fill_diagonal(diff, 1.0)
+    xi = 1.0 / diff.prod(axis=1)
+    return BarycentricBasis(nodes=np.sort(x), xi=xi[np.argsort(x)])
 
 
 class TestDirectWeights:

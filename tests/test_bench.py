@@ -21,20 +21,32 @@ _MP_INTEGRANDS = {
     "f3": lambda t: 1 / (1 + 25 * t ** 2),
 }
 
-# runs in a fresh interpreter: reports whether scipy.integrate is loaded after
-# each step, and whether quadbench wrote finite errors for a named integrand
-# and for an expression
+# runs in a fresh interpreter: lists the scipy modules loaded after the import
+# and after each command, and reports whether quadbench wrote finite errors for
+# a named integrand and for an expression, on the last line of its output
 _IMPORT_PROBE = """
 import json, sys
 import numpy as np
 import baryquad, baryquad.cli
-state = {"import": "scipy.integrate" in sys.modules}
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+out = sys.argv[1]
+state = {"import": scipy_modules()}
+for key, argv in (("gim", ["gim", "--n", "10", "--alpha", "0.5", "--out", out + "/m.csv"]),
+                  ("feasibility", ["feasibility", "--n-grid", "1:1:12", "--alpha-grid",
+                                   "-0.4:0.6:2", "--out", out + "/feas.csv"]),
+                  ("example1", ["example", "--id", "1", "--n", "10", "--m", "14",
+                                "--alpha", "0.7", "--out", out + "/sol.csv"]),
+                  ("example2", ["example", "--id", "2", "--n", "9", "--alpha", "0.5"])):
+    state[key] = {"code": baryquad.cli.main(argv), "scipy": scipy_modules()}
 for key, f in (("named", "f3"), ("expression", "exp(-x**2)")):
-    path = sys.argv[1] + "/" + key + ".csv"
+    path = out + "/" + key + ".csv"
     code = baryquad.cli.main(["quadbench", "--f", f, "--n-grid", "8",
                               "--alpha-grid", "0.5", "--out", path])
     errs = np.loadtxt(path, delimiter=",", skiprows=1)[:, 3:]
-    state[key] = {"code": code, "loaded": "scipy.integrate" in sys.modules,
+    state[key] = {"code": code, "scipy": scipy_modules(),
                   "finite": errs.shape == (9, 2) and bool(np.all(np.isfinite(errs)))}
 print(json.dumps(state))
 """
@@ -45,10 +57,14 @@ class TestImportFootprint:
         env = {**os.environ, "PYTHONPATH": "src"}
         out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(tmp_path)], cwd=REPO,
                              env=env, capture_output=True, text=True, check=True).stdout
-        state = json.loads(out)
-        assert state["import"] is False
-        assert state["named"] == {"code": 0, "loaded": False, "finite": True}
-        assert state["expression"] == {"code": 0, "loaded": True, "finite": True}
+        state = json.loads(out.splitlines()[-1])
+        assert state["import"] == []
+        for key in ("gim", "feasibility", "example1", "example2"):
+            assert state[key] == {"code": 0, "scipy": []}, key
+        assert state["named"] == {"code": 0, "scipy": [], "finite": True}
+        expression = state["expression"]
+        assert expression["code"] == 0 and expression["finite"] is True
+        assert "scipy.integrate" in expression["scipy"]
 
 
 @pytest.mark.parametrize("name", sorted(EXACT_INTEGRALS))
