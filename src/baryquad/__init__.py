@@ -14,7 +14,7 @@ from .gim import (FeasibilityReport, IntegrationMatrix, apply_quadrature, build_
                   check_gg_condition, map_to_unit, matrix_to_csv, qth_order_gim,
                   row_gim_endpoint)
 from .optimal import (OptimalConfig, build_optimal_gim, build_optimal_gim_symmetric,
-                      check_condition_mmax, optimal_bary_basis, optimize_alpha)
+                      check_condition_mmax, optimize_alpha)
 from .polynomials import (EPS_MACH, ErrorBoundInput, GegenbauerParam, NormAndLeading, PolySpec,
                           discrete_gegenbauer_transform, error_bound, eta, gegenbauer_eval,
                           gegenbauer_norm_leading, integrate_gegenbauer)
@@ -34,7 +34,6 @@ __all__ = [
     "check_condition_mmax", "check_gg_condition", "condition_number_2",
     "discrete_gegenbauer_transform", "error_bound", "eta", "gegenbauer_eval",
     "gegenbauer_norm_leading", "gg_rule", "integrate_gegenbauer", "lg_rule", "map_to_unit",
-    "matrix_to_csv", "newton_solve", "optimal_bary_basis", "optimize_alpha", "qth_order_gim",
-    "row_gim_endpoint", "rule_from_csv", "rule_to_csv", "solution_to_csv", "solve_example1",
-    "solve_example2",
+    "matrix_to_csv", "newton_solve", "optimize_alpha", "qth_order_gim", "row_gim_endpoint",
+    "rule_from_csv", "rule_to_csv", "solution_to_csv", "solve_example1", "solve_example2",
 ]

@@ -65,7 +65,7 @@ class IntegrationMatrix:
 
 @dataclass(frozen=True)
 class FeasibilityReport:
-    """Outcome of a sufficient-condition scan; violations are index triples."""
+    """Outcome of a no-collision check; violations are index triples."""
 
     feasible: bool
     violations: tuple
@@ -101,61 +101,6 @@ def _validated_targets(target_nodes) -> np.ndarray:
     return targets
 
 
-def _near_sorted(t: np.ndarray, u: np.ndarray, epsilon: float):
-    """Index triples (r, c, k) with |u[k] - t[r, c]| <= epsilon, for ascending u.
-
-    For fixed t the rounded difference u - t is monotone in u, so the
-    matching k form one run of u.  ``searchsorted`` finds each run in a
-    window widened by a few ulp beyond t -/+ epsilon, which covers the
-    rounding of both the window ends and the difference; every candidate
-    is then re-tested with the exact expression, so the decision is the
-    one a dense comparison of all triples makes.  Costs O(t.size log u.size)
-    time and O(t.size + candidates) memory.  Returns three int arrays in
-    (r, c, k) lexicographic order.
-    """
-    flat = t.ravel()
-    slack = 8.0 * EPS_MACH * (np.abs(flat) + epsilon)
-    high = flat + epsilon + slack
-    start = np.searchsorted(u, flat - epsilon - slack, side="left")
-    # most windows are empty; search the upper end only for the others
-    nonempty = np.flatnonzero(np.append(u, np.inf)[start] <= high)
-    counts = np.searchsorted(u, high[nonempty], side="right") - start[nonempty]
-    pair = np.repeat(nonempty, counts)
-    first = np.cumsum(counts) - counts  # position of each window's first candidate
-    k = np.arange(pair.size) + np.repeat(start[nonempty] - first, counts)
-    hit = np.abs(u[k] - flat[pair]) <= epsilon
-    row, col = np.divmod(pair[hit], t.shape[1])
-    return row, col, k[hit]
-
-
-def check_gg_condition(n: int, param: GegenbauerParam, epsilon: float = EPS_MACH) -> FeasibilityReport:
-    """Test the sufficient no-collision condition for the square matrix.
-
-    Feasible when |1 + y_k - 2 (1 + x_i) / (1 + x_j)| > epsilon for every
-    source index i, target index j and Legendre node index k, with y the
-    Legendre-Gauss nodes used during construction.  Equality of the mapped
-    Legendre point with a source node is exactly the overflow case.
-
-    This is the paper's condition, with epsilon on the ratio.  The builders
-    put it on the mapped point, whose gap is (1 + x_j) / 2 times the ratio's,
-    so for epsilon well above machine precision a feasible report does not
-    guarantee a build; the builder's screen decides, before any row is built.
-
-    The (n+1)^2 ratios are searched in the sorted 1 + y_k rather than
-    compared with every k, which takes O(n^2 log n) time and
-    O(n^2 + #violations) memory.  Violations are (i, j, k) triples in
-    lexicographic order.
-    """
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
-    x = gg_rule(n, param).nodes
-    y = lg_rule(_lg_count_default(n)).nodes
-    ratios = 2.0 * (1.0 + x[:, None]) / (1.0 + x[None, :])
-    i, j, k = _near_sorted(ratios, 1.0 + y, epsilon)
-    violations = tuple(zip(i.tolist(), j.tolist(), k.tolist()))
-    return FeasibilityReport(feasible=not violations, violations=violations)
-
-
 def _screen(targets: np.ndarray, nodes: np.ndarray, lg, epsilon: float):
     """Legendre points mapped onto [-1, x_j] per target x_j, their gap to the nearest node, hits.
 
@@ -165,12 +110,49 @@ def _screen(targets: np.ndarray, nodes: np.ndarray, lg, epsilon: float):
     once, which targets have a hit.  Returns ``(mapped, nearest, hit)``,
     ``hit`` a list of one bool per target.
     """
+    if not epsilon > 0.0:  # also rejects NaN
+        raise ValueError("epsilon must be positive")
     mapped = 0.5 * ((targets[:, None] + 1.0) * lg.nodes + targets[:, None] - 1.0)
     # x_below < y <= x_above, so both differences are |y - x| without abs
     padded = np.concatenate(([-np.inf], nodes, [np.inf]))
     above = np.searchsorted(nodes, mapped) + 1
     nearest = np.minimum(mapped - padded[above - 1], padded[above] - mapped)
     return mapped, nearest, (nearest <= epsilon).any(axis=1).tolist()
+
+
+def _collisions(targets: np.ndarray, nodes: np.ndarray, lg, epsilon: float, screen=None):
+    """Every (i, j, k) with |y_jk - x_i| <= epsilon, in (j, k, i) order.
+
+    The hits of :func:`_screen`, or of ``screen``, its result for these
+    targets, select the targets; each of those takes one dense test of its
+    mapped points against every node.
+    """
+    mapped, _, hit = _screen(targets, nodes, lg, epsilon) if screen is None else screen
+    triples = []
+    for j in (j for j, h in enumerate(hit) if h):
+        k, i = np.nonzero(np.abs(mapped[j, :, None] - nodes) <= epsilon)  # in (k, i) order
+        triples += zip(i.tolist(), [j] * k.size, k.tolist())
+    return triples
+
+
+def check_gg_condition(n: int, param: GegenbauerParam, epsilon: float = EPS_MACH) -> FeasibilityReport:
+    """Test the no-collision condition of the square matrix with the builders' own screen.
+
+    Feasible when |y_jk - x_i| > epsilon for every source node x_i and
+    every Legendre point y_jk mapped onto [-1, x_j], with the Legendre
+    count of :func:`build_gim_gg`, so a feasible report is a build that
+    raises no :class:`CollisionError`.  The paper puts epsilon on the ratio
+    2 (1 + x_i) / (1 + x_j) instead, whose gap is 2 / (1 + x_j) times the
+    mapped point's; at the default epsilon and at 1e-12 both flag the same
+    triples for n <= 100 on the paper's alpha grids.
+
+    Each mapped point is searched in the sorted nodes (:func:`_screen`),
+    which takes O(n^2 log n) time and O(n^2) memory.  Violations are
+    (i, j, k) triples in lexicographic order.
+    """
+    x = gg_rule(n, param).nodes
+    violations = tuple(sorted(_collisions(x, x, lg_rule(_lg_count_default(n)), epsilon)))
+    return FeasibilityReport(feasible=not violations, violations=violations)
 
 
 def _build_rows(target_nodes, basis: BarycentricBasis, lg, epsilon: float, on_hit: str, screen=None):
@@ -200,9 +182,8 @@ def _build_rows(target_nodes, basis: BarycentricBasis, lg, epsilon: float, on_hi
     nodes, xi, w = basis.nodes, basis.xi, lg.weights
     mapped, nearest, hit = _screen(targets, nodes, lg, epsilon) if screen is None else screen
     if on_hit == "raise" and any(hit):
-        j = hit.index(True)
-        k, i = np.nonzero(np.abs(mapped[j, :, None] - nodes) <= epsilon)  # in (k, i) order
-        raise CollisionError(i[0], j, k[0], "mapped Legendre point coincides with a source node")
+        i, j, k = _collisions(targets, nodes, lg, epsilon, (mapped, nearest, hit))[0]
+        raise CollisionError(i, j, k, "mapped Legendre point coincides with a source node")
     rows = np.empty((targets.size, nodes.size))
     mu = np.empty((w.size, nodes.size))
     with np.errstate(divide="ignore", invalid="ignore"):

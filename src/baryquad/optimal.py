@@ -17,8 +17,8 @@ import numpy as np
 
 from .barycentric import bary_weights_gg
 from .errors import CollisionError
-from .gim import (FeasibilityReport, INTERVAL_BIUNIT, IntegrationMatrix, _build_rows, _lg_count,
-                  _near_sorted, _screen, _validated_targets, build_gim_arbitrary)
+from .gim import (FeasibilityReport, INTERVAL_BIUNIT, IntegrationMatrix, _build_rows, _collisions,
+                  _lg_count, _screen, _validated_targets, build_gim_arbitrary)
 from .polynomials import EPS_MACH, GegenbauerParam, _eta_scale, _running_integral, eta
 from .rules import _nodes_weights, gg_rule, lg_rule
 
@@ -56,7 +56,7 @@ class OptimalConfig:
             raise ValueError("m must be a non-negative integer")
         if not 1.0 <= self.r <= 2.0:
             raise ValueError(f"r must lie in [1, 2], got {self.r}")
-        if self.epsilon <= 0.0:
+        if not self.epsilon > 0.0:
             raise ValueError("epsilon must be positive")
         if self.alpha_a not in (0.0, 0.5):
             raise ValueError(f"alpha_a must be 0 (Chebyshev) or 0.5 (Legendre), got {self.alpha_a}")
@@ -138,14 +138,6 @@ def optimize_alpha(x_k: float, m: int, config: OptimalConfig) -> float:
     return float(alpha_star)
 
 
-def optimal_bary_basis(x_k: float, m: int, alpha_star: float):
-    """Adjoint Gauss rule and barycentric basis for one row's parameter."""
-    if not -1.0 <= x_k <= 1.0:
-        raise ValueError(f"target must lie in [-1, 1], got {x_k}")
-    rule = gg_rule(m, GegenbauerParam(alpha_star))
-    return rule, bary_weights_gg(rule)
-
-
 def build_optimal_gim(target_nodes, config: OptimalConfig) -> IntegrationMatrix:
     """First-order optimal matrix for an arbitrary target set.
 
@@ -175,20 +167,18 @@ def build_optimal_gim(target_nodes, config: OptimalConfig) -> IntegrationMatrix:
     _nodes_weights(m, tuple(alpha_stars))  # the adjoint Gauss rules of all groups in one batch
     shared, hit = [], [False] * targets.size
     for ks, a_k in zip(groups.values(), alpha_stars):
-        rule, basis = optimal_bary_basis(targets[ks[0]], m, a_k)
+        rule = gg_rule(m, GegenbauerParam(a_k))
+        basis = bary_weights_gg(rule)
         screen = _screen(targets[ks], basis.nodes, lg, config.epsilon)
         for k, h in zip(ks, screen[2]):
             hit[k] = h
         shared.append((ks, a_k, rule, basis, screen))
     if any(hit):
         # every group is screened, so the first hit is the first collision in target order;
-        # the rows of its group before it have no hit, so its group raises there
+        # the rows of its group before it have no hit, so its group's first triple is that hit
         ks, _, _, basis, screen = next(group for group in shared if hit.index(True) in group[0])
-        try:
-            _build_rows(targets[ks], basis, lg, config.epsilon, "raise", screen)
-        except CollisionError as first:
-            raise CollisionError(first.i, ks[first.j], first.k,
-                                 "mapped Legendre point coincides with an adjoint node") from None
+        i, j, k = _collisions(targets[ks], basis.nodes, lg, config.epsilon, screen)[0]
+        raise CollisionError(i, ks[j], k, "mapped Legendre point coincides with an adjoint node")
     entries = np.empty((targets.size, m + 1))
     adjoint_nodes = np.empty((targets.size, m + 1))
     alpha_star = np.empty(targets.size)
@@ -216,29 +206,23 @@ def build_optimal_gim_symmetric(target_nodes, config: OptimalConfig) -> Integrat
 
 
 def check_condition_mmax(target_nodes, m: int, alpha_a: float, epsilon: float = EPS_MACH) -> FeasibilityReport:
-    """Sufficient no-collision condition for the fixed-parameter branch.
+    """No-collision condition of the fixed-parameter branch, with the builders' own screen.
 
-    Feasible when |y_s - (1 - x_k + 2 z_i) / (1 + x_k)| > epsilon for all
-    adjoint indices i, Legendre indices s and targets x_k; a target at -1
-    contributes an empty integration interval and is vacuously feasible.
-    The Legendre count is the builder's, endpoint bump included.  As in
-    :func:`baryquad.gim.check_gg_condition`, epsilon bounds the ratio's gap;
-    the builder bounds the mapped point's, (1 + x_k) / 2 times the ratio's,
-    so for large epsilon a feasible report does not guarantee a build.
+    Feasible when |y_ks - z_i| > epsilon for every adjoint node z_i of
+    ``alpha_a`` and every Legendre point y_ks mapped onto [-1, x_k], with
+    the builder's Legendre count, endpoint bump included; a feasible report
+    is a build of :func:`baryquad.gim.build_gim_arbitrary` that raises no
+    :class:`CollisionError`.  The paper puts epsilon on the ratio
+    (1 - x_k + 2 z_i) / (1 + x_k) instead, whose gap is 2 / (1 + x_k)
+    times the mapped point's.
 
-    The ratios for each (target, adjoint node) pair are searched in the
-    sorted Legendre nodes, which takes O(T m log m) time and
-    O(T m + #violations) memory for T targets.  Violations are (i, s, k)
-    triples ordered by target k, then by i and s.
+    Each mapped point is searched in the sorted adjoint nodes, which takes
+    O(T m log m) time and O(T m) memory for T targets.  Violations are
+    (i, s, k) triples ordered by target k, then by i and s.
     """
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
     targets = _validated_targets(target_nodes)
     z = gg_rule(m, GegenbauerParam(alpha_a)).nodes
-    y = lg_rule(_lg_count(m, targets, epsilon)).nodes
-    kept = np.flatnonzero(targets != -1.0)
-    x = targets[kept, None]
-    ratios = (1.0 - x + 2.0 * z[None, :]) / (1.0 + x)
-    row, i, s = _near_sorted(ratios, y, epsilon)
-    violations = tuple(zip(i.tolist(), s.tolist(), kept[row].tolist()))
+    triples = _collisions(targets, z, lg_rule(_lg_count(m, targets, epsilon)), epsilon)
+    # triples are (node i, target k, Legendre point s)
+    violations = tuple(sorted(((i, s, k) for i, k, s in triples), key=lambda t: (t[2], t[0], t[1])))
     return FeasibilityReport(feasible=not violations, violations=violations)

@@ -233,15 +233,6 @@ def solve_example2(n: int, param: GegenbauerParam, tol: float = 1e-12,
                                kappa2=None, n=n, m=None, alpha=param.alpha)
 
 
-def example2_residual(solution: CollocationSolution):
-    """Assembled residual of the nonlinear problem at given nodal values.
-
-    Rebuilds the operators of :func:`solve_example2` for the solution's
-    parameters and returns a callable; useful for a-posteriori checks.
-    """
-    return _example2_system(solution.n, GegenbauerParam(solution.alpha))[1]
-
-
 def solution_to_csv(solution: CollocationSolution, path_or_file) -> None:
     """Metadata header then ``x,u_approx,u_exact,abs_error`` rows."""
     m_s = "" if solution.m is None else str(solution.m)

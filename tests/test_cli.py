@@ -71,6 +71,14 @@ class TestGimCommand:
         assert main(["gim", "--n", "4", "--alpha", "-0.8"]) == 1
         assert "UsageError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("epsilon", ["nan", "-1", "0"])
+    def test_non_positive_epsilon_exits_one(self, epsilon, tmp_path, capsys):
+        out = tmp_path / "m.csv"
+        assert main(["gim", "--n", "4", "--alpha", "1", "--epsilon", epsilon,
+                     "--out", str(out)]) == 1
+        assert "UsageError: epsilon must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestQuadbenchCommand:
     def test_degree_twenty_monomial_is_exact(self, tmp_path):
@@ -131,6 +139,14 @@ class TestFeasibilityCommand:
 
     def test_invalid_alpha_grid_exits_one(self, capsys):
         assert main(["feasibility", "--n-grid", "3", "--alpha-grid", "-0.6"]) == 1
+
+    @pytest.mark.parametrize("epsilon", ["nan", "-1", "0"])
+    def test_non_positive_epsilon_exits_one(self, epsilon, tmp_path, capsys):
+        out = tmp_path / "feas.csv"
+        assert main(["feasibility", "--n-grid", "4", "--alpha-grid", "1", "--epsilon", epsilon,
+                     "--out", str(out)]) == 1
+        assert "UsageError: epsilon must be positive" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_integer_degree_exits_one(self, tmp_path, capsys):
         out = tmp_path / "feas.csv"

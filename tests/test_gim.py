@@ -48,29 +48,68 @@ class TestFeasibility:
             assert report.feasible and report.violations == ()
 
     def test_epsilon_must_be_positive(self):
-        with pytest.raises(ValueError):
-            check_gg_condition(5, GegenbauerParam(0.5), epsilon=0.0)
+        for epsilon in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="epsilon must be positive"):
+                check_gg_condition(5, GegenbauerParam(0.5), epsilon=epsilon)
+            with pytest.raises(ValueError, match="epsilon must be positive"):
+                build_gim_gg(5, GegenbauerParam(0.5), epsilon=epsilon)
 
 
 def dense_gg_violations(n, param, epsilon):
-    """Reference: test every (i, j, k) triple at once in an (n+1)^2 (n/2+1) array."""
+    """The paper's ratio condition: every (i, j, k) triple at once in an (n+1)^2 (n/2+1) array."""
     x = gg_rule(n, param).nodes
     y = lg_rule(n // 2).nodes
     lhs = np.abs(1.0 + y[None, None, :] - 2.0 * (1.0 + x[:, None, None]) / (1.0 + x[None, :, None]))
     return tuple((int(i), int(j), int(k)) for i, j, k in np.argwhere(lhs <= epsilon))
 
 
+def dense_mapped_violations(n, param, epsilon):
+    """The builders' rule: every (i, j, k) with |y_jk - x_i| <= epsilon in one dense array."""
+    x = gg_rule(n, param).nodes
+    mapped = 0.5 * ((x[:, None] + 1.0) * lg_rule(n // 2).nodes + x[:, None] - 1.0)
+    lhs = np.abs(mapped[None, :, :] - x[:, None, None])
+    return tuple((int(i), int(j), int(k)) for i, j, k in np.argwhere(lhs <= epsilon))
+
+
+#: the degrees and parameters of the dense-oracle comparisons
+ORACLE_GRID = [(n, alpha) for n in range(61) for alpha in (-0.4, 0.0, 0.5, 1.0, 1.7)]
+
+
 class TestFeasibilityMatchesDenseOracle:
     @pytest.mark.parametrize("epsilon", [EPS_MACH, 1e-6, 1e-2])
     def test_same_violations_in_same_order(self, epsilon):
         # epsilon = 1e-2 gives runs of several k per (i, j) pair
-        for n in range(61):
-            for alpha in (-0.4, 0.0, 0.5, 1.0, 1.7):
-                param = GegenbauerParam(alpha)
-                report = check_gg_condition(n, param, epsilon)
-                want = dense_gg_violations(n, param, epsilon)
-                assert report.violations == want, (n, alpha)
-                assert report.feasible == (not want)
+        for n, alpha in ORACLE_GRID:
+            param = GegenbauerParam(alpha)
+            report = check_gg_condition(n, param, epsilon)
+            want = dense_mapped_violations(n, param, epsilon)
+            assert report.violations == want, (n, alpha)
+            assert report.feasible == (not want)
+
+    @pytest.mark.parametrize("epsilon", [EPS_MACH, 1e-12])
+    def test_paper_ratio_condition_where_the_rules_agree(self, epsilon):
+        # the ratio's gap is 2 / (1 + x_j) times the mapped point's, so the two rules
+        # part at larger epsilon; near machine precision they flag the same triples
+        for n, alpha in ORACLE_GRID:
+            param = GegenbauerParam(alpha)
+            want = dense_gg_violations(n, param, epsilon)
+            assert check_gg_condition(n, param, epsilon).violations == want, (n, alpha)
+
+    @pytest.mark.parametrize("epsilon", [EPS_MACH, 1e-12, 1e-6, 1e-2])
+    def test_verdict_is_the_build(self, epsilon):
+        # feasible exactly when build_gim_gg builds, which raises at the first
+        # violation in (j, k, i) order
+        for n, alpha in ORACLE_GRID:
+            param = GegenbauerParam(alpha)
+            report = check_gg_condition(n, param, epsilon)
+            try:
+                build_gim_gg(n, param, epsilon)
+            except CollisionError as err:
+                assert not report.feasible, (n, alpha)
+                first = min(report.violations, key=lambda t: (t[1], t[2], t[0]))
+                assert (err.i, err.j, err.k) == first, (n, alpha)
+            else:
+                assert report.feasible, (n, alpha)
 
     def test_large_degree_memory_is_quadratic(self):
         # testing all (i, j, k) triples at once peaks near 2 GiB at this size

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import math
 from collections import OrderedDict
 
 import numpy as np
@@ -9,9 +10,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from baryquad import (CollisionError, GegenbauerParam, IntegrationMatrix, OptimalConfig,
-                      apply_quadrature, build_gim_arbitrary, build_gim_gg, build_optimal_gim,
-                      build_optimal_gim_symmetric, check_condition_mmax, eta, gg_rule, lg_rule,
-                      map_to_unit, matrix_to_csv, optimal_bary_basis, optimize_alpha,
+                      apply_quadrature, bary_weights_gg, build_gim_arbitrary, build_gim_gg,
+                      build_optimal_gim, build_optimal_gim_symmetric, check_condition_mmax, eta,
+                      gg_rule, lg_rule, map_to_unit, matrix_to_csv, optimize_alpha,
                       qth_order_gim)
 from baryquad import rules
 from baryquad.gim import _lg_count
@@ -35,6 +36,8 @@ class TestConfig:
             OptimalConfig(m=5, r=0.5)
         with pytest.raises(ValueError):
             OptimalConfig(m=5, epsilon=0.0)
+        with pytest.raises(ValueError):
+            OptimalConfig(m=5, epsilon=math.nan)
         with pytest.raises(ValueError):
             OptimalConfig(m=5, alpha_a=0.3)
 
@@ -97,16 +100,17 @@ class TestAlphaStarRegression:
 
 
 class TestAdjointBasis:
+    # build_optimal_gim samples row k at gg_rule(m, alpha*_k) with its bary_weights_gg basis
     def test_legendre_parameter_gives_lg_nodes(self):
-        rule, basis = optimal_bary_basis(0.3, 9, 0.5)
+        rule = gg_rule(9, GegenbauerParam(0.5))
         assert_allclose(rule.nodes, lg_rule(9).nodes, atol=1e-14)
 
     def test_weights_alternate(self):
-        _, basis = optimal_bary_basis(0.0, 12, 1.1)
+        basis = bary_weights_gg(gg_rule(12, GegenbauerParam(1.1)))
         assert np.all(basis.xi[:-1] * basis.xi[1:] < 0)
 
     def test_two_point_case_matches_gauss_basis(self):
-        rule, basis = optimal_bary_basis(0.5, 1, 0.5)
+        basis = bary_weights_gg(gg_rule(1, GegenbauerParam(0.5)))
         assert_allclose(basis.xi, [np.sqrt(2 / 3), -np.sqrt(2 / 3)], rtol=1e-15)
 
 
@@ -224,6 +228,8 @@ class TestConditionMmax:
     def test_epsilon_validation(self):
         with pytest.raises(ValueError):
             check_condition_mmax(np.array([0.0]), 6, 0.5, epsilon=-1.0)
+        with pytest.raises(ValueError):
+            check_condition_mmax(np.array([0.0]), 6, 0.5, epsilon=math.nan)
 
     @pytest.mark.parametrize("m", [24, 28])
     def test_uses_the_builders_legendre_count(self, m):
@@ -233,9 +239,19 @@ class TestConditionMmax:
         assert check_condition_mmax(targets, m, 0.0).feasible
         build_optimal_gim(targets, OptimalConfig(m=m))
 
+    def test_placed_target_refused_by_the_builder_is_infeasible(self):
+        # the paper's ratio condition holds for this target, but its mapped point s = 1
+        # lies within epsilon of the adjoint node 0, and the m > m_max branch raises
+        target = [-0.9548796876054403]
+        assert dense_mmax_violations(target, 21, 0.0, EPS_MACH) == ()
+        assert check_condition_mmax(target, 21, 0.0).violations == ((0, 1, 0),)
+        with pytest.raises(CollisionError) as err:
+            build_optimal_gim(target, OptimalConfig(m=21))
+        assert (err.value.i, err.value.j, err.value.k) == (0, 0, 1)
+
 
 def dense_mmax_violations(targets, m, alpha_a, epsilon):
-    """Reference: one dense (adjoint node, Legendre node) test per target."""
+    """The paper's ratio condition: one dense (adjoint node, Legendre node) test per target."""
     z = gg_rule(m, GegenbauerParam(alpha_a)).nodes
     y = lg_rule(_lg_count(m, targets, epsilon)).nodes
     violations = []
@@ -247,22 +263,61 @@ def dense_mmax_violations(targets, m, alpha_a, epsilon):
     return tuple(violations)
 
 
+def dense_mapped_mmax_violations(targets, m, alpha_a, epsilon):
+    """The builders' rule: one dense (adjoint node, mapped Legendre point) test per target."""
+    z = gg_rule(m, GegenbauerParam(alpha_a)).nodes
+    y = lg_rule(_lg_count(m, targets, epsilon)).nodes
+    violations = []
+    for k, x_k in enumerate(targets):
+        lhs = np.abs(0.5 * ((x_k + 1.0) * y + x_k - 1.0)[None, :] - z[:, None])
+        violations += [(int(i), int(s), int(k)) for i, s in np.argwhere(lhs <= epsilon)]
+    return tuple(violations)
+
+
+def placed_target_sets(epsilon):
+    """(m, alpha_a, targets): a grid, targets placed on collisions and -1 at both ends."""
+    for m in range(0, 31):
+        for alpha_a in (0.0, 0.5):
+            z = gg_rule(m, GegenbauerParam(alpha_a)).nodes
+            grid = np.linspace(-0.99, 1.0, 15)
+            y = lg_rule(_lg_count(m, grid, epsilon)).nodes
+            # targets that put a mapped Legendre point on an adjoint node
+            hits = [(1.0 + 2.0 * zi - ys) / (1.0 + ys) for zi in z for ys in y]
+            hits = [x for x in hits if -1.0 < x < 1.0][:12]
+            yield m, alpha_a, np.concatenate([[-1.0], grid, hits, [-1.0]])
+
+
 class TestConditionMmaxMatchesDenseOracle:
     @pytest.mark.parametrize("epsilon", [EPS_MACH, 1e-6, 1e-2])
     def test_same_violations_in_same_order(self, epsilon):
-        for m in range(0, 31):
-            for alpha_a in (0.0, 0.5):
-                z = gg_rule(m, GegenbauerParam(alpha_a)).nodes
-                grid = np.linspace(-0.99, 1.0, 15)
-                y = lg_rule(_lg_count(m, grid, epsilon)).nodes
-                # targets that put a mapped Legendre point on an adjoint node
-                hits = [(1.0 + 2.0 * zi - ys) / (1.0 + ys) for zi in z for ys in y]
-                hits = [x for x in hits if -1.0 < x < 1.0][:12]
-                targets = np.concatenate([[-1.0], grid, hits, [-1.0]])
-                report = check_condition_mmax(targets, m, alpha_a, epsilon)
-                want = dense_mmax_violations(targets, m, alpha_a, epsilon)
-                assert report.violations == want, (m, alpha_a)
-                assert report.feasible == (not want)
+        for m, alpha_a, targets in placed_target_sets(epsilon):
+            report = check_condition_mmax(targets, m, alpha_a, epsilon)
+            want = dense_mapped_mmax_violations(targets, m, alpha_a, epsilon)
+            assert report.violations == want, (m, alpha_a)
+            assert report.feasible == (not want)
+
+    @pytest.mark.parametrize("epsilon", [1e-12, 1e-6])
+    def test_paper_ratio_condition_where_the_rules_agree(self, epsilon):
+        # the ratio's gap is 2 / (1 + x_k) times the mapped point's; on these sets the
+        # two rules flag the same triples here, but not at EPS_MACH or 1e-2
+        for m, alpha_a, targets in placed_target_sets(epsilon):
+            want = dense_mmax_violations(targets, m, alpha_a, epsilon)
+            assert check_condition_mmax(targets, m, alpha_a, epsilon).violations == want, (m, alpha_a)
+
+    @pytest.mark.parametrize("epsilon", [EPS_MACH, 1e-12, 1e-6, 1e-2])
+    def test_verdict_is_the_build(self, epsilon):
+        # feasible exactly when build_gim_arbitrary builds, which raises at the
+        # first violation in (target, Legendre point, node) order
+        for m, alpha_a, targets in placed_target_sets(epsilon):
+            report = check_condition_mmax(targets, m, alpha_a, epsilon)
+            try:
+                build_gim_arbitrary(targets, m, GegenbauerParam(alpha_a), epsilon)
+            except CollisionError as err:
+                assert not report.feasible, (m, alpha_a)
+                first = min(report.violations, key=lambda t: (t[2], t[1], t[0]))
+                assert (err.i, err.k, err.j) == first, (m, alpha_a)
+            else:
+                assert report.feasible, (m, alpha_a)
 
 
 class TestHigherOrderOptimal:

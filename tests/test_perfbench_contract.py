@@ -9,6 +9,7 @@ import json
 from pathlib import Path
 
 from baryquad import GegenbauerParam, check_gg_condition
+from baryquad.rules import _nodes_weights
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -24,14 +25,15 @@ def test_every_traced_name_resolves():
 
 
 def test_feasibility_flags_on_the_default_grid_match_the_reference():
-    # the README's default grid, n = 1..100 and alpha = -0.4:0.1:2, is every
-    # other point of the reference's 0.05 grid, which tier-1 otherwise leaves
-    # to the benchmark; the flags do not pin the nodes' last bits (they also
-    # hold with the Newton polish switched off)
+    # n = 1..100 over the reference's whole 0.05 grid, alpha = -0.4:0.05:2, the
+    # points any benchmark seed can draw; the README's default grid is every other
+    # one.  The flags do not pin the nodes' last bits (they also hold with the
+    # Newton polish switched off)
     ref = json.loads((PERFBENCH / "reference.json").read_text())
     units = ref["grid_units"]
-    ks = range(-8, 41, 2)  # alpha = k / units
+    alphas = tuple(k / units for k in range(-8, 41))
     for n in range(1, 101):
-        got = "".join("1" if check_gg_condition(n, GegenbauerParam(k / units)).feasible else "0"
-                      for k in ks)
-        assert got == ref["scan"][str(n)][::2], n
+        _nodes_weights(n, alphas)  # the Gauss rules of all alpha in one batch, as feasibility does
+        got = "".join("1" if check_gg_condition(n, GegenbauerParam(a)).feasible else "0"
+                      for a in alphas)
+        assert got == ref["scan"][str(n)], n

@@ -11,7 +11,7 @@ from baryquad import solvers
 from baryquad import (CollocationSolution, ConvergenceError, GegenbauerParam, OptimalConfig,
                       build_gim_gg, condition_number_2, map_to_unit, newton_solve, solution_to_csv,
                       solve_example1, solve_example2)
-from baryquad.solvers import _example2_system, example2_residual
+from baryquad.solvers import _example2_system
 
 
 class TestNewton:
@@ -154,12 +154,12 @@ class TestExample2:
 
     def test_residual_at_solution_is_small(self):
         sol = solve_example2(9, GegenbauerParam(0.5))
-        residual = example2_residual(sol)
+        residual = _example2_system(sol.n, GegenbauerParam(sol.alpha))[1]
         assert np.max(np.abs(residual(sol.values))) <= 1e-10
 
     def test_exact_samples_nearly_annihilate_residual(self):
         sol = solve_example2(9, GegenbauerParam(0.5))
-        residual = example2_residual(sol)
+        residual = _example2_system(sol.n, GegenbauerParam(sol.alpha))[1]
         # discretization error scale, far above solver tolerance
         assert np.max(np.abs(residual(sol.exact))) <= 1e-5
         assert np.max(np.abs(residual(sol.exact))) >= 1e-12
