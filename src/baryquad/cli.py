@@ -21,8 +21,8 @@ import numpy as np
 
 from .bench import BenchmarkSpec, run_benchmark
 from .errors import CollisionError, ConvergenceError
-from .gim import (build_basis_gim, build_gim_gg, build_gim_gg_bumped, build_gim_gg_guarded,
-                  check_gg_condition, matrix_to_csv, qth_order_gim)
+from .gim import (_check_epsilon, build_basis_gim, build_gim_gg, build_gim_gg_bumped,
+                  build_gim_gg_guarded, check_gg_condition, matrix_to_csv, qth_order_gim)
 from .polynomials import EPS_MACH, GegenbauerParam
 from .rules import _nodes_weights, _write_lines
 from .solvers import solve_example1, solve_example2, solution_to_csv
@@ -97,6 +97,7 @@ def _write_rows(path, header, rows):
 def cmd_gim(args) -> int:
     param = GegenbauerParam(args.alpha)
     if args.variant == "basis":
+        _check_epsilon(args.epsilon)  # the modal form screens nothing, but the option is still checked
         matrix = build_basis_gim(args.n, param)
     else:
         matrix = _VARIANTS[args.variant](args.n, param, args.epsilon)

@@ -101,6 +101,12 @@ def _validated_targets(target_nodes) -> np.ndarray:
     return targets
 
 
+def _check_epsilon(epsilon: float) -> None:
+    """The package's one test of a collision tolerance."""
+    if not epsilon > 0.0:  # also rejects NaN
+        raise ValueError("epsilon must be positive")
+
+
 def _screen(targets: np.ndarray, nodes: np.ndarray, lg, epsilon: float):
     """Legendre points mapped onto [-1, x_j] per target x_j, their gap to the nearest node, hits.
 
@@ -110,8 +116,7 @@ def _screen(targets: np.ndarray, nodes: np.ndarray, lg, epsilon: float):
     once, which targets have a hit.  Returns ``(mapped, nearest, hit)``,
     ``hit`` a list of one bool per target.
     """
-    if not epsilon > 0.0:  # also rejects NaN
-        raise ValueError("epsilon must be positive")
+    _check_epsilon(epsilon)
     mapped = 0.5 * ((targets[:, None] + 1.0) * lg.nodes + targets[:, None] - 1.0)
     # x_below < y <= x_above, so both differences are |y - x| without abs
     padded = np.concatenate(([-np.inf], nodes, [np.inf]))

@@ -10,19 +10,17 @@ error constant of smooth non-polynomial integrands.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .barycentric import bary_weights_gg
 from .errors import CollisionError
-from .gim import (FeasibilityReport, INTERVAL_BIUNIT, IntegrationMatrix, _build_rows, _collisions,
-                  _lg_count, _screen, _validated_targets, build_gim_arbitrary)
-from .polynomials import EPS_MACH, GegenbauerParam, _eta_scale, _running_integral, eta
+from .gim import (FeasibilityReport, INTERVAL_BIUNIT, IntegrationMatrix, _build_rows, _check_epsilon,
+                  _collisions, _lg_count, _screen, _validated_targets, build_gim_arbitrary)
+from .polynomials import EPS_MACH, GegenbauerParam, _eta_scale, _running_integral
 from .rules import _nodes_weights, gg_rule, lg_rule
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _GRID_SAMPLES = 64
 _ALPHA_TOL = 1e-6
 
@@ -56,8 +54,7 @@ class OptimalConfig:
             raise ValueError("m must be a non-negative integer")
         if not 1.0 <= self.r <= 2.0:
             raise ValueError(f"r must lie in [1, 2], got {self.r}")
-        if not self.epsilon > 0.0:
-            raise ValueError("epsilon must be positive")
+        _check_epsilon(self.epsilon)
         if self.alpha_a not in (0.0, 0.5):
             raise ValueError(f"alpha_a must be 0 (Chebyshev) or 0.5 (Legendre), got {self.alpha_a}")
         if self.boundary_margin <= 0.0:
@@ -71,71 +68,61 @@ class OptimalConfig:
         return GegenbauerParam(self.alpha_a)
 
 
-def _grid_objective(x_k: float, m: int, grid: np.ndarray) -> np.ndarray:
-    """Squared error factor at every grid parameter, in one broadcast recurrence.
-
-    Equals ``eta(x_k, m, GegenbauerParam(a)) ** 2`` per grid point, with
-    +inf where the prefactor or the square overflows.
-    """
-    log_scale = np.array([_eta_scale(m, a) for a in grid])
+def _objective(x: np.ndarray, m: int, alpha: np.ndarray) -> np.ndarray:
+    """``eta(x, m, GegenbauerParam(a)) ** 2`` of targets x (T, 1) at parameters a (T, P)."""
     with np.errstate(over="ignore"):
-        values = (np.exp(np.minimum(log_scale, 700.0)) * _running_integral(m + 1, grid, x_k)) ** 2
-    values[log_scale > 700.0] = math.inf
-    return values
+        return (_eta_scale(m, alpha) * _running_integral(m + 1, alpha, x)) ** 2
+
+
+def _alpha_stars(targets: np.ndarray, m: int, config: OptimalConfig) -> np.ndarray:
+    """:func:`optimize_alpha` of every target in ``targets``, a float array, in one search.
+
+    The admissible interval is sampled at 64 points for all targets at
+    once; then each round puts 64 evenly spaced points across every
+    target's bracket [p_{b-1}, p_{b+1}] around its argmin p_b, until the
+    bracket is at most ``_ALPHA_TOL`` wide, and the bracket midpoint is
+    returned.  A target leaves the batch at its own tolerance, so its
+    parameter is the same in any batch.
+    """
+    x = np.abs(targets) if m % 2 == 0 else targets  # for even m the error factor is even
+    lo = -0.5 + config.boundary_margin
+    left, right = np.full(x.size, lo), np.full(x.size, float(config.r))
+    searched = (m > 0) & (x != -1.0) & ((x != 1.0) | (m % 2 == 1))
+    active = np.flatnonzero(searched)  # narrowed to the targets whose bracket is still too wide
+    while active.size:
+        grid = np.linspace(left[active], right[active], _GRID_SAMPLES, axis=-1)
+        best = _objective(x[active, None], m, grid).argmin(axis=1)
+        rows = np.arange(active.size)
+        left[active] = grid[rows, np.maximum(best - 1, 0)]
+        right[active] = grid[rows, np.minimum(best + 1, _GRID_SAMPLES - 1)]
+        active = active[right[active] - left[active] > _ALPHA_TOL]
+    alpha_star = 0.5 * (left + right)
+    boundary = (alpha_star <= lo + _ALPHA_TOL) | (alpha_star < -0.5 + config.epsilon)
+    return np.where(searched & ~boundary, alpha_star, float(config.alpha_b))
 
 
 def optimize_alpha(x_k: float, m: int, config: OptimalConfig) -> float:
     """Parameter minimizing the squared quadrature error factor for one target.
 
-    A 64-sample grid over the admissible interval, evaluated as one
-    vectorized closed-form recurrence, seeds a golden-section refinement of
-    the best bracket (the objective can be multimodal in the parameter).
-    For even m the error factor is even in the target, so negative targets
-    are folded onto their mirror images, which makes the returned
-    parameter exactly symmetric on symmetric node sets.  Where the error
-    factor vanishes for every parameter, at -1 and, for even m, at 1 (the
-    integral of G_{m+1} over [-1, 1] is zero), no minimizer exists and
-    ``config.alpha_b`` is returned.
+    A 64-sample grid over the admissible interval seeds rounds that each
+    put 64 evenly spaced samples across the bracket around the best sample
+    (the objective can be multimodal in the parameter), until the bracket
+    is at most 1e-6 wide; its midpoint is returned.  This is the
+    one-target case of the batched search that :func:`build_optimal_gim`
+    runs over all its targets, so the two give the same parameter bit for
+    bit.  For even m the error factor is even in the target, so negative
+    targets are folded onto their mirror images, which makes the returned
+    parameter exactly symmetric on symmetric node sets.  Where no
+    minimizer exists, ``config.alpha_b`` is returned: at -1 and, for even
+    m, at 1 the error factor vanishes for every parameter (the integral of
+    G_{m+1} over [-1, 1] is zero), and at m = 0 it does not depend on the
+    parameter.  So is a minimizer in the boundary strip above -1/2.
     """
     if not -1.0 <= x_k <= 1.0:
         raise ValueError(f"target must lie in [-1, 1], got {x_k}")
     if m < 0:
         raise ValueError("m must be non-negative")
-    x_k = float(x_k)
-    if x_k == -1.0 or (x_k == 1.0 and m % 2 == 0):
-        return float(config.alpha_b)
-    if m % 2 == 0 and x_k < 0.0:
-        x_k = -x_k
-    lo = -0.5 + config.boundary_margin
-    hi = config.r
-
-    def objective(a: float) -> float:
-        try:
-            return eta(x_k, m, GegenbauerParam(a)) ** 2
-        except OverflowError:
-            return math.inf
-
-    grid = np.linspace(lo, hi, _GRID_SAMPLES)
-    values = _grid_objective(x_k, m, grid)
-    best = int(np.argmin(values))
-    a = grid[max(best - 1, 0)]
-    b = grid[min(best + 1, _GRID_SAMPLES - 1)]
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = objective(c), objective(d)
-    while b - a > _ALPHA_TOL:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = objective(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = objective(d)
-    alpha_star = 0.5 * (a + b)
-    if alpha_star <= lo + _ALPHA_TOL or alpha_star < -0.5 + config.epsilon:
-        return float(config.alpha_b)
-    return float(alpha_star)
+    return float(_alpha_stars(np.array([float(x_k)]), m, config)[0])
 
 
 def build_optimal_gim(target_nodes, config: OptimalConfig) -> IntegrationMatrix:
@@ -149,9 +136,12 @@ def build_optimal_gim(target_nodes, config: OptimalConfig) -> IntegrationMatrix:
     and adjoint sample set.  The parameter, adjoint rule and barycentric
     basis are computed once per distinct target, and for even m, where the
     error factor is even in the target, once per distinct ``|x_k|``, so
-    mirrored targets share them.  Every target is screened for collisions
-    before any row is built, and the rows that share a basis are built in
-    one call of the row kernel.
+    mirrored targets share them.  The parameters of all those targets come
+    from one batched run of the search :func:`optimize_alpha` makes for one
+    target: with the default search interval, at most five evaluations of
+    the error factor, each over a (targets x 64) parameter array.  Every
+    target is screened for collisions before any row is built, and the
+    rows that share a basis are built in one call of the row kernel.
     """
     targets = _validated_targets(target_nodes)
     m = config.m
@@ -163,7 +153,7 @@ def build_optimal_gim(target_nodes, config: OptimalConfig) -> IntegrationMatrix:
     groups = {}  # targets that share a parameter and basis, in order of first appearance
     for k, x_k in enumerate(targets.tolist()):
         groups.setdefault(abs(x_k) if m % 2 == 0 else x_k, []).append(k)
-    alpha_stars = [optimize_alpha(targets[ks[0]], m, config) for ks in groups.values()]
+    alpha_stars = _alpha_stars(targets[[ks[0] for ks in groups.values()]], m, config).tolist()
     _nodes_weights(m, tuple(alpha_stars))  # the adjoint Gauss rules of all groups in one batch
     shared, hit = [], [False] * targets.size
     for ks, a_k in zip(groups.values(), alpha_stars):

@@ -91,8 +91,8 @@ def _terms(n: int, a, x):
 
     (k + 2a - 1) G_k = 2 (k + a - 1) x G_{k-1} - (k - 1) G_{k-2} from G_0 = 1
     and G_1 = x, which is set, not recurred: the k = 1 step divides by 2a.
-    ``x`` and ``a`` are floats or broadcastable arrays; a float ``x``, the hot
-    path of :func:`eta`, makes no numpy call.
+    ``x`` and ``a`` are floats or broadcastable arrays; floats, as
+    :func:`eta` passes them, make no numpy call.
     """
     g0 = 1.0 if isinstance(x, float) else np.ones_like(x)
     yield g0
@@ -197,22 +197,20 @@ def _norms(n: int, a: float) -> np.ndarray:
     return np.exp(log_norm)
 
 
-def _running_integral(n: int, a, x: float):
+def _running_integral(n: int, a, x):
     """Integral of G_n from -1 to ``x`` in closed form, O(n) per alpha.
 
     For n >= 2 this is :func:`_integration_relation`; n = 0 and 1 use
     their elementary antiderivatives, so the Chebyshev case a = 0 is
-    regular.  ``a`` is a float or an ndarray of parameters, over which the
-    recurrence broadcasts.  Exactly zero at x = -1.
+    regular.  ``a`` and ``x`` are floats or broadcastable ndarrays, over
+    which the recurrence broadcasts.  Exactly zero at x = -1.
     """
-    if x == -1.0:
-        return 0.0
     if n == 0:
         return x + 1.0
     if n == 1:
         return 0.5 * (x * x - 1.0)
     g_prev, _, g_next = deque(_terms(n + 1, a, x), 3)  # maxlen by position: cheaper in eta
-    return _integration_relation(n, a, g_prev, g_next)
+    return np.where(x == -1.0, 0.0, _integration_relation(n, a, g_prev, g_next))
 
 
 def integrate_gegenbauer(spec: PolySpec, x: float) -> float:
@@ -224,15 +222,17 @@ def integrate_gegenbauer(spec: PolySpec, x: float) -> float:
     return float(_running_integral(spec.degree, spec.param.alpha, float(x)))
 
 
-def _eta_scale(m: int, alpha: float) -> float:
-    # 2^m / K_{m+1} reduced to a gamma ratio; all arguments positive
-    log_scale = (
-        math.lgamma(alpha + 1.0)
-        + math.lgamma(m + 1.0 + 2.0 * alpha)
-        - math.lgamma(2.0 * alpha + 1.0)
-        - math.lgamma(m + 1.0 + alpha)
-    )
-    return log_scale
+def _eta_scale(m: int, a):
+    """2^m / K_{m+1}, the prefactor of :func:`eta`, as the product of (2a + j) / (a + j), j = 1..m.
+
+    ``a`` is a float or an ndarray of parameters; the product runs along a
+    new last axis, so each parameter's value is the same in any batch.  Each
+    factor is below 2, so only m > 1023 can overflow, to inf.
+    """
+    j = np.arange(1.0, m + 1.0)
+    a = np.asarray(a)[..., None]
+    with np.errstate(over="ignore"):
+        return ((2.0 * a + j) / (a + j)).prod(axis=-1)
 
 
 def eta(x_k: float, m: int, param: GegenbauerParam) -> float:
@@ -249,10 +249,10 @@ def eta(x_k: float, m: int, param: GegenbauerParam) -> float:
     """
     if m < 0:
         raise ValueError("m must be non-negative")
-    log_scale = _eta_scale(m, param.alpha)
-    if log_scale > 700.0:  # exp() overflow threshold for float64
+    scale = float(_eta_scale(m, param.alpha))
+    if scale == math.inf:
         raise OverflowError(f"error-factor prefactor overflows for m={m}, alpha={param.alpha}")
-    return math.exp(log_scale) * _running_integral(m + 1, param.alpha, float(x_k))
+    return float(scale * _running_integral(m + 1, param.alpha, float(x_k)))
 
 
 def discrete_gegenbauer_transform(rule, values) -> np.ndarray:

@@ -7,11 +7,12 @@ the singular values of B; a pair +-x shares the mass times the squared
 first component of its left singular vector, and for even n the null
 vector of B^T gives the node 0.  One SVD per n takes the blocks of every
 alpha, then one Newton polish against the three-term recurrence polishes
-each rule to the bits it would reach alone.  Nodes and weights are
-symmetrized exactly, so the middle node of an odd-count rule is 0.0 and
-paired weights are bitwise equal.  Every rule is checked on a closed-form
-even moment before it is cached, so a rule past the parameter range where
-it holds (alpha well above 2 at large n) raises.
+the positive nodes of each rule to the bits they would reach alone, and
+the negative nodes are their mirror images.  So the rules are exactly
+symmetric: the middle node of an odd-count rule is 0.0, paired nodes are
+bitwise negatives and paired weights bitwise equal.  Every rule is checked
+on a closed-form even moment before it is cached, so a rule past the
+parameter range where it holds (alpha well above 2 at large n) raises.
 """
 
 from __future__ import annotations
@@ -106,13 +107,11 @@ def _gauss_rules(n: int, alphas):
         raise ConvergenceError(f"SVD failed for n={n}, alpha in {list(alphas)}: {exc}") from exc
     first = u[:, 0] ** 2 * np.array([_total_mass(alpha) for alpha in alphas])[:, None]
     half = 0.5 * first[:, :cols]  # the +-s pairs; the null vector of B^T (even n) is node 0
-    nodes = np.concatenate([-s, np.zeros((m, rows - cols)), s[:, ::-1]], axis=1)
+    positive = s[:, ::-1].copy()
+    if cols:
+        _polish(n, alphas, positive)  # G_{n+1} is odd or even: -x would polish to exactly minus x's polish
+    nodes = np.concatenate([-positive[:, ::-1], np.zeros((m, rows - cols)), positive], axis=1)
     weights = np.concatenate([half, first[:, cols:], half[:, ::-1]], axis=1)
-    _polish(n, alphas, nodes)
-    nodes = 0.5 * (nodes - nodes[:, ::-1])
-    weights = 0.5 * (weights + weights[:, ::-1])
-    if n % 2 == 0:
-        nodes[:, n // 2] = 0.0
     return nodes, weights
 
 

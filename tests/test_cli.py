@@ -74,10 +74,11 @@ class TestGimCommand:
     @pytest.mark.parametrize("epsilon", ["nan", "-1", "0"])
     def test_non_positive_epsilon_exits_one(self, epsilon, tmp_path, capsys):
         out = tmp_path / "m.csv"
-        assert main(["gim", "--n", "4", "--alpha", "1", "--epsilon", epsilon,
-                     "--out", str(out)]) == 1
-        assert "UsageError: epsilon must be positive" in capsys.readouterr().err
-        assert not out.exists()
+        for variant in ("plain", "basis"):  # the basis variant takes no epsilon, but checks it
+            assert main(["gim", "--n", "4", "--alpha", "1", "--variant", variant,
+                         "--epsilon", epsilon, "--out", str(out)]) == 1
+            assert "UsageError: epsilon must be positive" in capsys.readouterr().err
+            assert not out.exists()
 
 
 class TestQuadbenchCommand:

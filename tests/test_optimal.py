@@ -7,17 +7,58 @@ from collections import OrderedDict
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from baryquad import (CollisionError, GegenbauerParam, IntegrationMatrix, OptimalConfig,
                       apply_quadrature, bary_weights_gg, build_gim_arbitrary, build_gim_gg,
                       build_optimal_gim, build_optimal_gim_symmetric, check_condition_mmax, eta,
-                      gg_rule, lg_rule, map_to_unit, matrix_to_csv, optimize_alpha,
-                      qth_order_gim)
-from baryquad import rules
+                      gg_rule, integrate_gegenbauer, lg_rule, map_to_unit, matrix_to_csv,
+                      optimize_alpha, qth_order_gim)
+from baryquad import optimal, rules
 from baryquad.gim import _lg_count
-from baryquad.optimal import _GRID_SAMPLES, _grid_objective
-from baryquad.polynomials import EPS_MACH
+from baryquad.optimal import _ALPHA_TOL, _GRID_SAMPLES, _objective
+from baryquad.polynomials import EPS_MACH, PolySpec, gegenbauer_eval
+
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_section_alpha(x_k, m, config):
+    """Reference minimizer: the same 64-point grid, then golden section on the best bracket.
+
+    Golden section refines the bracket with one scalar ``eta`` per step, to
+    the same 1e-6 tolerance and with the same fallbacks as the package's
+    bracket search.
+    """
+    if x_k == -1.0 or (x_k == 1.0 and m % 2 == 0):
+        return float(config.alpha_b)
+    if m % 2 == 0 and x_k < 0.0:
+        x_k = -x_k
+    lo = -0.5 + config.boundary_margin
+
+    def objective(a):
+        return eta(x_k, m, GegenbauerParam(a)) ** 2
+
+    grid = np.linspace(lo, config.r, _GRID_SAMPLES)
+    best = int(np.argmin([objective(a) for a in grid]))
+    a = grid[max(best - 1, 0)]
+    b = grid[min(best + 1, _GRID_SAMPLES - 1)]
+    c = b - _INV_PHI * (b - a)
+    d = a + _INV_PHI * (b - a)
+    fc, fd = objective(c), objective(d)
+    while b - a > _ALPHA_TOL:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_PHI * (b - a)
+            fc = objective(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_PHI * (b - a)
+            fd = objective(d)
+    alpha_star = 0.5 * (a + b)
+    if alpha_star <= lo + _ALPHA_TOL or alpha_star < -0.5 + config.epsilon:
+        return float(config.alpha_b)
+    return float(alpha_star)
 
 
 def running_monomial_integral(targets, p):
@@ -73,12 +114,65 @@ class TestOptimizeAlpha:
         with pytest.raises(ValueError):
             optimize_alpha(1.5, 8, OptimalConfig(m=8))
 
+    def test_m_zero_has_no_minimizer(self):
+        # at m = 0 the one adjoint node is 0 for every parameter, so the error
+        # factor, (x + 1) / 2 up to sign, does not depend on it
+        cfg = OptimalConfig(m=0, alpha_b=1.25)
+        for x in (-0.6, 0.0, 0.3, 1.0):
+            assert len({eta(x, 0, GegenbauerParam(a)) for a in (-0.4, 0.0, 0.7, 2.0)}) == 1
+            assert optimize_alpha(x, 0, cfg) == 1.25
+        assert np.all(build_optimal_gim([-0.5, 0.2, 0.9], cfg).alpha == 1.25)
+
     @pytest.mark.parametrize("m", [0, 1, 7, 14, 20])
     def test_vectorized_grid_equals_scalar_eta(self, m):
+        # all seven targets in one batch, as the search evaluates them
         grid = np.linspace(-0.5 + 1e-3, 2.0, _GRID_SAMPLES)
-        for x in (-1.0, -0.93, -0.2, 0.0, 0.41, 0.97, 1.0):
-            scalar = [eta(x, m, GegenbauerParam(a)) ** 2 for a in grid]
-            assert_allclose(_grid_objective(x, m, grid), scalar, rtol=1e-12, atol=0.0)
+        targets = np.array([-1.0, -0.93, -0.2, 0.0, 0.41, 0.97, 1.0])
+        scalar = [[eta(x, m, GegenbauerParam(a)) ** 2 for a in grid] for x in targets]
+        batched = _objective(targets[:, None], m, np.tile(grid, (targets.size, 1)))
+        assert_allclose(batched, scalar, rtol=1e-12, atol=0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=st.floats(-1.0, 1.0), m=st.integers(1, 20))
+    def test_no_worse_than_golden_section(self, x, m):
+        # where eta changes sign within the oracle's tolerance, the minimum of eta^2
+        # is 0 at a root, and the two values are zeros rounded at different
+        # resolutions; there the searched parameter must sit as close to a root
+        cfg = OptimalConfig(m=m)
+        a_star, oracle = optimize_alpha(x, m, cfg), golden_section_alpha(x, m, cfg)
+
+        def factor(a):
+            return eta(x, m, GegenbauerParam(a))
+
+        half = _ALPHA_TOL / 2
+        if factor(oracle - half) * factor(oracle + half) <= 0.0:
+            assert factor(a_star - half) * factor(a_star + half) <= 0.0
+        else:
+            assert factor(a_star) ** 2 <= factor(oracle) ** 2 * (1 + 1e-9)
+
+    @pytest.mark.parametrize("m", [5, 8, 15, 20])
+    def test_equals_the_builders_parameter_bitwise(self, m):
+        targets = np.concatenate([gg_rule(12, GegenbauerParam(0.3)).nodes, [-1.0, -0.4, 0.95, 1.0]])
+        cfg = OptimalConfig(m=m)
+        mat = build_optimal_gim(targets, cfg)
+        assert [optimize_alpha(x, m, cfg) for x in targets] == mat.alpha.tolist()
+
+    @pytest.mark.parametrize("m", [1, 2, 9, 14, 15, 20])
+    def test_builder_makes_at_most_five_objective_evaluations(self, m, monkeypatch):
+        calls = []
+        objective = optimal._objective
+
+        def counted(x, m, alpha):
+            calls.append(alpha.shape)
+            return objective(x, m, alpha)
+
+        monkeypatch.setattr(optimal, "_objective", counted)
+        targets = np.concatenate([[-1.0], gg_rule(40, GegenbauerParam(0.5)).nodes, [1.0]])
+        build_optimal_gim(targets, OptimalConfig(m=m))
+        assert 1 <= len(calls) <= 5
+        # the first call holds every searched target: all but -1 for odd m; for even m,
+        # one per |x_k| but 1
+        assert calls[0] == ((42 if m % 2 else 21), _GRID_SAMPLES)
 
 
 class TestAlphaStarRegression:
@@ -138,6 +232,25 @@ class TestBuildOptimal:
         exact = sum(c * running_monomial_integral(targets, p) for p, c in enumerate(coeffs))
         got = apply_quadrature(mat, samples)
         assert np.max(np.abs(got - exact)) <= 1e-11
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(0, 20),
+           targets=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=8, unique=True))
+    def test_rows_integrate_a_fixed_family_exactly(self, m, targets):
+        # each row samples G_k (alpha = 0.5) at its own adjoint nodes; relative to max |G_k|
+        # there, the error was at most 1.5e-13 over 6,000 random sets, the worst where
+        # alpha* sits at the edge of the boundary strip above -1/2
+        targets = np.sort(targets)
+        try:
+            mat = build_optimal_gim(targets, OptimalConfig(m=m))
+        except CollisionError:
+            reject()
+        for k in range(m + 1):
+            spec = PolySpec(k, GegenbauerParam(0.5))
+            samples = gegenbauer_eval(spec, mat.source_nodes)
+            exact = [integrate_gegenbauer(spec, x) for x in targets]
+            err = np.max(np.abs(apply_quadrature(mat, samples) - exact))
+            assert err <= 5e-13 * np.max(np.abs(samples)), k
 
     def test_above_mmax_equals_fixed_parameter_matrix(self):
         targets = gg_rule(7, GegenbauerParam(0.9)).nodes
