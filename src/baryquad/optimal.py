@@ -18,7 +18,7 @@ from .barycentric import bary_weights_gg
 from .errors import CollisionError
 from .gim import (FeasibilityReport, INTERVAL_BIUNIT, IntegrationMatrix, _build_rows, _check_epsilon,
                   _collisions, _lg_count, _screen, _validated_targets, build_gim_arbitrary)
-from .polynomials import EPS_MACH, GegenbauerParam, _eta_scale, _running_integral
+from .polynomials import EPS_MACH, GegenbauerParam, eta
 from .rules import _nodes_weights, gg_rule, lg_rule
 
 _GRID_SAMPLES = 64
@@ -68,61 +68,51 @@ class OptimalConfig:
         return GegenbauerParam(self.alpha_a)
 
 
-def _objective(x: np.ndarray, m: int, alpha: np.ndarray) -> np.ndarray:
-    """``eta(x, m, GegenbauerParam(a)) ** 2`` of targets x (T, 1) at parameters a (T, P)."""
-    with np.errstate(over="ignore"):
-        return (_eta_scale(m, alpha) * _running_integral(m + 1, alpha, x)) ** 2
+def optimize_alpha(x_k, m: int, config: OptimalConfig):
+    """Parameter minimizing the squared quadrature error factor, per target.
 
+    ``x_k`` is one target, which gives a float, or an array of targets,
+    which gives an array of the same shape from one search over all of
+    them.  The admissible interval is sampled at 64 points; then each round
+    puts 64 evenly spaced points across every target's bracket
+    [p_{b-1}, p_{b+1}] around its best sample p_b (the objective can be
+    multimodal in the parameter), until the bracket is at most 1e-6 wide,
+    and the bracket midpoint is returned.  The grid and each round are one
+    :func:`eta` call on a (targets x 64) parameter array; with the default
+    interval there are four rounds.  A target leaves the search at its own
+    tolerance, so its parameter is the same bit for bit in any batch.
 
-def _alpha_stars(targets: np.ndarray, m: int, config: OptimalConfig) -> np.ndarray:
-    """:func:`optimize_alpha` of every target in ``targets``, a float array, in one search.
-
-    The admissible interval is sampled at 64 points for all targets at
-    once; then each round puts 64 evenly spaced points across every
-    target's bracket [p_{b-1}, p_{b+1}] around its argmin p_b, until the
-    bracket is at most ``_ALPHA_TOL`` wide, and the bracket midpoint is
-    returned.  A target leaves the batch at its own tolerance, so its
-    parameter is the same in any batch.
+    For even m the error factor is even in the target, so negative targets
+    are folded onto their mirror images, which makes the returned parameter
+    exactly symmetric on symmetric node sets.  Where no minimizer exists,
+    ``config.alpha_b`` is returned: at -1 and, for even m, at 1 the error
+    factor vanishes for every parameter (the integral of G_{m+1} over
+    [-1, 1] is zero), and at m = 0 it does not depend on the parameter.
+    So is a minimizer in the boundary strip above -1/2.
     """
-    x = np.abs(targets) if m % 2 == 0 else targets  # for even m the error factor is even
+    shape = np.shape(x_k)
+    x = np.asarray(x_k, dtype=float).ravel()
+    if not np.all((-1.0 <= x) & (x <= 1.0)):
+        raise ValueError(f"targets must lie in [-1, 1], got {x_k}")
+    if m < 0:
+        raise ValueError("m must be non-negative")
+    if m % 2 == 0:
+        x = np.abs(x)
     lo = -0.5 + config.boundary_margin
     left, right = np.full(x.size, lo), np.full(x.size, float(config.r))
     searched = (m > 0) & (x != -1.0) & ((x != 1.0) | (m % 2 == 1))
     active = np.flatnonzero(searched)  # narrowed to the targets whose bracket is still too wide
     while active.size:
         grid = np.linspace(left[active], right[active], _GRID_SAMPLES, axis=-1)
-        best = _objective(x[active, None], m, grid).argmin(axis=1)
+        best = (eta(x[active, None], m, grid) ** 2).argmin(axis=1)
         rows = np.arange(active.size)
         left[active] = grid[rows, np.maximum(best - 1, 0)]
         right[active] = grid[rows, np.minimum(best + 1, _GRID_SAMPLES - 1)]
         active = active[right[active] - left[active] > _ALPHA_TOL]
     alpha_star = 0.5 * (left + right)
     boundary = (alpha_star <= lo + _ALPHA_TOL) | (alpha_star < -0.5 + config.epsilon)
-    return np.where(searched & ~boundary, alpha_star, float(config.alpha_b))
-
-
-def optimize_alpha(x_k: float, m: int, config: OptimalConfig) -> float:
-    """Parameter minimizing the squared quadrature error factor for one target.
-
-    A 64-sample grid over the admissible interval seeds rounds that each
-    put 64 evenly spaced samples across the bracket around the best sample
-    (the objective can be multimodal in the parameter), until the bracket
-    is at most 1e-6 wide; its midpoint is returned.  This is the
-    one-target case of the batched search that :func:`build_optimal_gim`
-    runs over all its targets, so the two give the same parameter bit for
-    bit.  For even m the error factor is even in the target, so negative
-    targets are folded onto their mirror images, which makes the returned
-    parameter exactly symmetric on symmetric node sets.  Where no
-    minimizer exists, ``config.alpha_b`` is returned: at -1 and, for even
-    m, at 1 the error factor vanishes for every parameter (the integral of
-    G_{m+1} over [-1, 1] is zero), and at m = 0 it does not depend on the
-    parameter.  So is a minimizer in the boundary strip above -1/2.
-    """
-    if not -1.0 <= x_k <= 1.0:
-        raise ValueError(f"target must lie in [-1, 1], got {x_k}")
-    if m < 0:
-        raise ValueError("m must be non-negative")
-    return float(_alpha_stars(np.array([float(x_k)]), m, config)[0])
+    alpha_star = np.where(searched & ~boundary, alpha_star, float(config.alpha_b))
+    return float(alpha_star[0]) if shape == () else alpha_star.reshape(shape)
 
 
 def build_optimal_gim(target_nodes, config: OptimalConfig) -> IntegrationMatrix:
@@ -137,9 +127,9 @@ def build_optimal_gim(target_nodes, config: OptimalConfig) -> IntegrationMatrix:
     basis are computed once per distinct target, and for even m, where the
     error factor is even in the target, once per distinct ``|x_k|``, so
     mirrored targets share them.  The parameters of all those targets come
-    from one batched run of the search :func:`optimize_alpha` makes for one
-    target: with the default search interval, at most five evaluations of
-    the error factor, each over a (targets x 64) parameter array.  Every
+    from one call of :func:`optimize_alpha` with all of them: with the
+    default search interval, at most five evaluations of the error factor,
+    each over a (targets x 64) parameter array.  Every
     target is screened for collisions before any row is built, and the
     rows that share a basis are built in one call of the row kernel.
     """
@@ -153,7 +143,7 @@ def build_optimal_gim(target_nodes, config: OptimalConfig) -> IntegrationMatrix:
     groups = {}  # targets that share a parameter and basis, in order of first appearance
     for k, x_k in enumerate(targets.tolist()):
         groups.setdefault(abs(x_k) if m % 2 == 0 else x_k, []).append(k)
-    alpha_stars = _alpha_stars(targets[[ks[0] for ks in groups.values()]], m, config).tolist()
+    alpha_stars = optimize_alpha(targets[[ks[0] for ks in groups.values()]], m, config).tolist()
     _nodes_weights(m, tuple(alpha_stars))  # the adjoint Gauss rules of all groups in one batch
     shared, hit = [], [False] * targets.size
     for ks, a_k in zip(groups.values(), alpha_stars):

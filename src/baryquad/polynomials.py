@@ -92,7 +92,7 @@ def _terms(n: int, a, x):
     (k + 2a - 1) G_k = 2 (k + a - 1) x G_{k-1} - (k - 1) G_{k-2} from G_0 = 1
     and G_1 = x, which is set, not recurred: the k = 1 step divides by 2a.
     ``x`` and ``a`` are floats or broadcastable arrays; floats, as
-    :func:`eta` passes them, make no numpy call.
+    :func:`integrate_gegenbauer` passes them, make no numpy call.
     """
     g0 = 1.0 if isinstance(x, float) else np.ones_like(x)
     yield g0
@@ -209,7 +209,7 @@ def _running_integral(n: int, a, x):
         return x + 1.0
     if n == 1:
         return 0.5 * (x * x - 1.0)
-    g_prev, _, g_next = deque(_terms(n + 1, a, x), 3)  # maxlen by position: cheaper in eta
+    g_prev, _, g_next = deque(_terms(n + 1, a, x), 3)
     return np.where(x == -1.0, 0.0, _integration_relation(n, a, g_prev, g_next))
 
 
@@ -235,12 +235,16 @@ def _eta_scale(m: int, a):
         return ((2.0 * a + j) / (a + j)).prod(axis=-1)
 
 
-def eta(x_k: float, m: int, param: GegenbauerParam) -> float:
+def eta(x_k, m: int, param):
     """Quadrature error factor 2^m / K_{m+1} times integral of G_{m+1} over [-1, x_k].
 
-    This is the scalar whose square the per-node parameter optimization
+    This is the factor whose square the per-node parameter optimization
     minimizes.  The integral is taken in closed form, O(n) per alpha.
-    Vanishes identically at x_k = -1.
+    Vanishes identically at x_k = -1.  A float target with a
+    :class:`GegenbauerParam` gives a float.  The search of
+    :func:`baryquad.optimal.optimize_alpha` passes arrays instead: targets
+    and raw parameters above -1/2 that broadcast against each other.  It
+    gets an array whose every entry equals the float form's value.
 
     Raises
     ------
@@ -249,10 +253,13 @@ def eta(x_k: float, m: int, param: GegenbauerParam) -> float:
     """
     if m < 0:
         raise ValueError("m must be non-negative")
-    scale = float(_eta_scale(m, param.alpha))
-    if scale == math.inf:
-        raise OverflowError(f"error-factor prefactor overflows for m={m}, alpha={param.alpha}")
-    return float(scale * _running_integral(m + 1, param.alpha, float(x_k)))
+    one = isinstance(param, GegenbauerParam)
+    alpha, x = (param.alpha, float(x_k)) if one else (param, x_k)
+    scale = _eta_scale(m, alpha)
+    if np.isinf(scale).any():
+        raise OverflowError(f"error-factor prefactor overflows for m={m}")
+    value = scale * _running_integral(m + 1, alpha, x)
+    return float(value) if one else value
 
 
 def discrete_gegenbauer_transform(rule, values) -> np.ndarray:

@@ -17,7 +17,7 @@ from baryquad import (CollisionError, GegenbauerParam, IntegrationMatrix, Optima
                       optimize_alpha, qth_order_gim)
 from baryquad import optimal, rules
 from baryquad.gim import _lg_count
-from baryquad.optimal import _ALPHA_TOL, _GRID_SAMPLES, _objective
+from baryquad.optimal import _ALPHA_TOL, _GRID_SAMPLES
 from baryquad.polynomials import EPS_MACH, PolySpec, gegenbauer_eval
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -111,8 +111,9 @@ class TestOptimizeAlpha:
             assert optimize_alpha(x, m, cfg) == 1.25
 
     def test_out_of_range_target_rejected(self):
-        with pytest.raises(ValueError):
-            optimize_alpha(1.5, 8, OptimalConfig(m=8))
+        for x in (1.5, math.nan, [0.2, math.nan], [-1.0, -1.1]):
+            with pytest.raises(ValueError):
+                optimize_alpha(x, 8, OptimalConfig(m=8))
 
     def test_m_zero_has_no_minimizer(self):
         # at m = 0 the one adjoint node is 0 for every parameter, so the error
@@ -129,7 +130,7 @@ class TestOptimizeAlpha:
         grid = np.linspace(-0.5 + 1e-3, 2.0, _GRID_SAMPLES)
         targets = np.array([-1.0, -0.93, -0.2, 0.0, 0.41, 0.97, 1.0])
         scalar = [[eta(x, m, GegenbauerParam(a)) ** 2 for a in grid] for x in targets]
-        batched = _objective(targets[:, None], m, np.tile(grid, (targets.size, 1)))
+        batched = eta(targets[:, None], m, np.tile(grid, (targets.size, 1))) ** 2
         assert_allclose(batched, scalar, rtol=1e-12, atol=0.0)
 
     @settings(max_examples=300, deadline=None)
@@ -156,23 +157,34 @@ class TestOptimizeAlpha:
         cfg = OptimalConfig(m=m)
         mat = build_optimal_gim(targets, cfg)
         assert [optimize_alpha(x, m, cfg) for x in targets] == mat.alpha.tolist()
+        assert optimize_alpha(targets, m, cfg).tolist() == mat.alpha.tolist()
 
     @pytest.mark.parametrize("m", [1, 2, 9, 14, 15, 20])
-    def test_builder_makes_at_most_five_objective_evaluations(self, m, monkeypatch):
-        calls = []
-        objective = optimal._objective
+    def test_builder_makes_one_search_of_at_most_five_evaluations(self, m, monkeypatch):
+        searches, evaluations = [], []
 
-        def counted(x, m, alpha):
-            calls.append(alpha.shape)
-            return objective(x, m, alpha)
+        def counted(original, log):
+            def call(x, m, arg):
+                log.append(np.broadcast(x, arg).shape)
+                return original(x, m, arg)
+            return call
 
-        monkeypatch.setattr(optimal, "_objective", counted)
+        monkeypatch.setattr(optimal, "optimize_alpha", counted(optimal.optimize_alpha, searches))
+        monkeypatch.setattr(optimal, "eta", counted(optimal.eta, evaluations))
         targets = np.concatenate([[-1.0], gg_rule(40, GegenbauerParam(0.5)).nodes, [1.0]])
         build_optimal_gim(targets, OptimalConfig(m=m))
-        assert 1 <= len(calls) <= 5
-        # the first call holds every searched target: all but -1 for odd m; for even m,
-        # one per |x_k| but 1
-        assert calls[0] == ((42 if m % 2 else 21), _GRID_SAMPLES)
+        # one search over one target per |x_k| for even m, per x_k for odd m
+        assert searches == [(43 if m % 2 else 22,)]
+        assert 1 <= len(evaluations) <= 5
+        # the first evaluation holds every searched target: all but -1 for odd m;
+        # for even m, one per |x_k| but 1
+        assert evaluations[0] == ((42 if m % 2 else 21), _GRID_SAMPLES)
+
+    def test_array_targets_keep_their_shape(self):
+        cfg = OptimalConfig(m=7)
+        targets = np.array([[-0.3, 0.5], [0.9, -1.0]])
+        expected = [[optimize_alpha(x, 7, cfg) for x in row] for row in targets.tolist()]
+        assert optimize_alpha(targets, 7, cfg).tolist() == expected
 
 
 class TestAlphaStarRegression:
