@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .polynomials import EPS_MACH
+from .polynomials import EPS_MACH, _check_epsilon
 from .rules import QuadratureRule
 
 
@@ -76,8 +76,10 @@ def lagrange_matrix(basis: BarycentricBasis, points, exact_hit_tol: float = EPS_
     a node: "raise" reports the collision as (node index, point index),
     "cardinal" replaces the affected row by the exact unit row that the
     cardinal property dictates, at the nearest node (the lower one on a
-    tie) when a point lies within the tolerance of two nodes.
+    tie) when a point lies within the tolerance of two nodes.  The
+    tolerance must be positive.
     """
+    _check_epsilon(exact_hit_tol)
     pts = np.asarray(points, dtype=float)
     diff = pts[:, None] - basis.nodes[None, :]
     hits = np.abs(diff) <= exact_hit_tol

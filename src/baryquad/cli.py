@@ -21,9 +21,9 @@ import numpy as np
 
 from .bench import BenchmarkSpec, run_benchmark
 from .errors import CollisionError, ConvergenceError
-from .gim import (_check_epsilon, build_basis_gim, build_gim_gg, build_gim_gg_bumped,
-                  build_gim_gg_guarded, check_gg_condition, matrix_to_csv, qth_order_gim)
-from .polynomials import EPS_MACH, GegenbauerParam
+from .gim import (build_basis_gim, build_gim_gg, build_gim_gg_bumped, build_gim_gg_guarded,
+                  check_gg_condition, matrix_to_csv, qth_order_gim)
+from .polynomials import EPS_MACH, GegenbauerParam, _check_epsilon
 from .rules import _nodes_weights, _write_lines
 from .solvers import solve_example1, solve_example2, solution_to_csv
 
@@ -122,10 +122,7 @@ def cmd_quadbench(args) -> int:
 
 def cmd_feasibility(args) -> int:
     n_grid = _parse_degrees(args.n_grid)
-    alpha_grid = parse_grid(args.alpha_grid)
-    if any(a <= -0.5 for a in alpha_grid):
-        raise ValueError("alpha grid values must exceed -1/2")
-    params = [GegenbauerParam(a) for a in alpha_grid]
+    params = [GegenbauerParam(a) for a in parse_grid(args.alpha_grid)]
     rows = []
     for n in n_grid:
         _nodes_weights(n, tuple(p.alpha for p in params))  # the Gauss rules of all alpha in one batch

@@ -17,7 +17,7 @@ import numpy as np
 
 from .barycentric import BarycentricBasis, bary_weights_gg
 from .errors import CollisionError
-from .polynomials import EPS_MACH, GegenbauerParam, _integration_relation, _norms, _terms
+from .polynomials import EPS_MACH, GegenbauerParam, _check_epsilon, _integration_relation, _norms, _terms
 from .rules import _write_lines, gg_rule, lg_rule
 
 INTERVAL_BIUNIT = "[-1,1]"
@@ -99,12 +99,6 @@ def _validated_targets(target_nodes) -> np.ndarray:
     if not np.all(np.abs(targets) <= 1.0):  # also rejects NaN
         raise ValueError("target nodes must lie in [-1, 1]")
     return targets
-
-
-def _check_epsilon(epsilon: float) -> None:
-    """The package's one test of a collision tolerance."""
-    if not epsilon > 0.0:  # also rejects NaN
-        raise ValueError("epsilon must be positive")
 
 
 def _screen(targets: np.ndarray, nodes: np.ndarray, lg, epsilon: float):

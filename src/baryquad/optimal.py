@@ -10,24 +10,23 @@ error constant of smooth non-polynomial integrands.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .barycentric import bary_weights_gg
 from .errors import CollisionError
-from .gim import (FeasibilityReport, INTERVAL_BIUNIT, IntegrationMatrix, _build_rows, _check_epsilon,
-                  _collisions, _lg_count, _screen, _validated_targets, build_gim_arbitrary)
-from .polynomials import EPS_MACH, GegenbauerParam, eta
+from .gim import (FeasibilityReport, INTERVAL_BIUNIT, IntegrationMatrix, _build_rows, _collisions,
+                  _lg_count, _validated_targets)
+from .polynomials import EPS_MACH, GegenbauerParam, _check_epsilon, eta
 from .rules import _nodes_weights, gg_rule, lg_rule
 
 _GRID_SAMPLES = 64
 _ALPHA_TOL = 1e-6
 
-#: width of the guard strip above -1/2; minimizers pressed against the
-#: lower search boundary are replaced by the fallback parameter, because
-#: Gauss rules degrade numerically as the weight function approaches
-#: non-integrability there
+#: width of the guard strip above -1/2; minimizers pressed against the lower
+#: search boundary are replaced by ``alpha_b``, because Gauss rules degrade
+#: numerically as the weight function approaches non-integrability there
 BOUNDARY_MARGIN = 1e-3
 
 
@@ -36,9 +35,11 @@ class OptimalConfig:
     """Knobs of the per-row optimization.
 
     ``m`` is the quadrature expansion degree (m+1 adjoint samples per
-    row); above ``m_max`` the optimization is skipped in favour of the
-    fixed fallback parameter ``alpha_a``.  ``r`` bounds the search from
-    above, ``alpha_b`` replaces near-boundary minimizers.
+    row); above ``m_max`` every row takes the fixed parameter ``alpha_a``
+    instead of an optimized one.  ``r`` bounds the search from above;
+    ``alpha_b``, ``alpha_a`` when not given, replaces the parameter of a
+    target without a minimizer, and must exceed -1/2 like any parameter.
+    ``epsilon`` is the collision tolerance of the rows.
     """
 
     m: int
@@ -47,7 +48,6 @@ class OptimalConfig:
     epsilon: float = EPS_MACH
     alpha_a: float = 0.0
     alpha_b: float | None = None
-    boundary_margin: float = BOUNDARY_MARGIN
 
     def __post_init__(self):
         if int(self.m) != self.m or self.m < 0:
@@ -57,15 +57,9 @@ class OptimalConfig:
         _check_epsilon(self.epsilon)
         if self.alpha_a not in (0.0, 0.5):
             raise ValueError(f"alpha_a must be 0 (Chebyshev) or 0.5 (Legendre), got {self.alpha_a}")
-        if self.boundary_margin <= 0.0:
-            raise ValueError("boundary margin must be positive")
         object.__setattr__(self, "m", int(self.m))
-        if self.alpha_b is None:
-            object.__setattr__(self, "alpha_b", self.alpha_a)
-
-    @property
-    def fallback(self) -> GegenbauerParam:
-        return GegenbauerParam(self.alpha_a)
+        alpha_b = self.alpha_a if self.alpha_b is None else self.alpha_b
+        object.__setattr__(self, "alpha_b", GegenbauerParam(alpha_b).alpha)
 
 
 def optimize_alpha(x_k, m: int, config: OptimalConfig):
@@ -98,7 +92,7 @@ def optimize_alpha(x_k, m: int, config: OptimalConfig):
         raise ValueError("m must be non-negative")
     if m % 2 == 0:
         x = np.abs(x)
-    lo = -0.5 + config.boundary_margin
+    lo = -0.5 + BOUNDARY_MARGIN
     left, right = np.full(x.size, lo), np.full(x.size, float(config.r))
     searched = (m > 0) & (x != -1.0) & ((x != 1.0) | (m % 2 == 1))
     active = np.flatnonzero(searched)  # narrowed to the targets whose bracket is still too wide
@@ -119,53 +113,41 @@ def build_optimal_gim(target_nodes, config: OptimalConfig) -> IntegrationMatrix:
     """First-order optimal matrix for an arbitrary target set.
 
     The result has per-row source nodes, the m+1 adjoint nodes of each row,
-    and a per-row ``alpha``.  Above ``config.m_max`` it is the
-    fixed-parameter rectangular matrix of
-    :func:`baryquad.gim.build_gim_arbitrary` at ``alpha_a``, with its nodes
-    repeated per row; otherwise every row gets its own optimized parameter
-    and adjoint sample set.  The parameter, adjoint rule and barycentric
-    basis are computed once per distinct target, and for even m, where the
-    error factor is even in the target, once per distinct ``|x_k|``, so
-    mirrored targets share them.  The parameters of all those targets come
-    from one call of :func:`optimize_alpha` with all of them: with the
-    default search interval, at most five evaluations of the error factor,
-    each over a (targets x 64) parameter array.  Every
-    target is screened for collisions before any row is built, and the
-    rows that share a basis are built in one call of the row kernel.
+    and a per-row ``alpha``: ``alpha_a`` for every row above
+    ``config.m_max``, which gives the matrix of
+    :func:`baryquad.gim.build_gim_arbitrary` with its nodes repeated per
+    row; otherwise one :func:`optimize_alpha` search over the distinct
+    targets, or distinct ``|x_k|`` for even m, where the error factor is
+    even in the target.  The rows are grouped by parameter: the adjoint
+    rules of all groups come in one batch, and each group takes one basis
+    and one call of the row kernel.  Every group is screened, and a
+    :class:`CollisionError` names the first collision in target order.
     """
     targets = _validated_targets(target_nodes)
     m = config.m
     if m > config.m_max:
-        base = build_gim_arbitrary(targets, m, config.fallback, config.epsilon)
-        return replace(base, source_nodes=np.tile(base.source_nodes, (targets.size, 1)),
-                       alpha=np.full(targets.size, config.alpha_a))
+        alpha_star = np.full(targets.size, float(config.alpha_a))
+    else:
+        distinct, inverse = np.unique(np.abs(targets) if m % 2 == 0 else targets, return_inverse=True)
+        alpha_star = optimize_alpha(distinct, m, config)[inverse]
+    groups = {}  # the rows of each parameter, in order of first appearance
+    for k, a_k in enumerate(alpha_star.tolist()):
+        groups.setdefault(a_k, []).append(k)
+    _nodes_weights(m, tuple(groups))  # the adjoint Gauss rules of all groups in one batch
     lg = lg_rule(_lg_count(m, targets, config.epsilon))
-    groups = {}  # targets that share a parameter and basis, in order of first appearance
-    for k, x_k in enumerate(targets.tolist()):
-        groups.setdefault(abs(x_k) if m % 2 == 0 else x_k, []).append(k)
-    alpha_stars = optimize_alpha(targets[[ks[0] for ks in groups.values()]], m, config).tolist()
-    _nodes_weights(m, tuple(alpha_stars))  # the adjoint Gauss rules of all groups in one batch
-    shared, hit = [], [False] * targets.size
-    for ks, a_k in zip(groups.values(), alpha_stars):
-        rule = gg_rule(m, GegenbauerParam(a_k))
-        basis = bary_weights_gg(rule)
-        screen = _screen(targets[ks], basis.nodes, lg, config.epsilon)
-        for k, h in zip(ks, screen[2]):
-            hit[k] = h
-        shared.append((ks, a_k, rule, basis, screen))
-    if any(hit):
-        # every group is screened, so the first hit is the first collision in target order;
-        # the rows of its group before it have no hit, so its group's first triple is that hit
-        ks, _, _, basis, screen = next(group for group in shared if hit.index(True) in group[0])
-        i, j, k = _collisions(targets[ks], basis.nodes, lg, config.epsilon, screen)[0]
-        raise CollisionError(i, ks[j], k, "mapped Legendre point coincides with an adjoint node")
     entries = np.empty((targets.size, m + 1))
     adjoint_nodes = np.empty((targets.size, m + 1))
-    alpha_star = np.empty(targets.size)
-    for ks, a_k, rule, basis, screen in shared:
-        entries[ks] = _build_rows(targets[ks], basis, lg, config.epsilon, "raise", screen)
+    collisions = []  # (row, node, Legendre point) of the first hit of each group
+    for a_k, ks in groups.items():
+        rule = gg_rule(m, GegenbauerParam(a_k))
         adjoint_nodes[ks] = rule.nodes
-        alpha_star[ks] = a_k
+        try:
+            entries[ks] = _build_rows(targets[ks], bary_weights_gg(rule), lg, config.epsilon, "raise")
+        except CollisionError as err:
+            collisions.append((ks[err.j], err.i, err.k))
+    if collisions:
+        j, i, k = min(collisions)
+        raise CollisionError(i, j, k, "mapped Legendre point coincides with an adjoint node")
     return IntegrationMatrix(entries=entries, order=1, source_nodes=adjoint_nodes,
                              target_nodes=targets, interval=INTERVAL_BIUNIT, alpha=alpha_star)
 
@@ -186,13 +168,14 @@ def build_optimal_gim_symmetric(target_nodes, config: OptimalConfig) -> Integrat
 
 
 def check_condition_mmax(target_nodes, m: int, alpha_a: float, epsilon: float = EPS_MACH) -> FeasibilityReport:
-    """No-collision condition of the fixed-parameter branch, with the builders' own screen.
+    """No-collision condition of the rows above ``m_max``, with the builders' own screen.
 
     Feasible when |y_ks - z_i| > epsilon for every adjoint node z_i of
     ``alpha_a`` and every Legendre point y_ks mapped onto [-1, x_k], with
     the builder's Legendre count, endpoint bump included; a feasible report
-    is a build of :func:`baryquad.gim.build_gim_arbitrary` that raises no
-    :class:`CollisionError`.  The paper puts epsilon on the ratio
+    is a build of :func:`build_optimal_gim` with m above ``m_max``, or of
+    :func:`baryquad.gim.build_gim_arbitrary` at ``alpha_a``, that raises
+    no :class:`CollisionError`.  The paper puts epsilon on the ratio
     (1 - x_k + 2 z_i) / (1 + x_k) instead, whose gap is 2 / (1 + x_k)
     times the mapped point's.
 

@@ -21,6 +21,12 @@ import numpy as np
 EPS_MACH = float(np.finfo(np.float64).eps)
 
 
+def _check_epsilon(epsilon: float) -> None:
+    """The package's one test of a collision tolerance."""
+    if not epsilon > 0.0:  # also rejects NaN
+        raise ValueError("epsilon must be positive")
+
+
 @dataclass(frozen=True)
 class GegenbauerParam:
     """Family parameter alpha, restricted to the orthogonality range.

@@ -142,8 +142,7 @@ def _unit_interval_operators(n: int, param: GegenbauerParam):
     return rule, nodes, square, endpoint
 
 
-def solve_example1(n: int, m: int, param: GegenbauerParam,
-                   config: OptimalConfig | None = None) -> CollocationSolution:
+def solve_example1(n: int, m: int, param: GegenbauerParam) -> CollocationSolution:
     """Solve the linear Fredholm integro-differential problem.
 
     The equation is integrated from 0 to each collocation node: the
@@ -153,12 +152,8 @@ def solve_example1(n: int, m: int, param: GegenbauerParam,
     controls its expansion degree).  The resulting dense linear system is
     solved by LU with partial pivoting.
     """
-    if config is None:
-        config = OptimalConfig(m=m)
-    elif config.m != m:
-        raise ValueError("config.m must match the requested expansion degree")
     rule, s, square, endpoint = _unit_interval_operators(n, param)
-    optimal = map_to_unit(build_optimal_gim(rule.nodes, config))
+    optimal = map_to_unit(build_optimal_gim(rule.nodes, OptimalConfig(m=m)))
 
     kernel = np.exp(np.outer(s, s))
     a = np.eye(n + 1) - square.entries - (square.entries @ kernel) * endpoint[None, :]
@@ -213,19 +208,18 @@ def _example2_system(n: int, param: GegenbauerParam):
     return s, residual, jacobian
 
 
-def solve_example2(n: int, param: GegenbauerParam, tol: float = 1e-12,
-                   max_iter: int = 100) -> CollocationSolution:
+def solve_example2(n: int, param: GegenbauerParam) -> CollocationSolution:
     """Solve the nonlinear nonlocal boundary-value problem.
 
     The twice-integrated equation is collocated at the interior Gauss
     nodes; both boundary values are built into the reformulation, which
     divides by the running-integral functional, so no explicit boundary
-    equations appear.  The residual is driven to ``tol`` by damped Newton
-    with the exact Jacobian, from the flat initial guess u = 1.
+    equations appear.  The residual is driven to :func:`newton_solve`'s
+    default tolerance by damped Newton with the exact Jacobian, from the
+    flat initial guess u = 1.
     """
     s, residual, jacobian = _example2_system(n, param)
-    values = newton_solve(residual, np.ones(n + 1), tol=tol, max_iter=max_iter,
-                          jacobian=jacobian)
+    values = newton_solve(residual, np.ones(n + 1), jacobian=jacobian)
     exact = 1.0 / np.sqrt(1.0 + s)
     mae = float(np.max(np.abs(values - exact)))
     return CollocationSolution(nodes=s, values=values, exact=exact, mae=mae,

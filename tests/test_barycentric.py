@@ -94,6 +94,14 @@ class TestEval:
         got = bary_eval(basis, values, [0.5 * x[1], 0.0, 0.5 * x[2]], exact_hit_tol=2.0 * x[2])
         assert got.tolist() == [11.0, 11.0, 12.0]
 
+    @pytest.mark.parametrize("tol", [-1.0, math.nan, 0.0])
+    def test_non_positive_hit_tolerance_rejected(self, tol):
+        # a negative or NaN tolerance would divide by zero at a node and return nan
+        rule = gg_rule(5, GegenbauerParam(0.5))
+        basis = bary_weights_gg(rule)
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            bary_eval(basis, np.sin(rule.nodes), rule.nodes[2], exact_hit_tol=tol)
+
     def test_constant_reproduced_anywhere(self, rng):
         basis = bary_weights_gg(gg_rule(9, GegenbauerParam(1.0)))
         values = np.full(10, 3.75)

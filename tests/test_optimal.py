@@ -17,7 +17,7 @@ from baryquad import (CollisionError, GegenbauerParam, IntegrationMatrix, Optima
                       optimize_alpha, qth_order_gim)
 from baryquad import optimal, rules
 from baryquad.gim import _lg_count
-from baryquad.optimal import _ALPHA_TOL, _GRID_SAMPLES
+from baryquad.optimal import BOUNDARY_MARGIN, _ALPHA_TOL, _GRID_SAMPLES
 from baryquad.polynomials import EPS_MACH, PolySpec, gegenbauer_eval
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -34,7 +34,7 @@ def golden_section_alpha(x_k, m, config):
         return float(config.alpha_b)
     if m % 2 == 0 and x_k < 0.0:
         x_k = -x_k
-    lo = -0.5 + config.boundary_margin
+    lo = -0.5 + BOUNDARY_MARGIN
 
     def objective(a):
         return eta(x_k, m, GegenbauerParam(a)) ** 2
@@ -81,6 +81,10 @@ class TestConfig:
             OptimalConfig(m=5, epsilon=math.nan)
         with pytest.raises(ValueError):
             OptimalConfig(m=5, alpha_a=0.3)
+        # alpha_b is a parameter like any other: it must exceed -1/2 and be finite
+        for alpha_b in (-0.7, -0.5, math.nan):
+            with pytest.raises(ValueError):
+                OptimalConfig(m=5, alpha_b=alpha_b)
 
 
 class TestOptimizeAlpha:
@@ -370,7 +374,7 @@ class TestConditionMmax:
         target = [-0.9548796876054403]
         assert dense_mmax_violations(target, 21, 0.0, EPS_MACH) == ()
         assert check_condition_mmax(target, 21, 0.0).violations == ((0, 1, 0),)
-        with pytest.raises(CollisionError) as err:
+        with pytest.raises(CollisionError, match="adjoint node") as err:
             build_optimal_gim(target, OptimalConfig(m=21))
         assert (err.value.i, err.value.j, err.value.k) == (0, 0, 1)
 
@@ -518,12 +522,32 @@ class TestCollision:
         adjoint = [(n, alphas) for n, alphas in batches if n == 14]
         assert adjoint == [(14, list(dict.fromkeys(mat.alpha.tolist())))]
 
-    @pytest.mark.parametrize("m", [6, 7, 14])
+    @pytest.mark.parametrize("m", [6, 7, 14, 22, 23])
     def test_rows_sharing_a_basis_equal_one_row_builds(self, m):
-        targets = gg_rule(10, GegenbauerParam(0.5)).nodes
-        mat = build_optimal_gim(targets, OptimalConfig(m=m))
+        # -1 and 1 take alpha_b, and above m_max = 20 every row takes alpha_a
+        targets = np.concatenate([[-1.0], gg_rule(10, GegenbauerParam(0.5)).nodes, [1.0]])
+        cfg = OptimalConfig(m=m, m_max=20)
+        mat = build_optimal_gim(targets, cfg)
         for k, x_k in enumerate(targets):
-            assert np.array_equal(mat.entries[k], build_optimal_gim([x_k], OptimalConfig(m=m)).entries[0])
+            row = build_optimal_gim([x_k], cfg)
+            assert np.array_equal(mat.entries[k], row.entries[0])
+            assert np.array_equal(mat.source_nodes[k], row.source_nodes[0])
+            assert mat.alpha[k] == row.alpha[0]
+
+    @pytest.mark.parametrize("m, m_max", [(6, 20), (7, 20), (14, 20), (22, 20), (4, 3)])
+    def test_one_basis_per_distinct_parameter(self, m, m_max, monkeypatch):
+        bases = []
+
+        def counted(rule):
+            bases.append(rule.nodes)
+            return bary_weights_gg(rule)
+
+        monkeypatch.setattr(optimal, "bary_weights_gg", counted)
+        targets = np.concatenate([[-1.0], gg_rule(10, GegenbauerParam(0.5)).nodes, [1.0]])
+        mat = build_optimal_gim(targets, OptimalConfig(m=m, m_max=m_max))
+        assert len(bases) == np.unique(mat.alpha).size
+        if m > m_max:
+            assert len(bases) == 1
 
     def test_row_collision_reports_indices(self):
         # adjoint rule fixed at alpha_a = 1, m = 4 reproduces the known

@@ -8,8 +8,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from baryquad import solvers
-from baryquad import (CollocationSolution, ConvergenceError, GegenbauerParam, OptimalConfig,
-                      build_gim_gg, condition_number_2, map_to_unit, newton_solve, solution_to_csv,
+from baryquad import (CollocationSolution, ConvergenceError, GegenbauerParam, build_gim_gg,
+                      condition_number_2, map_to_unit, newton_solve, solution_to_csv,
                       solve_example1, solve_example2)
 from baryquad.solvers import _example2_system
 
@@ -140,10 +140,6 @@ class TestExample1:
         s2 = solve_example1(10, 14, GegenbauerParam(0.3))
         assert np.array_equal(s1.values, s2.values)
         assert s1.mae == s2.mae and s1.kappa2 == s2.kappa2
-
-    def test_config_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            solve_example1(10, 14, GegenbauerParam(0.5), config=OptimalConfig(m=12))
 
 
 class TestExample2:
