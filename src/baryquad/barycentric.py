@@ -55,53 +55,36 @@ def bary_weights_gg(rule: QuadratureRule) -> BarycentricBasis:
 def bary_eval(basis: BarycentricBasis, values, x, exact_hit_tol: float = EPS_MACH):
     """Evaluate the interpolant through (nodes, values) at ``x``.
 
-    The "cardinal" table of :func:`lagrange_matrix` applied to the values,
-    O(n) per point: a point within ``exact_hit_tol`` of a node returns the
-    value of its nearest node (the lower one on a tie) instead of dividing
-    by ~0.
+    The table of :func:`lagrange_matrix` applied to the values, O(n) per
+    point: a point within ``exact_hit_tol`` of a node returns the value of
+    its nearest node (the lower one on a tie) instead of dividing by ~0.
     """
     f = np.asarray(values, dtype=float)
     if f.shape != basis.nodes.shape:
         raise ValueError(f"expected {basis.nodes.size} values, got {f.size}")
     pts = np.asarray(x, dtype=float)
-    out = lagrange_matrix(basis, np.atleast_1d(pts), exact_hit_tol, on_hit="cardinal") @ f
+    out = lagrange_matrix(basis, np.atleast_1d(pts), exact_hit_tol) @ f
     return float(out[0]) if pts.ndim == 0 else out
 
 
-def lagrange_matrix(basis: BarycentricBasis, points, exact_hit_tol: float = EPS_MACH,
-                    on_hit: str = "raise"):
+def lagrange_matrix(basis: BarycentricBasis, points, exact_hit_tol: float = EPS_MACH):
     """Cardinal-function table L[k, i] = L_i(points[k]).
 
-    ``on_hit`` selects the treatment of points within ``exact_hit_tol`` of
-    a node: "raise" reports the collision as (node index, point index),
-    "cardinal" replaces the affected row by the exact unit row that the
-    cardinal property dictates, at the nearest node (the lower one on a
-    tie) when a point lies within the tolerance of two nodes.  The
+    A point within ``exact_hit_tol`` of a node takes the exact unit row
+    that the cardinal property dictates, at the nearest node (the lower
+    one on a tie) when it lies within the tolerance of two nodes.  The
     tolerance must be positive.
     """
     _check_epsilon(exact_hit_tol)
     pts = np.asarray(points, dtype=float)
     diff = pts[:, None] - basis.nodes[None, :]
     hits = np.abs(diff) <= exact_hit_tol
-    any_hits = hits.any()
-    if any_hits and on_hit == "raise":
-        k, i = np.argwhere(hits)[0]
-        raise _HitDetected(int(i), int(k))
     with np.errstate(divide="ignore", invalid="ignore"):
         mu = basis.xi[None, :] / diff
         table = mu / mu.sum(axis=1, keepdims=True)
-    if any_hits:
+    if hits.any():
         # each hit point takes the unit row of its nearest node, the lower on a tie
         k = np.flatnonzero(hits.any(axis=1))
         table[k] = 0.0
         table[k, np.abs(diff[k]).argmin(axis=1)] = 1.0
     return table
-
-
-class _HitDetected(Exception):
-    """Internal signal: collision at (node index i, point index k)."""
-
-    def __init__(self, i: int, k: int):
-        self.i = i
-        self.k = k
-        super().__init__((i, k))

@@ -38,10 +38,17 @@ _EXPR_NAMESPACE = {
 
 
 def make_integrand(spec: str):
-    """Resolve a named integrand or compile a one-variable expression in x."""
+    """Resolve a named integrand or compile a one-variable expression in x.
+
+    An expression that does not parse, uses a name outside the namespace,
+    or gives no float at x = 0.25 raises ``ValueError``.
+    """
     if spec in INTEGRANDS:
         return INTEGRANDS[spec]
-    code = compile(spec, "<integrand>", "eval")
+    try:
+        code = compile(spec, "<integrand>", "eval")
+    except SyntaxError as exc:
+        raise ValueError(f"malformed integrand expression {spec!r}: {exc.msg}") from None
     for name in code.co_names:
         if name not in _EXPR_NAMESPACE and name != "x":
             raise ValueError(f"unknown name {name!r} in integrand expression")
@@ -49,7 +56,10 @@ def make_integrand(spec: str):
     def f(x):
         return eval(code, {"__builtins__": {}}, {**_EXPR_NAMESPACE, "x": x})
 
-    float(f(0.25))  # fail fast on malformed expressions
+    try:
+        float(f(0.25))  # fail fast on malformed expressions
+    except (TypeError, ArithmeticError) as exc:
+        raise ValueError(f"integrand expression {spec!r} fails at x = 0.25: {exc}") from None
     return f
 
 
@@ -64,10 +74,8 @@ class BenchmarkSpec:
     def __post_init__(self):
         if not self.n_grid or not self.alpha_grid:
             raise ValueError("benchmark grids must be non-empty")
-        if any(a <= -0.5 for a in self.alpha_grid):
-            raise ValueError("alpha grid values must exceed -1/2")
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
-        object.__setattr__(self, "alpha_grid", tuple(float(a) for a in self.alpha_grid))
+        object.__setattr__(self, "alpha_grid", tuple(GegenbauerParam(a).alpha for a in self.alpha_grid))
 
 
 def reference_integrals(f, targets) -> np.ndarray:

@@ -7,7 +7,8 @@ Subcommands::
     feasibility  scan the square-matrix sufficient condition over a grid
     example      reproduce one of the benchmark collocation problems
 
-Exit codes: 0 success, 1 usage error, 2 infeasible parameters.
+Exit codes: 0 success, 1 usage error (including an output file that
+cannot be written), 2 infeasible parameters.
 """
 
 from __future__ import annotations
@@ -101,8 +102,7 @@ def cmd_gim(args) -> int:
         matrix = build_basis_gim(args.n, param)
     else:
         matrix = _VARIANTS[args.variant](args.n, param, args.epsilon)
-    if args.q > 1:
-        matrix = qth_order_gim(matrix, args.q)
+    matrix = qth_order_gim(matrix, args.q)
     matrix_to_csv(matrix, sys.stdout if args.out is None else args.out)
     return 0
 
@@ -203,6 +203,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ValueError as exc:
         print(f"UsageError: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except OSError as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (CollisionError, ConvergenceError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

@@ -236,7 +236,7 @@ def _build_gim(targets, n: int, param: GegenbauerParam, epsilon: float, on_hit: 
     ``targets`` None means the Gauss nodes (the square matrix), which are
     built by reflection (:func:`_reflected_rows`) when no screened point
     hits, and otherwise row by row as any other target set.  ``on_hit`` is
-    a :func:`_build_rows` policy, or "bump": retry a collision with count + 1.
+    a :func:`_build_rows` policy.
     """
     rule = gg_rule(n, param)
     basis = bary_weights_gg(rule)
@@ -246,13 +246,7 @@ def _build_gim(targets, n: int, param: GegenbauerParam, epsilon: float, on_hit: 
         targets = rule.nodes
         entries = _reflected_rows(basis, lg, epsilon)
     if entries is None:
-        try:
-            entries = _build_rows(targets, basis, lg, epsilon,
-                                  "raise" if on_hit == "bump" else on_hit)
-        except CollisionError:
-            if on_hit != "bump":
-                raise
-            entries = _build_rows(targets, basis, lg_rule(count + 1), epsilon, "raise")
+        entries = _build_rows(targets, basis, lg, epsilon, on_hit)
     return IntegrationMatrix(entries=entries, order=1, source_nodes=rule.nodes,
                              target_nodes=targets, interval=INTERVAL_BIUNIT, alpha=param.alpha)
 
@@ -294,9 +288,14 @@ def build_gim_gg_bumped(n: int, param: GegenbauerParam, epsilon: float = EPS_MAC
     The interpolant has degree <= n, so both Legendre counts integrate it
     exactly and the result equals :func:`build_gim_gg` whenever the latter
     exists; the enlarged rule merely moves the evaluation points off the
-    colliding configuration.
+    colliding configuration.  Every row of the retry goes through the row
+    kernel, none by reflection.
     """
-    return _build_gim(None, n, param, epsilon, "bump", _lg_count_default(n))
+    try:
+        return build_gim_gg(n, param, epsilon)
+    except CollisionError:
+        nodes = gg_rule(n, param).nodes
+        return _build_gim(nodes, n, param, epsilon, "raise", _lg_count_default(n) + 1)
 
 
 def build_gim_arbitrary(target_nodes, n: int, param: GegenbauerParam,
@@ -315,11 +314,9 @@ def row_gim_endpoint(n: int, param: GegenbauerParam, epsilon: float = EPS_MACH) 
     """Quadrature row for the full interval: coefficients for the integral to 1.
 
     The row of :func:`build_gim_arbitrary` for the target 1, which always
-    takes the endpoint parity bump, straight from the row kernel.
+    takes the endpoint parity bump.
     """
-    target = np.ones(1)
-    basis = bary_weights_gg(gg_rule(n, param))
-    return _build_rows(target, basis, lg_rule(_lg_count(n, target, epsilon)), epsilon, "raise")[0]
+    return build_gim_arbitrary(1.0, n, param, epsilon).entries[0]
 
 
 def build_basis_gim(n: int, param: GegenbauerParam) -> IntegrationMatrix:

@@ -26,10 +26,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError
-from .gim import apply_quadrature, build_gim_gg, map_to_unit, qth_order_gim, row_gim_endpoint
+from .gim import apply_quadrature, build_gim_gg_bumped, map_to_unit, qth_order_gim, row_gim_endpoint
 from .optimal import OptimalConfig, build_optimal_gim
 from .polynomials import EPS_MACH, GegenbauerParam
-from .rules import _write_lines, gg_rule
+from .rules import _write_lines
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -61,17 +61,14 @@ class CollocationSolution:
 
 
 def condition_number_2(matrix) -> float:
-    """2-norm condition number sigma_max / sigma_min via full SVD.
+    """2-norm condition number sigma_max / sigma_min from the singular values.
 
     Returns +inf for a numerically singular matrix.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("condition number is defined here for square matrices")
-    sigma = np.linalg.svd(a, compute_uv=False)
-    if sigma[-1] == 0.0:
-        return math.inf
-    return float(sigma[0] / sigma[-1])
+    return float(np.linalg.cond(a))
 
 
 def newton_solve(residual, x0, tol: float = 1e-12, max_iter: int = 100,
@@ -134,12 +131,18 @@ def newton_solve(residual, x0, tol: float = 1e-12, max_iter: int = 100,
 
 
 def _unit_interval_operators(n: int, param: GegenbauerParam):
-    """Collocation nodes on [0, 1] with first-order square matrix and endpoint row."""
-    rule = gg_rule(n, param)
-    nodes = 0.5 * (rule.nodes + 1.0)
-    square = map_to_unit(build_gim_gg(n, param))
+    """Gauss nodes, then on [0, 1] the nodes, bumped square matrix (built at every alpha) and endpoint row."""
+    biunit = build_gim_gg_bumped(n, param)
+    square = map_to_unit(biunit)
     endpoint = row_gim_endpoint(n, param) / 2.0
-    return rule, nodes, square, endpoint
+    return biunit.target_nodes, square.target_nodes, square, endpoint
+
+
+def _solution(nodes, values, exact, kappa2, n: int, m, param: GegenbauerParam) -> CollocationSolution:
+    mae = float(np.max(np.abs(values - exact)))
+    return CollocationSolution(nodes=nodes, values=values, exact=exact, mae=mae,
+                               cd=-math.log10(mae) if mae > 0.0 else math.inf,
+                               kappa2=kappa2, n=n, m=m, alpha=param.alpha)
 
 
 def solve_example1(n: int, m: int, param: GegenbauerParam) -> CollocationSolution:
@@ -152,8 +155,8 @@ def solve_example1(n: int, m: int, param: GegenbauerParam) -> CollocationSolutio
     controls its expansion degree).  The resulting dense linear system is
     solved by LU with partial pivoting.
     """
-    rule, s, square, endpoint = _unit_interval_operators(n, param)
-    optimal = map_to_unit(build_optimal_gim(rule.nodes, OptimalConfig(m=m)))
+    x, s, square, endpoint = _unit_interval_operators(n, param)
+    optimal = map_to_unit(build_optimal_gim(x, OptimalConfig(m=m)))
 
     kernel = np.exp(np.outer(s, s))
     a = np.eye(n + 1) - square.entries - (square.entries @ kernel) * endpoint[None, :]
@@ -163,11 +166,7 @@ def solve_example1(n: int, m: int, param: GegenbauerParam) -> CollocationSolutio
 
     b = 1.0 + apply_quadrature(optimal, source(optimal.source_nodes))
     values = np.linalg.solve(a, b)
-    exact = np.exp(s)
-    mae = float(np.max(np.abs(values - exact)))
-    return CollocationSolution(nodes=s, values=values, exact=exact, mae=mae,
-                               cd=-math.log10(mae) if mae > 0.0 else math.inf,
-                               kappa2=condition_number_2(a), n=n, m=m, alpha=param.alpha)
+    return _solution(s, values, np.exp(s), condition_number_2(a), n, m, param)
 
 
 def _example2_system(n: int, param: GegenbauerParam):
@@ -220,11 +219,7 @@ def solve_example2(n: int, param: GegenbauerParam) -> CollocationSolution:
     """
     s, residual, jacobian = _example2_system(n, param)
     values = newton_solve(residual, np.ones(n + 1), jacobian=jacobian)
-    exact = 1.0 / np.sqrt(1.0 + s)
-    mae = float(np.max(np.abs(values - exact)))
-    return CollocationSolution(nodes=s, values=values, exact=exact, mae=mae,
-                               cd=-math.log10(mae) if mae > 0.0 else math.inf,
-                               kappa2=None, n=n, m=None, alpha=param.alpha)
+    return _solution(s, values, 1.0 / np.sqrt(1.0 + s), None, n, None, param)
 
 
 def solution_to_csv(solution: CollocationSolution, path_or_file) -> None:

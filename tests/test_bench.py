@@ -1,4 +1,4 @@
-"""Tests for the quadrature benchmark: its exact oracle and its import footprint."""
+"""Tests for the quadrature benchmark: its exact oracle, its integrands and its import footprint."""
 
 import json
 import os
@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from baryquad import GegenbauerParam, gg_rule
-from baryquad.bench import EXACT_INTEGRALS, INTEGRANDS, reference_integrals
+from baryquad.bench import EXACT_INTEGRALS, INTEGRANDS, BenchmarkSpec, make_integrand, reference_integrals
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -88,3 +88,18 @@ class TestExactIntegrals:
 
     def test_zero_at_left_endpoint(self, name):
         assert EXACT_INTEGRALS[name](np.array([-1.0]))[0] == 0.0
+
+
+class TestMakeIntegrand:
+    @pytest.mark.parametrize("expression", ["x**", "[x]", "x/0"])
+    def test_malformed_expression_raises_value_error(self, expression):
+        # a syntax error, a list value, and a division by zero at the x = 0.25 probe
+        with pytest.raises(ValueError, match="integrand expression"):
+            make_integrand(expression)
+
+
+class TestBenchmarkSpec:
+    @pytest.mark.parametrize("alpha", [-0.5, -1.0, float("nan"), float("inf")])
+    def test_alpha_outside_the_family_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha must"):
+            BenchmarkSpec("f1", (4,), (0.5, alpha))

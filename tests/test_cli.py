@@ -2,12 +2,17 @@
 
 import hashlib
 import json
+import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from baryquad.cli import _write_rows, main, parse_grid
 
@@ -71,6 +76,13 @@ class TestGimCommand:
         assert main(["gim", "--n", "4", "--alpha", "-0.8"]) == 1
         assert "UsageError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("q", ["0", "-2"])
+    def test_non_positive_order_exits_one(self, q, tmp_path, capsys):
+        out = tmp_path / "m.csv"
+        assert main(["gim", "--n", "3", "--alpha", "0.5", "--q", q, "--out", str(out)]) == 1
+        assert "UsageError: order must be a positive integer" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("epsilon", ["nan", "-1", "0"])
     def test_non_positive_epsilon_exits_one(self, epsilon, tmp_path, capsys):
         out = tmp_path / "m.csv"
@@ -114,6 +126,23 @@ class TestQuadbenchCommand:
     def test_bad_expression_exits_one(self, capsys):
         assert main(["quadbench", "--f", "__import__('os')", "--n-grid", "8",
                      "--alpha-grid", "0.5"]) == 1
+
+    @pytest.mark.parametrize("expression", ["x**", "[x]", "x/0"])
+    def test_malformed_expression_exits_one(self, expression, tmp_path, capsys):
+        out = tmp_path / "bench.csv"
+        assert main(["quadbench", "--f", expression, "--n-grid", "4", "--alpha-grid", "0.5",
+                     "--out", str(out)]) == 1
+        assert "UsageError" in capsys.readouterr().err and not out.exists()
+
+    def test_reciprocal_warns_and_exits_zero(self, tmp_path):
+        # 1/x is infinite at the middle Gauss node of an even degree: numpy warns,
+        # and the errors written are not finite
+        out = tmp_path / "bench.csv"
+        with pytest.warns(RuntimeWarning):
+            assert main(["quadbench", "--f", "1/x", "--n-grid", "4", "--alpha-grid", "0.5",
+                         "--out", str(out)]) == 0
+        header, rows = read_csv(out)
+        assert not all(math.isfinite(float(r[3])) for r in rows)
 
     def test_non_integer_degree_exits_one(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"
@@ -200,6 +229,66 @@ class TestExampleCommand:
 
     def test_example1_requires_m(self, capsys):
         assert main(["example", "--id", "1", "--n", "10", "--alpha", "0.5"]) == 1
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("argv", [
+        ["gim", "--n", "3", "--alpha", "0.5"],
+        ["quadbench", "--f", "f1", "--n-grid", "4", "--alpha-grid", "0.5"],
+        ["feasibility", "--n-grid", "4", "--alpha-grid", "0.5"],
+        ["example", "--id", "2", "--n", "4", "--alpha", "0.5"],
+    ])
+    def test_missing_directory_exits_one(self, argv, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "FileNotFoundError" in err and "Traceback" not in err
+        assert not out.parent.exists()
+
+    def test_process_exit_code(self, tmp_path):
+        # through entry(), as the installed script runs
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        done = subprocess.run([sys.executable, "-m", "baryquad", "gim", "--n", "3", "--alpha", "0.5",
+                               "--out", str(tmp_path / "missing" / "x.csv")],
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 1
+        assert "FileNotFoundError" in done.stderr and "Traceback" not in done.stderr
+
+
+_DEGREES = st.one_of(st.integers(0, 40).map(str),
+                     st.sampled_from(["-1", "2.5", "nan", "inf", "1e400", "abc"]))
+_ALPHAS = st.one_of(st.floats(-0.45, 2.0).map(repr), st.sampled_from(["-0.5", "-1", "nan", "inf", "x"]))
+_ORDERS = st.sampled_from(["-2", "0", "1", "2", "x"])
+_EPSILONS = st.sampled_from(["1e-3", "0", "-1", "nan"])
+_INTEGRANDS = st.sampled_from(["f1", "f2", "f3", "exp(x)", "x**", "[x]", "x/0", "y"])
+
+
+@st.composite
+def _command_lines(draw):
+    """One command line of each command's grammar, valid or not; valid sizes stay at n <= 40."""
+    command = draw(st.sampled_from(["gim", "quadbench", "feasibility", "example"]))
+    if command == "gim":
+        return ["gim", "--n", draw(_DEGREES), "--alpha", draw(_ALPHAS),
+                "--variant", draw(st.sampled_from(["plain", "guarded", "bumped", "basis"])),
+                "--q", draw(_ORDERS), "--epsilon", draw(_EPSILONS)]
+    if command == "quadbench":
+        return ["quadbench", "--f", draw(_INTEGRANDS), "--n-grid", draw(_DEGREES),
+                "--alpha-grid", draw(_ALPHAS)]
+    if command == "feasibility":
+        return ["feasibility", "--n-grid", draw(_DEGREES), "--alpha-grid", draw(_ALPHAS),
+                "--epsilon", draw(_EPSILONS)]
+    argv = ["example", "--id", str(draw(st.integers(0, 3))), "--n", draw(_DEGREES),
+            "--alpha", draw(_ALPHAS)]
+    return argv + (["--m", str(draw(st.integers(0, 20)))] if draw(st.booleans()) else [])
+
+
+class TestExitCodeContract:
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(argv=_command_lines(), missing=st.booleans())
+    def test_every_command_line_exits_zero_one_or_two(self, argv, missing, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv" if missing else tmp_path / "out.csv"
+        assert main(argv + ["--out", str(out)]) in (0, 1, 2)
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestDeterminism:

@@ -15,7 +15,7 @@ from baryquad import (CollisionError, GegenbauerParam, IntegrationMatrix, apply_
                       build_basis_gim, build_gim_arbitrary, build_gim_gg, build_gim_gg_bumped,
                       build_gim_gg_guarded, check_gg_condition, gg_rule, map_to_unit,
                       lg_rule, matrix_to_csv, qth_order_gim, row_gim_endpoint)
-from baryquad.barycentric import _HitDetected, bary_weights_gg, lagrange_matrix
+from baryquad.barycentric import bary_weights_gg, lagrange_matrix
 from baryquad.gim import _build_rows, _lg_count_default
 from baryquad.polynomials import EPS_MACH, _integration_relation, _running_integral, _terms
 
@@ -256,7 +256,7 @@ class TestGuardedAndBumped:
         basis = bary_weights_gg(gg_rule(3, GegenbauerParam(0.5)))
         x = basis.nodes
         points = np.array([0.5 * x[2], 0.0])
-        table = lagrange_matrix(basis, points, exact_hit_tol=2.0 * x[2], on_hit="cardinal")
+        table = lagrange_matrix(basis, points, exact_hit_tol=2.0 * x[2])
         assert np.array_equal(table, np.eye(4)[[2, 1]])
 
     def test_guarded_matches_bumped_polynomials_at_collision(self):
@@ -504,14 +504,20 @@ class TestLargeNExactness:
 
 
 def _oracle_rows(targets, basis, lg, epsilon, on_hit):
-    """Row kernel as a table of cardinal values, through lagrange_matrix."""
+    """Row kernel as a table of cardinal values, through lagrange_matrix.
+
+    ``on_hit`` "raise" reports the first point within epsilon of a node, in
+    (j, k, i) order, found by a dense test of every mapped point against
+    every node; "cardinal" leaves the hit points to lagrange_matrix.
+    """
     rows = np.empty((len(targets), basis.nodes.size))
     for j, xj in enumerate(targets):
         mapped = 0.5 * ((xj + 1.0) * lg.nodes + xj - 1.0)
-        try:
-            table = lagrange_matrix(basis, mapped, exact_hit_tol=epsilon, on_hit=on_hit)
-        except _HitDetected as hit:
-            raise CollisionError(hit.i, j, hit.k) from None
+        hits = np.argwhere(np.abs(mapped[:, None] - basis.nodes) <= epsilon)  # in (k, i) order
+        if on_hit == "raise" and hits.size:
+            k, i = hits[0]
+            raise CollisionError(i, j, k)
+        table = lagrange_matrix(basis, mapped, exact_hit_tol=epsilon)
         rows[j] = 0.5 * (xj + 1.0) * (lg.weights @ table)
     return rows
 

@@ -8,9 +8,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from baryquad import solvers
-from baryquad import (CollocationSolution, ConvergenceError, GegenbauerParam, build_gim_gg,
-                      condition_number_2, map_to_unit, newton_solve, solution_to_csv,
-                      solve_example1, solve_example2)
+from baryquad import (CollisionError, CollocationSolution, ConvergenceError, GegenbauerParam,
+                      build_gim_gg, condition_number_2, map_to_unit, newton_solve,
+                      solution_to_csv, solve_example1, solve_example2)
 from baryquad.solvers import _example2_system
 
 
@@ -95,6 +95,16 @@ class TestConditionNumber:
         a = np.diag([1.0, 0.0, 2.0])
         assert condition_number_2(a) == math.inf
 
+    def test_zero_matrix_gives_infinity(self):
+        # 0 / 0 is reported as inf, with no RuntimeWarning (an error under pytest here)
+        assert condition_number_2(np.zeros((3, 3))) == math.inf
+
+    def test_equals_quotient_of_singular_values_bitwise(self, rng):
+        for n in (2, 7, 30):
+            a = rng.normal(size=(n, n))
+            sigma = np.linalg.svd(a, compute_uv=False)
+            assert condition_number_2(a) == float(sigma[0] / sigma[-1])
+
     def test_matches_power_iteration_oracle(self, rng):
         a = rng.normal(size=(5, 5))
         # power iteration on A^T A for sigma_max, on (A^T A)^-1 for sigma_min
@@ -140,6 +150,27 @@ class TestExample1:
         s2 = solve_example1(10, 14, GegenbauerParam(0.3))
         assert np.array_equal(s1.values, s2.values)
         assert s1.mae == s2.mae and s1.kappa2 == s2.kappa2
+
+
+class TestInfeasiblePairs:
+    """The solvers build their square matrix with the bumped builder, so they
+    solve at the pairs where the plain builder refuses."""
+
+    def test_example1_at_sixteen_and_one(self):
+        param = GegenbauerParam(1.0)
+        with pytest.raises(CollisionError):
+            build_gim_gg(16, param)
+        sol = solve_example1(16, 14, param)
+        # measured: MAE 4.62e-14, kappa2 36.87
+        assert sol.mae <= 5e-14
+        assert 30.0 <= sol.kappa2 <= 50.0
+
+    def test_example2_at_one_hundred_sixty_and_one(self):
+        param = GegenbauerParam(1.0)
+        with pytest.raises(CollisionError):
+            build_gim_gg(160, param)
+        # measured: MAE 7.77e-16, 15.11 digits
+        assert solve_example2(160, param).cd >= 13.5
 
 
 class TestExample2:
