@@ -26,12 +26,7 @@ class BarycentricBasis:
         xi = np.ascontiguousarray(self.xi, dtype=float)
         if nodes.ndim != 1 or nodes.shape != xi.shape or nodes.size == 0:
             raise ValueError("nodes and weights must be 1-D arrays of equal nonzero length")
-        if nodes.size > 1 and np.any(np.diff(nodes) <= 0.0):
-            raise ValueError("nodes must be strictly increasing")
-        if np.any(xi == 0.0):
-            raise ValueError("barycentric weights must be nonzero")
-        if np.any(xi[:-1] * xi[1:] >= 0.0):
-            raise ValueError("barycentric weights must alternate in sign along ascending nodes")
+        _check_bases(nodes, xi)
         nodes.flags.writeable = False
         xi.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
@@ -41,15 +36,28 @@ class BarycentricBasis:
         return self.nodes.size
 
 
+def _check_bases(nodes: np.ndarray, xi: np.ndarray) -> None:
+    """The value checks of :class:`BarycentricBasis`, one basis per row along the last axis."""
+    if np.any(np.diff(nodes, axis=-1) <= 0.0):
+        raise ValueError("nodes must be strictly increasing")
+    if np.any(xi == 0.0):
+        raise ValueError("barycentric weights must be nonzero")
+    if np.any(xi[..., :-1] * xi[..., 1:] >= 0.0):
+        raise ValueError("barycentric weights must alternate in sign along ascending nodes")
+
+
+def _gauss_xi(nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """xi_i = (-1)^i sin(arccos(x_i)) sqrt(w_i) along the last axis: one Gauss rule per row."""
+    return (-1.0) ** np.arange(nodes.shape[-1]) * np.sin(np.arccos(nodes)) * np.sqrt(weights)
+
+
 def bary_weights_gg(rule: QuadratureRule) -> BarycentricBasis:
     """Cancellation-free weights for Gauss nodes.
 
     xi_i = (-1)^i sin(arccos(x_i)) sqrt(w_i); the sin-arccos form stays
     accurate where nodes cluster near the endpoints.
     """
-    i = np.arange(rule.nodes.size)
-    xi = (-1.0) ** i * np.sin(np.arccos(rule.nodes)) * np.sqrt(rule.weights)
-    return BarycentricBasis(nodes=rule.nodes, xi=xi)
+    return BarycentricBasis(nodes=rule.nodes, xi=_gauss_xi(rule.nodes, rule.weights))
 
 
 def bary_eval(basis: BarycentricBasis, values, x, exact_hit_tol: float = EPS_MACH):

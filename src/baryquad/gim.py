@@ -101,35 +101,58 @@ def _validated_targets(target_nodes) -> np.ndarray:
     return targets
 
 
+#: element budget of one block of targets in the row kernel and the per-row screen: each
+#: block's (targets x Legendre points x nodes) temporaries hold at most this many elements,
+#: or one target's when that is more
+_BLOCK_ELEMENTS = 4096
+
+
 def _screen(targets: np.ndarray, nodes: np.ndarray, lg, epsilon: float):
     """Legendre points mapped onto [-1, x_j] per target x_j, their gap to the nearest node, hits.
 
-    A point with |y_jk - x_i| <= epsilon is a hit.  Rounded differences are
-    monotone in x_i, so the smallest |y_jk - x_i| lies at one of the two
-    nodes next to y_jk in sorted order; those decide, for all targets at
-    once, which targets have a hit.  Returns ``(mapped, nearest, hit)``,
-    ``hit`` a list of one bool per target.
+    ``nodes`` is 1-D, shared by every target, or (targets, cols), row j the
+    nodes of target j.  A point with |y_jk - x_i| <= epsilon is a hit.
+    Rounded differences are monotone in x_i, so the smallest |y_jk - x_i|
+    lies at one of the two nodes next to y_jk in sorted order; those
+    decide, for all targets at once, which targets have a hit.  Shared
+    nodes are searched with :func:`numpy.searchsorted`; for per-row nodes
+    the same left index is the count of the row's nodes below the point,
+    taken in blocks of targets within the kernel's element budget.
+    Returns ``(mapped, nearest, hit)``, ``hit`` a list of one bool per
+    target.
     """
     _check_epsilon(epsilon)
     mapped = 0.5 * ((targets[:, None] + 1.0) * lg.nodes + targets[:, None] - 1.0)
     # x_below < y <= x_above, so both differences are |y - x| without abs
-    padded = np.concatenate(([-np.inf], nodes, [np.inf]))
-    above = np.searchsorted(nodes, mapped) + 1
-    nearest = np.minimum(mapped - padded[above - 1], padded[above] - mapped)
+    inf = np.full(nodes.shape[:-1] + (1,), np.inf)
+    padded = np.concatenate((-inf, nodes, inf), axis=-1)
+    if nodes.ndim == 1:
+        above = np.searchsorted(nodes, mapped) + 1
+        nearest = np.minimum(mapped - padded[above - 1], padded[above] - mapped)
+    else:
+        nearest = np.empty_like(mapped)
+        size = max(1, _BLOCK_ELEMENTS // (lg.nodes.size * nodes.shape[1]))
+        for start in range(0, targets.size, size):
+            b = slice(start, start + size)
+            above = (nodes[b, None, :] < mapped[b, :, None]).sum(axis=2) + 1
+            np.minimum(mapped[b] - np.take_along_axis(padded[b], above - 1, axis=1),
+                       np.take_along_axis(padded[b], above, axis=1) - mapped[b], out=nearest[b])
     return mapped, nearest, (nearest <= epsilon).any(axis=1).tolist()
 
 
 def _collisions(targets: np.ndarray, nodes: np.ndarray, lg, epsilon: float, screen=None):
     """Every (i, j, k) with |y_jk - x_i| <= epsilon, in (j, k, i) order.
 
-    The hits of :func:`_screen`, or of ``screen``, its result for these
-    targets, select the targets; each of those takes one dense test of its
-    mapped points against every node.
+    ``nodes`` is shared or per row, as in :func:`_screen`.  The hits of
+    :func:`_screen`, or of ``screen``, its result for these targets, select
+    the targets; each of those takes one dense test of its mapped points
+    against its nodes.
     """
     mapped, _, hit = _screen(targets, nodes, lg, epsilon) if screen is None else screen
     triples = []
     for j in (j for j, h in enumerate(hit) if h):
-        k, i = np.nonzero(np.abs(mapped[j, :, None] - nodes) <= epsilon)  # in (k, i) order
+        row = nodes if nodes.ndim == 1 else nodes[j]
+        k, i = np.nonzero(np.abs(mapped[j, :, None] - row) <= epsilon)  # in (k, i) order
         triples += zip(i.tolist(), [j] * k.size, k.tolist())
     return triples
 
@@ -154,20 +177,25 @@ def check_gg_condition(n: int, param: GegenbauerParam, epsilon: float = EPS_MACH
     return FeasibilityReport(feasible=not violations, violations=violations)
 
 
-def _build_rows(target_nodes, basis: BarycentricBasis, lg, epsilon: float, on_hit: str, screen=None):
-    """Shared row kernel: integrate the interpolant over [-1, x_j] for each target x_j.
+def _build_rows(target_nodes, nodes: np.ndarray, xi: np.ndarray, lg, epsilon: float, on_hit: str,
+                screen=None):
+    """The one row kernel: integrate the interpolant over [-1, x_j] for each target x_j.
 
-    With y_j the Legendre points mapped onto [-1, x_j], mu = xi / (y_j - x)
-    and c = w / (mu 1), the barycentric cardinal functions give
+    ``nodes`` and their barycentric weights ``xi`` are 1-D, shared by every
+    target, or (targets, cols), row j the basis of target j, as in the
+    optimal matrices.  With y_j the Legendre points mapped onto [-1, x_j],
+    mu = xi / (y_j - x) and c = w / (mu 1), the barycentric cardinal
+    functions give
 
         row_j = (x_j + 1) / 2 * c^T mu,
 
-    one division, one row sum and one matrix-vector product per target.
+    one division, one row sum and one vector-matrix product per target.
     The row sum is numpy's pairwise sum, as in :func:`lagrange_matrix`:
     the terms alternate in sign, and a BLAS dot loses up to a digit there
-    at large alpha.  One target is processed at a time into a reused
-    buffer, so memory stays O(p (n + T)) for p Legendre points and T
-    targets.
+    at large alpha.  The targets are taken in blocks whose p x cols
+    temporaries stay within :data:`_BLOCK_ELEMENTS` (one target per block
+    from about n = 90 on for square matrices), in one reused buffer, so
+    memory stays O(p (n + T)) for p Legendre points and T targets.
 
     Hits are found by :func:`_screen`, or taken from ``screen``, its result
     for these targets.  ``on_hit`` "raise" reports the first hit in
@@ -178,26 +206,31 @@ def _build_rows(target_nodes, basis: BarycentricBasis, lg, epsilon: float, on_hi
     epsilon of two nodes thus still counts once.
     """
     targets = np.atleast_1d(np.asarray(target_nodes, dtype=float))
-    nodes, xi, w = basis.nodes, basis.xi, lg.weights
+    w = lg.weights
     mapped, nearest, hit = _screen(targets, nodes, lg, epsilon) if screen is None else screen
     if on_hit == "raise" and any(hit):
         i, j, k = _collisions(targets, nodes, lg, epsilon, (mapped, nearest, hit))[0]
         raise CollisionError(i, j, k, "mapped Legendre point coincides with a source node")
-    rows = np.empty((targets.size, nodes.size))
-    mu = np.empty((w.size, nodes.size))
+    per_row = nodes.ndim == 2
+    cols = nodes.shape[-1]
+    size = max(1, _BLOCK_ELEMENTS // (w.size * cols))
+    rows = np.empty((targets.size, cols))
+    buffer = np.empty((min(size, targets.size), w.size, cols))
     with np.errstate(divide="ignore", invalid="ignore"):
-        for j, xj in enumerate(targets.tolist()):
-            np.subtract(mapped[j, :, None], nodes, out=mu)
-            np.divide(xi, mu, out=mu)
-            c = w / mu.sum(axis=1)
-            if hit[j]:
+        for start in range(0, targets.size, size):
+            stop = min(start + size, targets.size)
+            b, mu = slice(start, stop), buffer[:stop - start]
+            np.subtract(mapped[b, :, None], nodes[b, None] if per_row else nodes, out=mu)
+            np.divide(xi[b, None] if per_row else xi, mu, out=mu)
+            c = w / mu.sum(axis=2)
+            for j in (j for j in range(start, stop) if hit[j]):
                 # each hit point takes the unit row of its nearest node, the lower on a tie
                 k = np.flatnonzero(nearest[j] <= epsilon)
-                i = np.abs(mapped[j, k, None] - nodes).argmin(axis=1)
-                mu[k] = 0.0
-                mu[k, i] = 1.0
-                c[k] = w[k]
-            rows[j] = 0.5 * (xj + 1.0) * (c @ mu)
+                i = np.abs(mapped[j, k, None] - (nodes[j] if per_row else nodes)).argmin(axis=1)
+                mu[j - start, k] = 0.0
+                mu[j - start, k, i] = 1.0
+                c[j - start, k] = w[k]
+            rows[b] = (0.5 * (targets[b] + 1.0))[:, None] * (c[:, None, :] @ mu)[:, 0]
     return rows
 
 
@@ -221,7 +254,7 @@ def _reflected_rows(basis: BarycentricBasis, lg, epsilon: float):
     mapped, nearest, hit = _screen(targets, nodes, lg, epsilon)
     if any(hit):
         return None
-    rows = _build_rows(targets[:kept], basis, lg, epsilon, "raise",
+    rows = _build_rows(targets[:kept], nodes, basis.xi, lg, epsilon, "raise",
                        (mapped[:kept], nearest[:kept], hit[:kept]))
     total = rows[half] if n % 2 else rows[half - 1] + rows[half - 1, ::-1]
     entries = np.empty((n + 1, n + 1))
@@ -246,7 +279,7 @@ def _build_gim(targets, n: int, param: GegenbauerParam, epsilon: float, on_hit: 
         targets = rule.nodes
         entries = _reflected_rows(basis, lg, epsilon)
     if entries is None:
-        entries = _build_rows(targets, basis, lg, epsilon, on_hit)
+        entries = _build_rows(targets, basis.nodes, basis.xi, lg, epsilon, on_hit)
     return IntegrationMatrix(entries=entries, order=1, source_nodes=rule.nodes,
                              target_nodes=targets, interval=INTERVAL_BIUNIT, alpha=param.alpha)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .barycentric import bary_weights_gg
+from .barycentric import _check_bases, _gauss_xi
 from .errors import CollisionError
 from .gim import (FeasibilityReport, INTERVAL_BIUNIT, IntegrationMatrix, _build_rows, _collisions,
                   _lg_count, _validated_targets)
@@ -22,6 +22,9 @@ from .polynomials import EPS_MACH, GegenbauerParam, _check_epsilon, eta
 from .rules import _nodes_weights, gg_rule, lg_rule
 
 _GRID_SAMPLES = 64
+_STEPS = np.arange(float(_GRID_SAMPLES))
+#: targets per eta call of the search, whose temporaries take O(targets x 64 x m) memory
+_SEARCH_BLOCK = 128
 _ALPHA_TOL = 1e-6
 
 #: width of the guard strip above -1/2; minimizers pressed against the lower
@@ -72,7 +75,8 @@ def optimize_alpha(x_k, m: int, config: OptimalConfig):
     [p_{b-1}, p_{b+1}] around its best sample p_b (the objective can be
     multimodal in the parameter), until the bracket is at most 1e-6 wide,
     and the bracket midpoint is returned.  The grid and each round are one
-    :func:`eta` call on a (targets x 64) parameter array; with the default
+    :func:`eta` call on a (targets x 64) parameter array, per block of at
+    most 128 targets, which bounds the temporaries; with the default
     interval there are four rounds.  A target leaves the search at its own
     tolerance, so its parameter is the same bit for bit in any batch.
 
@@ -97,8 +101,14 @@ def optimize_alpha(x_k, m: int, config: OptimalConfig):
     searched = (m > 0) & (x != -1.0) & ((x != 1.0) | (m % 2 == 1))
     active = np.flatnonzero(searched)  # narrowed to the targets whose bracket is still too wide
     while active.size:
-        grid = np.linspace(left[active], right[active], _GRID_SAMPLES, axis=-1)
-        best = (eta(x[active, None], m, grid) ** 2).argmin(axis=1)
+        # np.linspace's points, lo + i step with the last at hi, without its dispatch
+        lo_a, hi_a = left[active, None], right[active, None]
+        grid = lo_a + _STEPS * ((hi_a - lo_a) / (_GRID_SAMPLES - 1))
+        grid[:, -1] = hi_a[:, 0]
+        best = np.empty(active.size, dtype=np.intp)
+        for start in range(0, active.size, _SEARCH_BLOCK):
+            b = slice(start, start + _SEARCH_BLOCK)
+            best[b] = (eta(x[active[b], None], m, grid[b]) ** 2).argmin(axis=1)
         rows = np.arange(active.size)
         left[active] = grid[rows, np.maximum(best - 1, 0)]
         right[active] = grid[rows, np.minimum(best + 1, _GRID_SAMPLES - 1)]
@@ -118,10 +128,12 @@ def build_optimal_gim(target_nodes, config: OptimalConfig) -> IntegrationMatrix:
     :func:`baryquad.gim.build_gim_arbitrary` with its nodes repeated per
     row; otherwise one :func:`optimize_alpha` search over the distinct
     targets, or distinct ``|x_k|`` for even m, where the error factor is
-    even in the target.  The rows are grouped by parameter: the adjoint
-    rules of all groups come in one batch, and each group takes one basis
-    and one call of the row kernel.  Every group is screened, and a
-    :class:`CollisionError` names the first collision in target order.
+    even in the target.  The adjoint rules of the distinct parameters come
+    in one batch, their barycentric weights in one array expression, with
+    the checks of :class:`baryquad.barycentric.BarycentricBasis` applied
+    row by row, and every row in one call of the row kernel on per-row
+    bases.  A :class:`CollisionError` names the first collision in target
+    order.
     """
     targets = _validated_targets(target_nodes)
     m = config.m
@@ -130,25 +142,20 @@ def build_optimal_gim(target_nodes, config: OptimalConfig) -> IntegrationMatrix:
     else:
         distinct, inverse = np.unique(np.abs(targets) if m % 2 == 0 else targets, return_inverse=True)
         alpha_star = optimize_alpha(distinct, m, config)[inverse]
-    groups = {}  # the rows of each parameter, in order of first appearance
-    for k, a_k in enumerate(alpha_star.tolist()):
-        groups.setdefault(a_k, []).append(k)
-    _nodes_weights(m, tuple(groups))  # the adjoint Gauss rules of all groups in one batch
+    index = {}  # each distinct parameter's row in the batch, in order of first appearance
+    row = [index.setdefault(a_k, len(index)) for a_k in alpha_star.tolist()]
+    rules = _nodes_weights(m, tuple(index))  # the adjoint Gauss rules in one batch
+    nodes, weights = np.array([x for x, _ in rules]), np.array([w for _, w in rules])
+    xi = _gauss_xi(nodes, weights)
+    _check_bases(nodes, xi)
+    nodes, xi = nodes[row], xi[row]
     lg = lg_rule(_lg_count(m, targets, config.epsilon))
-    entries = np.empty((targets.size, m + 1))
-    adjoint_nodes = np.empty((targets.size, m + 1))
-    collisions = []  # (row, node, Legendre point) of the first hit of each group
-    for a_k, ks in groups.items():
-        rule = gg_rule(m, GegenbauerParam(a_k))
-        adjoint_nodes[ks] = rule.nodes
-        try:
-            entries[ks] = _build_rows(targets[ks], bary_weights_gg(rule), lg, config.epsilon, "raise")
-        except CollisionError as err:
-            collisions.append((ks[err.j], err.i, err.k))
-    if collisions:
-        j, i, k = min(collisions)
-        raise CollisionError(i, j, k, "mapped Legendre point coincides with an adjoint node")
-    return IntegrationMatrix(entries=entries, order=1, source_nodes=adjoint_nodes,
+    try:
+        entries = _build_rows(targets, nodes, xi, lg, config.epsilon, "raise")
+    except CollisionError as err:
+        detail = "mapped Legendre point coincides with an adjoint node"
+        raise CollisionError(err.i, err.j, err.k, detail) from None
+    return IntegrationMatrix(entries=entries, order=1, source_nodes=nodes,
                              target_nodes=targets, interval=INTERVAL_BIUNIT, alpha=alpha_star)
 
 

@@ -22,9 +22,13 @@ EPS_MACH = float(np.finfo(np.float64).eps)
 
 
 def _check_epsilon(epsilon: float) -> None:
-    """The package's one test of a collision tolerance."""
-    if not epsilon > 0.0:  # also rejects NaN
-        raise ValueError("epsilon must be positive")
+    """The package's one test of a collision tolerance: positive and finite.
+
+    An infinite tolerance would make every point a hit, and the guarded
+    rows a crude nearest-node rule.
+    """
+    if not 0.0 < epsilon < math.inf:  # also rejects NaN
+        raise ValueError("epsilon must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -98,7 +102,11 @@ def _terms(n: int, a, x):
     (k + 2a - 1) G_k = 2 (k + a - 1) x G_{k-1} - (k - 1) G_{k-2} from G_0 = 1
     and G_1 = x, which is set, not recurred: the k = 1 step divides by 2a.
     ``x`` and ``a`` are floats or broadcastable arrays; floats, as
-    :func:`integrate_gegenbauer` passes them, make no numpy call.
+    :func:`integrate_gegenbauer` passes them, make no numpy call.  An
+    array ``a``, as in the search of :func:`eta`, takes the coefficients
+    (k + a - 1) 2x and (k + 2a - 1) of every k in two array expressions, as
+    :func:`_recurrence_with_derivative` does; each entry is rounded as in
+    the loop.
     """
     g0 = 1.0 if isinstance(x, float) else np.ones_like(x)
     yield g0
@@ -108,6 +116,13 @@ def _terms(n: int, a, x):
     yield g1
     # doubling is exact, so 2 (k + a - 1) x and (k + a - 1) (2 x) round alike
     two_a, two_x = 2.0 * a, 2.0 * x
+    if isinstance(a, np.ndarray):
+        k = np.arange(2.0, n + 1.0).reshape((-1,) + (1,) * max(a.ndim, np.ndim(x)))
+        c1, den = (k + a - 1.0) * two_x, k + two_a - 1.0
+        for j, p, q in zip(range(1, n), c1, den):  # j = k - 1
+            g0, g1 = g1, (p * g1 - j * g0) / q
+            yield g1
+        return
     k = 2.0
     for _ in range(n - 1):
         g0, g1 = g1, ((k + a - 1.0) * two_x * g1 - (k - 1.0) * g0) / (k + two_a - 1.0)
@@ -232,13 +247,14 @@ def _eta_scale(m: int, a):
     """2^m / K_{m+1}, the prefactor of :func:`eta`, as the product of (2a + j) / (a + j), j = 1..m.
 
     ``a`` is a float or an ndarray of parameters; the product runs along a
-    new last axis, so each parameter's value is the same in any batch.  Each
-    factor is below 2, so only m > 1023 can overflow, to inf.
+    new first axis, in order of j, so each parameter's value is the same in
+    any batch, and the inner loop runs over the parameters.  Each factor is
+    below 2, so only m > 1023 can overflow, to inf.
     """
-    j = np.arange(1.0, m + 1.0)
-    a = np.asarray(a)[..., None]
+    a = np.asarray(a)
+    j = np.arange(1.0, m + 1.0).reshape((-1,) + (1,) * a.ndim)
     with np.errstate(over="ignore"):
-        return ((2.0 * a + j) / (a + j)).prod(axis=-1)
+        return ((2.0 * a + j) / (a + j)).prod(axis=0)
 
 
 def eta(x_k, m: int, param):

@@ -102,6 +102,13 @@ class TestEval:
         with pytest.raises(ValueError, match="epsilon must be positive"):
             bary_eval(basis, np.sin(rule.nodes), rule.nodes[2], exact_hit_tol=tol)
 
+    def test_infinite_hit_tolerance_rejected(self):
+        # every point would be a hit, and the interpolant a nearest-node lookup
+        rule = gg_rule(5, GegenbauerParam(0.5))
+        basis = bary_weights_gg(rule)
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            bary_eval(basis, np.sin(rule.nodes), 0.3, exact_hit_tol=math.inf)
+
     def test_constant_reproduced_anywhere(self, rng):
         basis = bary_weights_gg(gg_rule(9, GegenbauerParam(1.0)))
         values = np.full(10, 3.75)

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from baryquad import cli
 from baryquad.cli import _write_rows, main, parse_grid
 
 
@@ -91,6 +92,17 @@ class TestGimCommand:
                          "--epsilon", epsilon, "--out", str(out)]) == 1
             assert "UsageError: epsilon must be positive" in capsys.readouterr().err
             assert not out.exists()
+
+
+    @pytest.mark.parametrize("variant", ["plain", "guarded", "bumped", "basis"])
+    def test_infinite_epsilon_exits_one(self, variant, tmp_path, capsys):
+        # an infinite tolerance makes every mapped point a hit: the guarded rows
+        # would be a nearest-node rule instead of the barycentric one
+        out = tmp_path / "m.csv"
+        assert main(["gim", "--n", "4", "--alpha", "0.5", "--variant", variant,
+                     "--epsilon", "inf", "--out", str(out)]) == 1
+        assert "UsageError: epsilon must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestQuadbenchCommand:
@@ -178,6 +190,13 @@ class TestFeasibilityCommand:
         assert "UsageError: epsilon must be positive" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_infinite_epsilon_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "feas.csv"
+        assert main(["feasibility", "--n-grid", "4", "--alpha-grid", "0.5", "--epsilon", "inf",
+                     "--out", str(out)]) == 1
+        assert "UsageError: epsilon must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_integer_degree_exits_one(self, tmp_path, capsys):
         out = tmp_path / "feas.csv"
         assert main(["feasibility", "--n-grid", "2.5", "--alpha-grid", "0.5",
@@ -259,7 +278,7 @@ _DEGREES = st.one_of(st.integers(0, 40).map(str),
                      st.sampled_from(["-1", "2.5", "nan", "inf", "1e400", "abc"]))
 _ALPHAS = st.one_of(st.floats(-0.45, 2.0).map(repr), st.sampled_from(["-0.5", "-1", "nan", "inf", "x"]))
 _ORDERS = st.sampled_from(["-2", "0", "1", "2", "x"])
-_EPSILONS = st.sampled_from(["1e-3", "0", "-1", "nan"])
+_EPSILONS = st.sampled_from(["1e-3", "0", "-1", "nan", "inf"])
 _INTEGRANDS = st.sampled_from(["f1", "f2", "f3", "exp(x)", "x**", "[x]", "x/0", "y"])
 
 
@@ -289,6 +308,41 @@ class TestExitCodeContract:
         out = tmp_path / "missing" / "x.csv" if missing else tmp_path / "out.csv"
         assert main(argv + ["--out", str(out)]) in (0, 1, 2)
         assert "Traceback" not in capsys.readouterr().err
+
+
+def _run(parser_factory, argv, capsys):
+    """stdout, stderr and exit code of ``main`` with the parser built by ``parser_factory``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "build_parser", parser_factory)
+        code = main(argv)
+    out, err = capsys.readouterr()
+    return out, err, code
+
+
+class TestLazyParser:
+    # main builds only the subparser that argv names; everything it prints and returns
+    # must equal the parse by the parser of all four commands
+    @pytest.mark.parametrize("argv", [
+        ["--help"], [], ["bogus"], ["gim", "--help"], ["quadbench", "--help"],
+        ["feasibility", "--help"], ["example", "--help"],
+        # left over after the subparser, so reported by the top-level parser
+        ["example", "--id", "1", "--n", "4", "--m", "3", "--alpha", "0.5", "zzz"],
+        ["gim", "--n", "4"], ["gim", "--n", "4", "--alpha", "1", "--variant", "odd"],
+        ["example", "--id", "2", "--n", "4", "--alpha", "0.5"],
+    ], ids=lambda argv: " ".join(argv) or "no arguments")
+    def test_same_output_as_the_full_parser(self, argv, capsys):
+        full = cli.build_parser
+        lazy = _run(full, argv, capsys)
+        assert lazy == _run(lambda command=None: full(), argv, capsys)
+        if argv[-1:] == ["zzz"]:
+            assert "{gim,quadbench,feasibility,example}" in lazy[1]
+            assert "unrecognized arguments: zzz" in lazy[1] and lazy[2] == 1
+
+    def test_only_the_named_subparser_is_built(self):
+        sub = next(a for a in cli.build_parser("example")._actions if a.dest == "command")
+        assert list(sub.choices) == ["example"]
+        sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+        assert list(sub.choices) == ["gim", "quadbench", "feasibility", "example"]
 
 
 class TestDeterminism:

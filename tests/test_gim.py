@@ -15,7 +15,7 @@ from baryquad import (CollisionError, GegenbauerParam, IntegrationMatrix, apply_
                       build_basis_gim, build_gim_arbitrary, build_gim_gg, build_gim_gg_bumped,
                       build_gim_gg_guarded, check_gg_condition, gg_rule, map_to_unit,
                       lg_rule, matrix_to_csv, qth_order_gim, row_gim_endpoint)
-from baryquad.barycentric import bary_weights_gg, lagrange_matrix
+from baryquad.barycentric import BarycentricBasis, _gauss_xi, bary_weights_gg, lagrange_matrix
 from baryquad.gim import _build_rows, _lg_count_default
 from baryquad.polynomials import EPS_MACH, _integration_relation, _running_integral, _terms
 
@@ -48,7 +48,7 @@ class TestFeasibility:
             assert report.feasible and report.violations == ()
 
     def test_epsilon_must_be_positive(self):
-        for epsilon in (0.0, -1.0, math.nan):
+        for epsilon in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="epsilon must be positive"):
                 check_gg_condition(5, GegenbauerParam(0.5), epsilon=epsilon)
             with pytest.raises(ValueError, match="epsilon must be positive"):
@@ -196,8 +196,8 @@ class TestReflectedSquare:
             build_gim_gg(n, param, epsilon)
         assert (err.value.i, err.value.j, err.value.k) == triple
         nodes, basis, lg = _kernel_inputs(n, alpha)
-        guarded = _build_rows(nodes, basis, lg, epsilon, on_hit="cardinal")
-        bumped = _build_rows(nodes, basis, lg_rule(_lg_count_default(n) + 1), epsilon,
+        guarded = _build_rows(nodes, basis.nodes, basis.xi, lg, epsilon, on_hit="cardinal")
+        bumped = _build_rows(nodes, basis.nodes, basis.xi, lg_rule(_lg_count_default(n) + 1), epsilon,
                              on_hit="raise")
         assert np.array_equal(build_gim_gg_guarded(n, param, epsilon).entries, guarded)
         assert np.array_equal(build_gim_gg_bumped(n, param, epsilon).entries, bumped)
@@ -533,7 +533,7 @@ class TestRowKernelMatchesLagrangeOracle:
         for n, stride in ((1, 1), (2, 1), (7, 1), (40, 1), (160, 1), (640, 16)):
             targets, basis, lg = _kernel_inputs(n, alpha, stride)
             targets = np.concatenate([[-1.0], targets])
-            got = _build_rows(targets, basis, lg, EPS_MACH, on_hit="raise")
+            got = _build_rows(targets, basis.nodes, basis.xi, lg, EPS_MACH, on_hit="raise")
             want = _oracle_rows(targets, basis, lg, EPS_MACH, "raise")
             assert np.max(np.abs(got - want)) <= 1e-15
 
@@ -542,13 +542,13 @@ class TestRowKernelMatchesLagrangeOracle:
         assert not check_gg_condition(n, GegenbauerParam(alpha)).feasible
         targets, basis, lg = _kernel_inputs(n, alpha)
         with pytest.raises(CollisionError) as got:
-            _build_rows(targets, basis, lg, EPS_MACH, on_hit="raise")
+            _build_rows(targets, basis.nodes, basis.xi, lg, EPS_MACH, on_hit="raise")
         with pytest.raises(CollisionError) as want:
             _oracle_rows(targets, basis, lg, EPS_MACH, "raise")
         assert (got.value.i, got.value.j, got.value.k) == (want.value.i, want.value.j, want.value.k)
         # guarded rows on the targets around the first collision
         window = targets[max(got.value.j - 8, 0):got.value.j + 8]
-        guarded = _build_rows(window, basis, lg, EPS_MACH, on_hit="cardinal")
+        guarded = _build_rows(window, basis.nodes, basis.xi, lg, EPS_MACH, on_hit="cardinal")
         oracle = _oracle_rows(window, basis, lg, EPS_MACH, "cardinal")
         assert np.max(np.abs(guarded - oracle)) <= 1e-15
 
@@ -557,13 +557,65 @@ class TestRowKernelMatchesLagrangeOracle:
         # several hits per target, and points within epsilon of two nodes
         targets, basis, lg = _kernel_inputs(30, 0.3)
         with pytest.raises(CollisionError) as got:
-            _build_rows(targets, basis, lg, epsilon, on_hit="raise")
+            _build_rows(targets, basis.nodes, basis.xi, lg, epsilon, on_hit="raise")
         with pytest.raises(CollisionError) as want:
             _oracle_rows(targets, basis, lg, epsilon, "raise")
         assert (got.value.i, got.value.j, got.value.k) == (want.value.i, want.value.j, want.value.k)
-        guarded = _build_rows(targets, basis, lg, epsilon, on_hit="cardinal")
+        guarded = _build_rows(targets, basis.nodes, basis.xi, lg, epsilon, on_hit="cardinal")
         oracle = _oracle_rows(targets, basis, lg, epsilon, "cardinal")
         assert np.max(np.abs(guarded - oracle)) <= 1e-15
+
+
+def _per_row_inputs(m, count):
+    """Targets in (-1, 1) and per-row bases that cycle through five adjoint rules of degree m."""
+    rules = [gg_rule(m, GegenbauerParam(a)) for a in (-0.3, 0.0, 0.5, 1.2, 2.0)]
+    nodes = np.array([rule.nodes for rule in rules])
+    xi = _gauss_xi(nodes, np.array([rule.weights for rule in rules]))
+    pick = np.arange(count) % len(rules)
+    return np.linspace(-0.999, 0.999, count), nodes[pick], xi[pick], lg_rule(_lg_count_default(m))
+
+
+class TestPerRowBases:
+    def test_memory_is_blocked(self):
+        # 5,000 targets at m = 20: the rows take 0.8 MiB and the mapped points and their
+        # gaps 0.84 MiB; one (targets x points x nodes) temporary would take 8.8 MiB
+        # (1.1 MiB as booleans); the measured peak is 1.8 MiB
+        targets, nodes, xi, lg = _per_row_inputs(20, 5000)
+        tracemalloc.start()
+        try:
+            rows = _build_rows(targets, nodes, xi, lg, EPS_MACH, "raise")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows.shape == (5000, 21)
+        assert peak < 2.5 * 2 ** 20
+
+    def test_rows_equal_shared_basis_rows(self):
+        targets, nodes, xi, lg = _per_row_inputs(14, 300)
+        rows = _build_rows(targets, nodes, xi, lg, EPS_MACH, "raise")
+        for j in range(0, targets.size, 7):
+            alone = _build_rows(targets[j:j + 1], nodes[j], xi[j], lg, EPS_MACH, "raise")
+            assert np.array_equal(rows[j], alone[0]), j
+
+    @pytest.mark.parametrize("epsilon", [1e-3, 2e-2])
+    def test_hits_match_the_lagrange_oracle(self, epsilon):
+        # per-row bases with several hits per target: the first collision in (j, k, i)
+        # order, and guarded rows from each target's own cardinal table
+        targets, nodes, xi, lg = _per_row_inputs(9, 40)
+        oracle = []
+        for j, x_j in enumerate(targets):
+            basis = BarycentricBasis(nodes[j], xi[j])
+            try:
+                _oracle_rows([x_j], basis, lg, epsilon, "raise")
+            except CollisionError as err:
+                oracle.append((j, err.k, err.i))
+        with pytest.raises(CollisionError) as got:
+            _build_rows(targets, nodes, xi, lg, epsilon, "raise")
+        assert (got.value.j, got.value.k, got.value.i) == min(oracle)
+        guarded = _build_rows(targets, nodes, xi, lg, epsilon, "cardinal")
+        for j, x_j in enumerate(targets):
+            want = _oracle_rows([x_j], BarycentricBasis(nodes[j], xi[j]), lg, epsilon, "cardinal")
+            assert np.max(np.abs(guarded[j] - want[0])) <= 1e-15, j
 
 
 def _csv_oracle(matrix, alpha_text, tail=()):

@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import tracemalloc
 from collections import OrderedDict
 
 import numpy as np
@@ -16,7 +17,8 @@ from baryquad import (CollisionError, GegenbauerParam, IntegrationMatrix, Optima
                       gg_rule, integrate_gegenbauer, lg_rule, map_to_unit, matrix_to_csv,
                       optimize_alpha, qth_order_gim)
 from baryquad import optimal, rules
-from baryquad.gim import _lg_count
+from baryquad.barycentric import _gauss_xi
+from baryquad.gim import _build_rows, _lg_count
 from baryquad.optimal import BOUNDARY_MARGIN, _ALPHA_TOL, _GRID_SAMPLES
 from baryquad.polynomials import EPS_MACH, PolySpec, gegenbauer_eval
 
@@ -66,6 +68,39 @@ def running_monomial_integral(targets, p):
     return (targets ** (p + 1) - (-1.0) ** (p + 1)) / (p + 1)
 
 
+def grouped_optimal_gim(targets, config):
+    """The builder as one rule, basis and row-kernel call per group of rows sharing alpha*.
+
+    Returns ``(entries, source_nodes, alpha)``; a collision in any group
+    is raised for the smallest row index, as the first in target order.
+    """
+    targets = np.asarray(targets, dtype=float)
+    m = config.m
+    if m > config.m_max:
+        alpha_star = np.full(targets.size, float(config.alpha_a))
+    else:
+        distinct, inverse = np.unique(np.abs(targets) if m % 2 == 0 else targets, return_inverse=True)
+        alpha_star = optimize_alpha(distinct, m, config)[inverse]
+    groups = {}  # the rows of each parameter, in order of first appearance
+    for k, a_k in enumerate(alpha_star.tolist()):
+        groups.setdefault(a_k, []).append(k)
+    lg = lg_rule(_lg_count(m, targets, config.epsilon))
+    entries = np.empty((targets.size, m + 1))
+    adjoint_nodes = np.empty((targets.size, m + 1))
+    collisions = []  # (row, node, Legendre point) of the first hit of each group
+    for a_k, ks in groups.items():
+        basis = bary_weights_gg(gg_rule(m, GegenbauerParam(a_k)))
+        adjoint_nodes[ks] = basis.nodes
+        try:
+            entries[ks] = _build_rows(targets[ks], basis.nodes, basis.xi, lg, config.epsilon, "raise")
+        except CollisionError as err:
+            collisions.append((ks[err.j], err.i, err.k))
+    if collisions:
+        j, i, k = min(collisions)
+        raise CollisionError(i, j, k, "mapped Legendre point coincides with an adjoint node")
+    return entries, adjoint_nodes, alpha_star
+
+
 class TestConfig:
     def test_defaults(self):
         cfg = OptimalConfig(m=10)
@@ -79,6 +114,8 @@ class TestConfig:
             OptimalConfig(m=5, epsilon=0.0)
         with pytest.raises(ValueError):
             OptimalConfig(m=5, epsilon=math.nan)
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            OptimalConfig(m=5, epsilon=math.inf)
         with pytest.raises(ValueError):
             OptimalConfig(m=5, alpha_a=0.3)
         # alpha_b is a parameter like any other: it must exceed -1/2 and be finite
@@ -128,14 +165,17 @@ class TestOptimizeAlpha:
             assert optimize_alpha(x, 0, cfg) == 1.25
         assert np.all(build_optimal_gim([-0.5, 0.2, 0.9], cfg).alpha == 1.25)
 
-    @pytest.mark.parametrize("m", [0, 1, 7, 14, 20])
+    @pytest.mark.parametrize("m", range(21))
     def test_vectorized_grid_equals_scalar_eta(self, m):
-        # all seven targets in one batch, as the search evaluates them
+        # all seven targets in one batch, as the search evaluates them; eta promises
+        # every entry of the array form equal to the float form's value.  The values
+        # are compared, not their squares: a float's ** 2 goes through the C library's
+        # pow, which can differ from the array's x * x in the last bit
         grid = np.linspace(-0.5 + 1e-3, 2.0, _GRID_SAMPLES)
         targets = np.array([-1.0, -0.93, -0.2, 0.0, 0.41, 0.97, 1.0])
-        scalar = [[eta(x, m, GegenbauerParam(a)) ** 2 for a in grid] for x in targets]
-        batched = eta(targets[:, None], m, np.tile(grid, (targets.size, 1))) ** 2
-        assert_allclose(batched, scalar, rtol=1e-12, atol=0.0)
+        scalar = [[eta(x, m, GegenbauerParam(a)) for a in grid] for x in targets]
+        batched = eta(targets[:, None], m, np.tile(grid, (targets.size, 1)))
+        assert batched.tolist() == scalar
 
     @settings(max_examples=300, deadline=None)
     @given(x=st.floats(-1.0, 1.0), m=st.integers(1, 20))
@@ -183,6 +223,20 @@ class TestOptimizeAlpha:
         # the first evaluation holds every searched target: all but -1 for odd m;
         # for even m, one per |x_k| but 1
         assert evaluations[0] == ((42 if m % 2 else 21), _GRID_SAMPLES)
+
+    def test_search_memory_is_blocked(self):
+        # one eta call on all 2,000 targets at m = 20 peaks near 40 MiB; in blocks of
+        # 128 targets the search peaks near 7 MiB, with the same parameters
+        targets = np.linspace(-0.999, 0.999, 2000)
+        cfg = OptimalConfig(m=20)
+        tracemalloc.start()
+        try:
+            alpha_star = optimize_alpha(targets, 20, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+        assert alpha_star[::97].tolist() == [optimize_alpha(x, 20, cfg) for x in targets[::97]]
 
     def test_array_targets_keep_their_shape(self):
         cfg = OptimalConfig(m=7)
@@ -536,18 +590,43 @@ class TestCollision:
 
     @pytest.mark.parametrize("m, m_max", [(6, 20), (7, 20), (14, 20), (22, 20), (4, 3)])
     def test_one_basis_per_distinct_parameter(self, m, m_max, monkeypatch):
-        bases = []
+        # one adjoint weight row per distinct alpha*, and every row in one kernel call
+        weight_rows, kernel_bases = [], []
 
-        def counted(rule):
-            bases.append(rule.nodes)
-            return bary_weights_gg(rule)
+        def counted_weights(nodes, weights):
+            weight_rows.append(nodes.shape[0])
+            return _gauss_xi(nodes, weights)
 
-        monkeypatch.setattr(optimal, "bary_weights_gg", counted)
+        def counted_rows(targets, nodes, *args):
+            kernel_bases.append(nodes.shape)
+            return _build_rows(targets, nodes, *args)
+
+        monkeypatch.setattr(optimal, "_gauss_xi", counted_weights)
+        monkeypatch.setattr(optimal, "_build_rows", counted_rows)
         targets = np.concatenate([[-1.0], gg_rule(10, GegenbauerParam(0.5)).nodes, [1.0]])
         mat = build_optimal_gim(targets, OptimalConfig(m=m, m_max=m_max))
-        assert len(bases) == np.unique(mat.alpha).size
+        assert weight_rows == [np.unique(mat.alpha).size]
         if m > m_max:
-            assert len(bases) == 1
+            assert weight_rows == [1]
+        assert kernel_bases == [(targets.size, m + 1)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(m=st.integers(0, 20), epsilon=st.sampled_from([EPS_MACH, 1e-2]),
+           targets=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=17))
+    def test_equals_one_kernel_call_per_group_bitwise(self, m, epsilon, targets):
+        targets = np.sort(targets)
+        config = OptimalConfig(m=m, epsilon=epsilon)
+        try:
+            want = grouped_optimal_gim(targets, config)
+        except CollisionError as oracle:
+            with pytest.raises(CollisionError) as got:
+                build_optimal_gim(targets, config)
+            assert str(got.value) == str(oracle)
+            assert (got.value.i, got.value.j, got.value.k) == (oracle.i, oracle.j, oracle.k)
+            return
+        mat = build_optimal_gim(targets, config)
+        for got, expected in zip((mat.entries, mat.source_nodes, mat.alpha), want):
+            assert np.array_equal(got, expected)
 
     def test_row_collision_reports_indices(self):
         # adjoint rule fixed at alpha_a = 1, m = 4 reproduces the known
