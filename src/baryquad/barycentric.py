@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .polynomials import EPS_MACH, _check_epsilon
+from .polynomials import EPS_MACH, _check_epsilon, _frozen
 from .rules import QuadratureRule
 
 
@@ -15,20 +15,18 @@ class BarycentricBasis:
     """Interpolation nodes with their barycentric weights.
 
     Rescaling all weights by one nonzero constant leaves the interpolant
-    unchanged, so only the weight ratios matter.
+    unchanged, so only the weight ratios matter.  Both arrays are held as
+    read-only views (:func:`baryquad.polynomials._frozen`) of the caller's.
     """
 
     nodes: np.ndarray = field(repr=False)
     xi: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        nodes = np.ascontiguousarray(self.nodes, dtype=float)
-        xi = np.ascontiguousarray(self.xi, dtype=float)
+        nodes, xi = _frozen(self.nodes), _frozen(self.xi)
         if nodes.ndim != 1 or nodes.shape != xi.shape or nodes.size == 0:
             raise ValueError("nodes and weights must be 1-D arrays of equal nonzero length")
         _check_bases(nodes, xi)
-        nodes.flags.writeable = False
-        xi.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "xi", xi)
 

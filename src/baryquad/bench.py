@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import CollisionError
 from .gim import apply_quadrature, build_basis_gim, build_gim_gg
-from .polynomials import GegenbauerParam
+from .polynomials import GegenbauerParam, _check_degree
 from .rules import _nodes_weights
 
 #: named test integrands
@@ -74,7 +74,7 @@ class BenchmarkSpec:
     def __post_init__(self):
         if not self.n_grid or not self.alpha_grid:
             raise ValueError("benchmark grids must be non-empty")
-        object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
+        object.__setattr__(self, "n_grid", tuple(_check_degree(n, "degree") for n in self.n_grid))
         object.__setattr__(self, "alpha_grid", tuple(GegenbauerParam(a).alpha for a in self.alpha_grid))
 
 

@@ -24,7 +24,7 @@ from .bench import BenchmarkSpec, run_benchmark
 from .errors import CollisionError, ConvergenceError
 from .gim import (build_basis_gim, build_gim_gg, build_gim_gg_bumped, build_gim_gg_guarded,
                   check_gg_condition, matrix_to_csv, qth_order_gim)
-from .polynomials import EPS_MACH, GegenbauerParam, _check_epsilon
+from .polynomials import EPS_MACH, GegenbauerParam, _check_degree, _check_epsilon
 from .rules import _nodes_weights, _write_lines
 from .solvers import solve_example1, solve_example2, solution_to_csv
 
@@ -82,14 +82,6 @@ def _attach_grid_values(argv):
     return out
 
 
-def _parse_degrees(text: str):
-    """Parse a degree grid as :func:`parse_grid` does; every value must be an integer."""
-    values = parse_grid(text)
-    if not all(v.is_integer() for v in values):
-        raise ValueError(f"degree grid values must be integers, got {text!r}")
-    return [int(v) for v in values]
-
-
 def _write_rows(path, header, rows):
     _write_lines(sys.stdout if path is None else path, [header + "\n"],
                  (",".join(cells) + "\n" for cells in rows))
@@ -108,7 +100,7 @@ def cmd_gim(args) -> int:
 
 
 def cmd_quadbench(args) -> int:
-    spec = BenchmarkSpec(integrand=args.f, n_grid=tuple(_parse_degrees(args.n_grid)),
+    spec = BenchmarkSpec(integrand=args.f, n_grid=tuple(parse_grid(args.n_grid)),
                          alpha_grid=tuple(parse_grid(args.alpha_grid)))
     start = time.perf_counter()
     rows = [(str(n), f"{alpha:.17g}", str(j), f"{eb:.17g}", f"{es:.17g}")
@@ -121,7 +113,7 @@ def cmd_quadbench(args) -> int:
 
 
 def cmd_feasibility(args) -> int:
-    n_grid = _parse_degrees(args.n_grid)
+    n_grid = [_check_degree(n, "degree") for n in parse_grid(args.n_grid)]
     params = [GegenbauerParam(a) for a in parse_grid(args.alpha_grid)]
     rows = []
     for n in n_grid:

@@ -17,7 +17,8 @@ import numpy as np
 
 from .barycentric import BarycentricBasis, bary_weights_gg
 from .errors import CollisionError
-from .polynomials import EPS_MACH, GegenbauerParam, _check_epsilon, _integration_relation, _norms, _terms
+from .polynomials import (EPS_MACH, GegenbauerParam, _check_epsilon, _frozen, _integration_relation, _norms,
+                          _terms)
 from .rules import _write_lines, gg_rule, lg_rule
 
 INTERVAL_BIUNIT = "[-1,1]"
@@ -34,7 +35,8 @@ class IntegrationMatrix:
     ``source_nodes`` is 1-D when every row samples at the same nodes, or
     (rows, cols) when row j samples at its own nodes ``source_nodes[j]``;
     ``alpha`` is the family parameter, or one parameter per row, as in the
-    optimal matrices of :mod:`baryquad.optimal`.
+    optimal matrices of :mod:`baryquad.optimal`.  The arrays are held as
+    read-only views (:func:`baryquad.polynomials._frozen`) of those given.
     """
 
     entries: np.ndarray = field(repr=False)
@@ -47,9 +49,7 @@ class IntegrationMatrix:
     def __post_init__(self):
         per_row = ("alpha",) if np.ndim(self.alpha) else ()
         for name in ("entries", "source_nodes", "target_nodes") + per_row:
-            arr = np.ascontiguousarray(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
         rows, cols = self.target_nodes.size, self.source_nodes.shape[-1]
         if self.entries.shape != (rows, cols) or self.source_nodes.shape[:-1] not in ((), (rows,)):
             raise ValueError("entry shape does not match node counts")
@@ -93,7 +93,8 @@ def _lg_count(n: int, targets: np.ndarray, epsilon: float) -> int:
 
 
 def _validated_targets(target_nodes) -> np.ndarray:
-    targets = np.atleast_1d(np.asarray(target_nodes, dtype=float))
+    """The caller's targets as a 1-D float copy, which the builders may keep: non-empty, in [-1, 1]."""
+    targets = np.array(target_nodes, dtype=float, ndmin=1)
     if targets.size == 0:
         raise ValueError("target set must be non-empty")
     if not np.all(np.abs(targets) <= 1.0):  # also rejects NaN

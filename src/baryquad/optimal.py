@@ -18,7 +18,7 @@ from .barycentric import _check_bases, _gauss_xi
 from .errors import CollisionError
 from .gim import (FeasibilityReport, INTERVAL_BIUNIT, IntegrationMatrix, _build_rows, _collisions,
                   _lg_count, _validated_targets)
-from .polynomials import EPS_MACH, GegenbauerParam, _check_epsilon, eta
+from .polynomials import EPS_MACH, GegenbauerParam, _check_degree, _check_epsilon, eta
 from .rules import _nodes_weights, gg_rule, lg_rule
 
 _GRID_SAMPLES = 64
@@ -38,8 +38,8 @@ class OptimalConfig:
     """Knobs of the per-row optimization.
 
     ``m`` is the quadrature expansion degree (m+1 adjoint samples per
-    row); above ``m_max`` every row takes the fixed parameter ``alpha_a``
-    instead of an optimized one.  ``r`` bounds the search from above;
+    row); above the degree ``m_max`` every row takes the fixed parameter
+    ``alpha_a`` instead of an optimized one.  ``r`` bounds the search from above;
     ``alpha_b``, ``alpha_a`` when not given, replaces the parameter of a
     target without a minimizer, and must exceed -1/2 like any parameter.
     ``epsilon`` is the collision tolerance of the rows.
@@ -53,20 +53,19 @@ class OptimalConfig:
     alpha_b: float | None = None
 
     def __post_init__(self):
-        if int(self.m) != self.m or self.m < 0:
-            raise ValueError("m must be a non-negative integer")
+        object.__setattr__(self, "m", _check_degree(self.m, "m"))
+        object.__setattr__(self, "m_max", _check_degree(self.m_max, "m_max"))
         if not 1.0 <= self.r <= 2.0:
             raise ValueError(f"r must lie in [1, 2], got {self.r}")
         _check_epsilon(self.epsilon)
         if self.alpha_a not in (0.0, 0.5):
             raise ValueError(f"alpha_a must be 0 (Chebyshev) or 0.5 (Legendre), got {self.alpha_a}")
-        object.__setattr__(self, "m", int(self.m))
         alpha_b = self.alpha_a if self.alpha_b is None else self.alpha_b
         object.__setattr__(self, "alpha_b", GegenbauerParam(alpha_b).alpha)
 
 
-def optimize_alpha(x_k, m: int, config: OptimalConfig):
-    """Parameter minimizing the squared quadrature error factor, per target.
+def optimize_alpha(x_k, config: OptimalConfig):
+    """Parameter minimizing the squared quadrature error factor of degree ``config.m``, per target.
 
     ``x_k`` is one target, which gives a float, or an array of targets,
     which gives an array of the same shape from one search over all of
@@ -86,14 +85,14 @@ def optimize_alpha(x_k, m: int, config: OptimalConfig):
     ``config.alpha_b`` is returned: at -1 and, for even m, at 1 the error
     factor vanishes for every parameter (the integral of G_{m+1} over
     [-1, 1] is zero), and at m = 0 it does not depend on the parameter.
-    So is a minimizer in the boundary strip above -1/2.
+    So is a minimizer in the boundary strip above -1/2.  Every knob comes
+    from ``config``, which has checked it.
     """
     shape = np.shape(x_k)
     x = np.asarray(x_k, dtype=float).ravel()
     if not np.all((-1.0 <= x) & (x <= 1.0)):
         raise ValueError(f"targets must lie in [-1, 1], got {x_k}")
-    if m < 0:
-        raise ValueError("m must be non-negative")
+    m = config.m
     if m % 2 == 0:
         x = np.abs(x)
     lo = -0.5 + BOUNDARY_MARGIN
@@ -141,7 +140,7 @@ def build_optimal_gim(target_nodes, config: OptimalConfig) -> IntegrationMatrix:
         alpha_star = np.full(targets.size, float(config.alpha_a))
     else:
         distinct, inverse = np.unique(np.abs(targets) if m % 2 == 0 else targets, return_inverse=True)
-        alpha_star = optimize_alpha(distinct, m, config)[inverse]
+        alpha_star = optimize_alpha(distinct, config)[inverse]
     index = {}  # each distinct parameter's row in the batch, in order of first appearance
     row = [index.setdefault(a_k, len(index)) for a_k in alpha_star.tolist()]
     rules = _nodes_weights(m, tuple(index))  # the adjoint Gauss rules in one batch
@@ -174,13 +173,14 @@ def build_optimal_gim_symmetric(target_nodes, config: OptimalConfig) -> Integrat
     return build_optimal_gim(targets, config)
 
 
-def check_condition_mmax(target_nodes, m: int, alpha_a: float, epsilon: float = EPS_MACH) -> FeasibilityReport:
+def check_condition_mmax(target_nodes, config: OptimalConfig) -> FeasibilityReport:
     """No-collision condition of the rows above ``m_max``, with the builders' own screen.
 
-    Feasible when |y_ks - z_i| > epsilon for every adjoint node z_i of
-    ``alpha_a`` and every Legendre point y_ks mapped onto [-1, x_k], with
-    the builder's Legendre count, endpoint bump included; a feasible report
-    is a build of :func:`build_optimal_gim` with m above ``m_max``, or of
+    Feasible when |y_ks - z_i| > ``config.epsilon`` for every adjoint node
+    z_i of ``config.alpha_a`` at degree ``config.m`` (``m_max`` is not
+    read) and every Legendre point y_ks mapped onto [-1, x_k], with the
+    builder's Legendre count, endpoint bump included; a feasible report is
+    a build of :func:`build_optimal_gim` with m above ``m_max``, or of
     :func:`baryquad.gim.build_gim_arbitrary` at ``alpha_a``, that raises
     no :class:`CollisionError`.  The paper puts epsilon on the ratio
     (1 - x_k + 2 z_i) / (1 + x_k) instead, whose gap is 2 / (1 + x_k)
@@ -191,7 +191,8 @@ def check_condition_mmax(target_nodes, m: int, alpha_a: float, epsilon: float = 
     (i, s, k) triples ordered by target k, then by i and s.
     """
     targets = _validated_targets(target_nodes)
-    z = gg_rule(m, GegenbauerParam(alpha_a)).nodes
+    m, epsilon = config.m, config.epsilon
+    z = gg_rule(m, GegenbauerParam(config.alpha_a)).nodes
     triples = _collisions(targets, z, lg_rule(_lg_count(m, targets, epsilon)), epsilon)
     # triples are (node i, target k, Legendre point s)
     violations = tuple(sorted(((i, s, k) for i, k, s in triples), key=lambda t: (t[2], t[0], t[1])))

@@ -31,6 +31,24 @@ def _check_epsilon(epsilon: float) -> None:
         raise ValueError("epsilon must be positive and finite")
 
 
+def _check_degree(value, name: str) -> int:
+    """The package's one test of a degree: a non-negative integer (3.0 passes), returned as an int."""
+    if not (math.isfinite(value) and value >= 0 and int(value) == value):
+        raise ValueError(f"{name} must be a non-negative integer, got {value}")
+    return int(value)
+
+
+def _frozen(values) -> np.ndarray:
+    """The records' one freeze: a read-only view of ``values`` as a contiguous float array.
+
+    The caller's array stays writeable; only an input that is not a
+    contiguous float array is copied, as :func:`numpy.ascontiguousarray` does.
+    """
+    view = np.ascontiguousarray(values, dtype=float).view()
+    view.flags.writeable = False
+    return view
+
+
 @dataclass(frozen=True)
 class GegenbauerParam:
     """Family parameter alpha, restricted to the orthogonality range.
@@ -60,9 +78,7 @@ class PolySpec:
     param: GegenbauerParam
 
     def __post_init__(self):
-        if int(self.degree) != self.degree or self.degree < 0:
-            raise ValueError(f"degree must be a non-negative integer, got {self.degree}")
-        object.__setattr__(self, "degree", int(self.degree))
+        object.__setattr__(self, "degree", _check_degree(self.degree, "degree"))
 
 
 @dataclass(frozen=True)
@@ -87,13 +103,11 @@ class ErrorBoundInput:
     derivative_bound: float
 
     def __post_init__(self):
-        if int(self.degree) != self.degree or self.degree < 0:
-            raise ValueError("degree must be a non-negative integer")
+        object.__setattr__(self, "degree", _check_degree(self.degree, "degree"))
         if not -1.0 <= self.x <= 1.0:
             raise ValueError(f"x must lie in [-1, 1], got {self.x}")
         if self.derivative_bound < 0:
             raise ValueError("derivative bound must be non-negative")
-        object.__setattr__(self, "degree", int(self.degree))
 
 
 def _terms(n: int, a, x):
@@ -270,11 +284,12 @@ def eta(x_k, m: int, param):
 
     Raises
     ------
+    ValueError
+        If ``m`` is not a non-negative integer.
     OverflowError
         If the 2^m / K_{m+1} prefactor is not representable.
     """
-    if m < 0:
-        raise ValueError("m must be non-negative")
+    m = _check_degree(m, "m")
     one = isinstance(param, GegenbauerParam)
     alpha, x = (param.alpha, float(x_k)) if one else (param, x_k)
     scale = _eta_scale(m, alpha)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError
-from .polynomials import EPS_MACH, GegenbauerParam, _recurrence_with_derivative
+from .polynomials import EPS_MACH, GegenbauerParam, _check_degree, _frozen, _recurrence_with_derivative
 
 _NEWTON_MAX_STEPS = 10
 
@@ -125,9 +125,7 @@ def _nodes_weights(n: int, alphas: tuple):
     positive, or whose moment error exceeds :data:`MOMENT_RTOL` raises
     :class:`ConvergenceError`, and none of them is cached.
     """
-    if int(n) != n or n < 0:
-        raise ValueError(f"degree must be a non-negative integer, got {n}")
-    n, found = int(n), {}
+    n, found = _check_degree(n, "degree"), {}
     with _LOCK:
         for alpha in alphas:
             if (n, alpha) in _RULES:
@@ -152,9 +150,7 @@ def _nodes_weights(n: int, alphas: tuple):
         keep = max(_CACHE_SIZE, len(found) + len(missing))  # the batch's rules are the newest
         with _LOCK:
             for alpha, x, w in zip(missing, nodes, weights):
-                rule = x.copy(), w.copy()  # a row view would keep the whole batch alive
-                for array in rule:
-                    array.flags.writeable = False
+                rule = _frozen(x.copy()), _frozen(w.copy())  # a row view would keep the whole batch alive
                 found[alpha] = _RULES[n, alpha] = rule
                 if len(_RULES) > keep:
                     _RULES.popitem(last=False)
@@ -205,8 +201,5 @@ def rule_from_csv(path_or_file) -> QuadratureRule:
         raise ValueError("not a quadrature-rule CSV")
     kind, n_s, alpha_s = lines[1].split(",")
     data = np.array([[float(v) for v in ln.split(",")] for ln in lines[2:]])
-    nodes = np.ascontiguousarray(data[:, 0])
-    weights = np.ascontiguousarray(data[:, 1])
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
-    return QuadratureRule(kind=kind, n=int(n_s), alpha=float(alpha_s), nodes=nodes, weights=weights)
+    return QuadratureRule(kind=kind, n=int(n_s), alpha=float(alpha_s), nodes=_frozen(data[:, 0]),
+                          weights=_frozen(data[:, 1]))

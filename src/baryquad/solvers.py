@@ -28,7 +28,7 @@ import numpy as np
 from .errors import ConvergenceError
 from .gim import apply_quadrature, build_gim_gg_bumped, map_to_unit, qth_order_gim, row_gim_endpoint
 from .optimal import OptimalConfig, build_optimal_gim
-from .polynomials import EPS_MACH, GegenbauerParam
+from .polynomials import EPS_MACH, GegenbauerParam, _frozen
 from .rules import _write_lines
 
 _SQRT2 = math.sqrt(2.0)
@@ -40,7 +40,8 @@ class CollocationSolution:
 
     ``cd`` is the number of correct digits, -log10 of the maximum absolute
     error against the exact solution; ``kappa2`` is the 2-norm condition
-    number of the assembled system (linear problems only).
+    number of the assembled system (linear problems only).  The arrays
+    are held as read-only views of those given.
     """
 
     nodes: np.ndarray = field(repr=False)
@@ -55,9 +56,7 @@ class CollocationSolution:
 
     def __post_init__(self):
         for name in ("nodes", "values", "exact"):
-            arr = np.ascontiguousarray(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
 
 
 def condition_number_2(matrix) -> float:

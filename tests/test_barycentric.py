@@ -77,6 +77,13 @@ class TestBasisInvariants:
         with pytest.raises(ValueError):
             BarycentricBasis(nodes=np.array([0.0, 0.5, 1.0]), xi=np.array([1.0, -1.0, -2.0]))
 
+    def test_holds_read_only_views_of_writeable_arrays(self):
+        nodes, xi = np.array([0.0, 0.5, 1.0]), np.array([1.0, -2.0, 1.0])
+        basis = BarycentricBasis(nodes=nodes, xi=xi)
+        assert nodes.flags.writeable and xi.flags.writeable
+        assert not basis.nodes.flags.writeable and not basis.xi.flags.writeable
+        assert np.shares_memory(basis.nodes, nodes) and np.shares_memory(basis.xi, xi)
+
 
 class TestEval:
     def test_exact_hit_returns_sample(self):

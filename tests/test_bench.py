@@ -103,3 +103,12 @@ class TestBenchmarkSpec:
     def test_alpha_outside_the_family_rejected(self, alpha):
         with pytest.raises(ValueError, match="alpha must"):
             BenchmarkSpec("f1", (4,), (0.5, alpha))
+
+    @pytest.mark.parametrize("n", [2.5, -1, float("nan"), float("inf")])
+    def test_degree_must_be_a_non_negative_integer(self, n):
+        # a fractional degree was truncated, so (2.5,) ran n = 2
+        with pytest.raises(ValueError, match="degree must be a non-negative integer"):
+            BenchmarkSpec("f1", (4, n), (0.5,))
+
+    def test_integral_float_degree_kept_as_int(self):
+        assert BenchmarkSpec("f1", (4.0,), (0.5,)).n_grid == (4,)

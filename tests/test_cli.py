@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from baryquad import cli
+from baryquad.bench import EXACT_INTEGRALS
 from baryquad.cli import _write_rows, main, parse_grid
 
 
@@ -398,3 +399,18 @@ class TestReadmeCommands:
     def test_every_pinned_command_is_in_the_readme(self):
         assert sorted(README_CSV_SHA256) == sorted(
             line.partition("#")[0].strip() for line in _readme_commands() if "--out" in line)
+
+
+class TestReadmeLibraryExample:
+    def test_runs_and_integrates_the_gaussian(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"## Library example\s+```python\n(.*?)```", readme, re.S).group(1)
+        namespace = {}
+        exec(block, namespace)
+        square, optimal = namespace["matrix"], namespace["optimal"]
+        assert square.shape == (21, 21) and optimal.source_nodes.shape == (21, 15)
+        exact = EXACT_INTEGRALS["f2"](optimal.target_nodes)
+        # the last block computes the optimal matrix's integrals; its error is 3.3e-11
+        assert np.max(np.abs(namespace["integrals"] - exact)) <= 1e-9
+        samples = np.exp(-square.source_nodes ** 2)
+        assert np.max(np.abs(square.entries @ samples - exact)) <= 1e-14  # same targets

@@ -80,7 +80,7 @@ def grouped_optimal_gim(targets, config):
         alpha_star = np.full(targets.size, float(config.alpha_a))
     else:
         distinct, inverse = np.unique(np.abs(targets) if m % 2 == 0 else targets, return_inverse=True)
-        alpha_star = optimize_alpha(distinct, m, config)[inverse]
+        alpha_star = optimize_alpha(distinct, config)[inverse]
     groups = {}  # the rows of each parameter, in order of first appearance
     for k, a_k in enumerate(alpha_star.tolist()):
         groups.setdefault(a_k, []).append(k)
@@ -118,6 +118,13 @@ class TestConfig:
             OptimalConfig(m=5, epsilon=math.inf)
         with pytest.raises(ValueError):
             OptimalConfig(m=5, alpha_a=0.3)
+        # both degrees take the one degree check; a NaN m_max optimized every row
+        for name in ("m", "m_max"):
+            for bad in (-1, 2.5, math.nan, math.inf):
+                with pytest.raises(ValueError, match=f"{name} must be a non-negative integer"):
+                    OptimalConfig(**{"m": 5, name: bad})
+        cfg = OptimalConfig(m=5.0, m_max=7.0)
+        assert (cfg.m, cfg.m_max) == (5, 7) and type(cfg.m) is type(cfg.m_max) is int
         # alpha_b is a parameter like any other: it must exceed -1/2 and be finite
         for alpha_b in (-0.7, -0.5, math.nan):
             with pytest.raises(ValueError):
@@ -128,18 +135,18 @@ class TestOptimizeAlpha:
     def test_result_in_search_range(self):
         cfg = OptimalConfig(m=9)
         for x in (-0.9, -0.3, 0.0, 0.4, 1.0):
-            a = optimize_alpha(x, 9, cfg)
+            a = optimize_alpha(x, cfg)
             assert -0.5 < a <= cfg.r
 
     def test_even_m_is_exactly_symmetric(self):
         cfg = OptimalConfig(m=8)
         for x in (0.17, 0.62, 0.98):
-            assert optimize_alpha(x, 8, cfg) == optimize_alpha(-x, 8, cfg)
+            assert optimize_alpha(x, cfg) == optimize_alpha(-x, cfg)
 
     def test_minimality_against_chebyshev_and_legendre(self):
         cfg = OptimalConfig(m=11)
         for x in (0.35, 0.8):
-            a_star = optimize_alpha(x, 11, cfg)
+            a_star = optimize_alpha(x, cfg)
             best = eta(x, 11, GegenbauerParam(a_star)) ** 2
             for ref in (0.0, 0.5):
                 assert best <= eta(x, 11, GegenbauerParam(ref)) ** 2 * (1 + 1e-9) + 1e-30
@@ -149,12 +156,12 @@ class TestOptimizeAlpha:
         # at -1, and at 1 for even m, the error factor is zero for every parameter
         cfg = OptimalConfig(m=m, alpha_b=1.25)
         for x in ((-1.0, 1.0) if m % 2 == 0 else (-1.0,)):
-            assert optimize_alpha(x, m, cfg) == 1.25
+            assert optimize_alpha(x, cfg) == 1.25
 
     def test_out_of_range_target_rejected(self):
         for x in (1.5, math.nan, [0.2, math.nan], [-1.0, -1.1]):
             with pytest.raises(ValueError):
-                optimize_alpha(x, 8, OptimalConfig(m=8))
+                optimize_alpha(x, OptimalConfig(m=8))
 
     def test_m_zero_has_no_minimizer(self):
         # at m = 0 the one adjoint node is 0 for every parameter, so the error
@@ -162,7 +169,7 @@ class TestOptimizeAlpha:
         cfg = OptimalConfig(m=0, alpha_b=1.25)
         for x in (-0.6, 0.0, 0.3, 1.0):
             assert len({eta(x, 0, GegenbauerParam(a)) for a in (-0.4, 0.0, 0.7, 2.0)}) == 1
-            assert optimize_alpha(x, 0, cfg) == 1.25
+            assert optimize_alpha(x, cfg) == 1.25
         assert np.all(build_optimal_gim([-0.5, 0.2, 0.9], cfg).alpha == 1.25)
 
     @pytest.mark.parametrize("m", range(21))
@@ -184,7 +191,7 @@ class TestOptimizeAlpha:
         # is 0 at a root, and the two values are zeros rounded at different
         # resolutions; there the searched parameter must sit as close to a root
         cfg = OptimalConfig(m=m)
-        a_star, oracle = optimize_alpha(x, m, cfg), golden_section_alpha(x, m, cfg)
+        a_star, oracle = optimize_alpha(x, cfg), golden_section_alpha(x, m, cfg)
 
         def factor(a):
             return eta(x, m, GegenbauerParam(a))
@@ -200,17 +207,17 @@ class TestOptimizeAlpha:
         targets = np.concatenate([gg_rule(12, GegenbauerParam(0.3)).nodes, [-1.0, -0.4, 0.95, 1.0]])
         cfg = OptimalConfig(m=m)
         mat = build_optimal_gim(targets, cfg)
-        assert [optimize_alpha(x, m, cfg) for x in targets] == mat.alpha.tolist()
-        assert optimize_alpha(targets, m, cfg).tolist() == mat.alpha.tolist()
+        assert [optimize_alpha(x, cfg) for x in targets] == mat.alpha.tolist()
+        assert optimize_alpha(targets, cfg).tolist() == mat.alpha.tolist()
 
     @pytest.mark.parametrize("m", [1, 2, 9, 14, 15, 20])
     def test_builder_makes_one_search_of_at_most_five_evaluations(self, m, monkeypatch):
         searches, evaluations = [], []
 
         def counted(original, log):
-            def call(x, m, arg):
-                log.append(np.broadcast(x, arg).shape)
-                return original(x, m, arg)
+            def call(x, *args):  # the last argument is eta's parameter grid or the search's config
+                log.append(np.broadcast(x, args[-1]).shape)
+                return original(x, *args)
             return call
 
         monkeypatch.setattr(optimal, "optimize_alpha", counted(optimal.optimize_alpha, searches))
@@ -231,18 +238,18 @@ class TestOptimizeAlpha:
         cfg = OptimalConfig(m=20)
         tracemalloc.start()
         try:
-            alpha_star = optimize_alpha(targets, 20, cfg)
+            alpha_star = optimize_alpha(targets, cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2 ** 20
-        assert alpha_star[::97].tolist() == [optimize_alpha(x, 20, cfg) for x in targets[::97]]
+        assert alpha_star[::97].tolist() == [optimize_alpha(x, cfg) for x in targets[::97]]
 
     def test_array_targets_keep_their_shape(self):
         cfg = OptimalConfig(m=7)
         targets = np.array([[-0.3, 0.5], [0.9, -1.0]])
-        expected = [[optimize_alpha(x, 7, cfg) for x in row] for row in targets.tolist()]
-        assert optimize_alpha(targets, 7, cfg).tolist() == expected
+        expected = [[optimize_alpha(x, cfg) for x in row] for row in targets.tolist()]
+        assert optimize_alpha(targets, cfg).tolist() == expected
 
 
 class TestAlphaStarRegression:
@@ -354,6 +361,25 @@ class TestBuildOptimal:
         for a in mat.alpha:
             assert (-0.5 < a <= cfg.r) or a == cfg.alpha_b
 
+    @pytest.mark.parametrize("m", [6, 21])
+    def test_keeps_a_copy_of_the_targets(self, m):
+        # both branches; the caller's array stays writeable, the matrix's arrays are read-only
+        t = np.array([-0.4, 0.1, 0.8])
+        mat = build_optimal_gim(t, OptimalConfig(m=m))
+        assert t.flags.writeable
+        entries = mat.entries.copy()
+        t[:] = 0.0
+        assert mat.target_nodes.tolist() == [-0.4, 0.1, 0.8]
+        assert np.array_equal(mat.entries, entries)
+        for array in (mat.entries, mat.source_nodes, mat.target_nodes, mat.alpha):
+            assert not array.flags.writeable
+
+    def test_empty_target_set_rejected(self):
+        with pytest.raises(ValueError, match="target set must be non-empty"):
+            build_optimal_gim([], OptimalConfig(m=6))
+        with pytest.raises(ValueError, match="target set must be non-empty"):
+            check_condition_mmax([], OptimalConfig(m=6))
+
 
 class TestSymmetricFastPath:
     def test_equals_general_path(self):
@@ -382,7 +408,7 @@ class TestSymmetricFastPath:
 class TestConditionMmax:
     def test_interior_targets_feasible(self):
         targets = np.linspace(-0.9, 0.9, 7)
-        report = check_condition_mmax(targets, 8, 0.0)
+        report = check_condition_mmax(targets, OptimalConfig(m=8))
         assert report.feasible and report.violations == ()
 
     def test_synthetic_collision_detected(self):
@@ -396,30 +422,30 @@ class TestConditionMmax:
         assert z[i] < y[s]
         x = (1.0 + 2.0 * z[i] - y[s]) / (1.0 + y[s])
         assert -1.0 < x < 1.0
-        report = check_condition_mmax(np.array([x]), m, 0.0)
+        report = check_condition_mmax(np.array([x]), OptimalConfig(m=m))
         assert not report.feasible
         assert (i, s, 0) in report.violations
 
     def test_nan_target_rejected(self):
         with pytest.raises(ValueError):
-            check_condition_mmax(np.array([0.0, np.nan]), 6, 0.5)
+            check_condition_mmax(np.array([0.0, np.nan]), OptimalConfig(m=6, alpha_a=0.5))
 
     def test_left_endpoint_target_vacuous(self):
-        report = check_condition_mmax(np.array([-1.0]), 6, 0.5)
+        report = check_condition_mmax(np.array([-1.0]), OptimalConfig(m=6, alpha_a=0.5))
         assert report.feasible
 
     def test_epsilon_validation(self):
         with pytest.raises(ValueError):
-            check_condition_mmax(np.array([0.0]), 6, 0.5, epsilon=-1.0)
+            check_condition_mmax(np.array([0.0]), OptimalConfig(m=6, alpha_a=0.5, epsilon=-1.0))
         with pytest.raises(ValueError):
-            check_condition_mmax(np.array([0.0]), 6, 0.5, epsilon=math.nan)
+            check_condition_mmax(np.array([0.0]), OptimalConfig(m=6, alpha_a=0.5, epsilon=math.nan))
 
     @pytest.mark.parametrize("m", [24, 28])
     def test_uses_the_builders_legendre_count(self, m):
         # the target 1 bumps the Legendre count of the m > m_max branch, and the
         # check must use that count: with m // 2 it finds a collision the builder never meets
         targets = [0.3, 1.0]
-        assert check_condition_mmax(targets, m, 0.0).feasible
+        assert check_condition_mmax(targets, OptimalConfig(m=m)).feasible
         build_optimal_gim(targets, OptimalConfig(m=m))
 
     def test_placed_target_refused_by_the_builder_is_infeasible(self):
@@ -427,7 +453,7 @@ class TestConditionMmax:
         # lies within epsilon of the adjoint node 0, and the m > m_max branch raises
         target = [-0.9548796876054403]
         assert dense_mmax_violations(target, 21, 0.0, EPS_MACH) == ()
-        assert check_condition_mmax(target, 21, 0.0).violations == ((0, 1, 0),)
+        assert check_condition_mmax(target, OptimalConfig(m=21)).violations == ((0, 1, 0),)
         with pytest.raises(CollisionError, match="adjoint node") as err:
             build_optimal_gim(target, OptimalConfig(m=21))
         assert (err.value.i, err.value.j, err.value.k) == (0, 0, 1)
@@ -474,7 +500,7 @@ class TestConditionMmaxMatchesDenseOracle:
     @pytest.mark.parametrize("epsilon", [EPS_MACH, 1e-6, 1e-2])
     def test_same_violations_in_same_order(self, epsilon):
         for m, alpha_a, targets in placed_target_sets(epsilon):
-            report = check_condition_mmax(targets, m, alpha_a, epsilon)
+            report = check_condition_mmax(targets, OptimalConfig(m=m, alpha_a=alpha_a, epsilon=epsilon))
             want = dense_mapped_mmax_violations(targets, m, alpha_a, epsilon)
             assert report.violations == want, (m, alpha_a)
             assert report.feasible == (not want)
@@ -485,14 +511,15 @@ class TestConditionMmaxMatchesDenseOracle:
         # two rules flag the same triples here, but not at EPS_MACH or 1e-2
         for m, alpha_a, targets in placed_target_sets(epsilon):
             want = dense_mmax_violations(targets, m, alpha_a, epsilon)
-            assert check_condition_mmax(targets, m, alpha_a, epsilon).violations == want, (m, alpha_a)
+            cfg = OptimalConfig(m=m, alpha_a=alpha_a, epsilon=epsilon)
+            assert check_condition_mmax(targets, cfg).violations == want, (m, alpha_a)
 
     @pytest.mark.parametrize("epsilon", [EPS_MACH, 1e-12, 1e-6, 1e-2])
     def test_verdict_is_the_build(self, epsilon):
         # feasible exactly when build_gim_arbitrary builds, which raises at the
         # first violation in (target, Legendre point, node) order
         for m, alpha_a, targets in placed_target_sets(epsilon):
-            report = check_condition_mmax(targets, m, alpha_a, epsilon)
+            report = check_condition_mmax(targets, OptimalConfig(m=m, alpha_a=alpha_a, epsilon=epsilon))
             try:
                 build_gim_arbitrary(targets, m, GegenbauerParam(alpha_a), epsilon)
             except CollisionError as err:
@@ -543,7 +570,7 @@ class TestCollision:
         targets = np.array([0.3, 0.5, 0.7, 0.2, 0.4, 0.6, 0.8, -0.9])
         with pytest.raises(CollisionError, match="adjoint node") as hit:
             build_optimal_gim(targets, cfg)
-        z = gg_rule(4, GegenbauerParam(optimize_alpha(-0.9, 4, cfg))).nodes
+        z = gg_rule(4, GegenbauerParam(optimize_alpha(-0.9, cfg))).nodes
         y = 0.5 * ((-0.9 + 1.0) * lg_rule(_lg_count(4, targets, 0.01)).nodes - 0.9 - 1.0)
         s, i = np.argwhere(np.abs(y[:, None] - z) <= 0.01)[0]  # the first in (s, i) order
         assert (hit.value.i, hit.value.j, hit.value.k) == (i, 7, s)

@@ -34,6 +34,14 @@ class TestParamInvariants:
         with pytest.raises(ValueError):
             PolySpec(-1, GegenbauerParam(0.5))
 
+    @pytest.mark.parametrize("degree", [2.5, -1, math.nan, math.inf])
+    def test_one_degree_check(self, degree):
+        for make in (lambda: PolySpec(degree, GegenbauerParam(0.5)),
+                     lambda: ErrorBoundInput(degree, GegenbauerParam(0.5), 0.0, 1.0)):
+            with pytest.raises(ValueError, match="degree must be a non-negative integer"):
+                make()
+        assert PolySpec(3.0, GegenbauerParam(0.5)).degree == 3
+
 
 class TestEval:
     def test_degree_zero_is_one(self):
@@ -222,6 +230,12 @@ class TestEta:
     def test_overflow_is_reported(self):
         with pytest.raises(OverflowError):
             eta(0.3, 20000, GegenbauerParam(300.0))
+
+    @pytest.mark.parametrize("m", [2.5, -1, math.nan, math.inf])
+    def test_degree_must_be_a_non_negative_integer(self, m):
+        # 2.5 used to end in a TypeError from the recurrence
+        with pytest.raises(ValueError, match="m must be a non-negative integer"):
+            eta(0.3, m, GegenbauerParam(0.5))
 
 
 class TestDiscreteTransform:

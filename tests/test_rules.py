@@ -341,6 +341,17 @@ class TestCsv:
         assert_allclose(back.nodes, rule.nodes, atol=0.0)
         assert_allclose(back.weights, rule.weights, atol=0.0)
 
+    @pytest.mark.parametrize("text", ["", "n,alpha\n3,0.5\n"])
+    def test_not_a_rule_csv_rejected(self, text):
+        with pytest.raises(ValueError, match="not a quadrature-rule CSV"):
+            rule_from_csv(io.StringIO(text))
+
+    def test_read_rule_is_read_only(self):
+        buf = io.StringIO()
+        rule_to_csv(gg_rule(3, GegenbauerParam(0.5)), buf)
+        back = rule_from_csv(io.StringIO(buf.getvalue()))
+        assert not back.nodes.flags.writeable and not back.weights.flags.writeable
+
     def test_seventeen_significant_digits(self, tmp_path):
         rule = lg_rule(3)
         path = tmp_path / "rule.csv"

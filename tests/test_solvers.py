@@ -29,9 +29,11 @@ class TestNewton:
             newton_solve(lambda v: v, np.array([]))
 
     def test_non_convergence_reported(self):
-        # residual bounded away from zero
-        with pytest.raises(ConvergenceError):
-            newton_solve(lambda v: np.tanh(v) + 2.0, np.array([0.0]), max_iter=5)
+        # e^v: every Newton step is -1 (to rounding) and is accepted at once, and
+        # divides the residual by e, so 5 iterations from 0 leave it at e^-5
+        with pytest.raises(ConvergenceError,
+                           match=r"no convergence in 5 iterations \(residual max-norm 6\.738e-03\)"):
+            newton_solve(np.exp, np.array([0.0]), max_iter=5)
 
     def test_exhausted_line_search_raises(self):
         # |v| + 1 is smallest at v = 0, where no step decreases it; the
@@ -274,6 +276,16 @@ class TestExample2Jacobian:
     @pytest.mark.parametrize("n", [80, 160, 240])
     def test_large_n_accuracy(self, n, alpha):
         assert solve_example2(n, GegenbauerParam(alpha)).cd >= 13.5
+
+
+class TestSolutionArrays:
+    def test_holds_read_only_views_of_writeable_arrays(self):
+        given = {"nodes": np.array([0.0, 1.0]), "values": np.array([1.0, 2.0]),
+                 "exact": np.array([1.0, 2.5])}
+        sol = CollocationSolution(mae=0.5, cd=0.3, kappa2=None, n=1, m=None, alpha=0.5, **given)
+        for name, array in given.items():
+            assert array.flags.writeable and not getattr(sol, name).flags.writeable, name
+            assert np.shares_memory(getattr(sol, name), array), name
 
 
 class TestSolutionCsv:
