@@ -31,6 +31,8 @@ from .solvers import solve_example1, solve_example2, solution_to_csv
 USAGE_ERROR = 1
 INFEASIBLE = 2
 _GRID_OPTIONS = ("--n-grid", "--alpha-grid")
+#: most points of one start:step:stop range, checked before any value is built
+_MAX_RANGE_POINTS = 10 ** 6
 
 _VARIANTS = {
     "plain": build_gim_gg,
@@ -59,9 +61,12 @@ def parse_grid(text: str):
         start, step, stop = (float(p) for p in parts)
         if step == 0.0:
             raise ValueError("range step must be nonzero")
-        count = int(round((stop - start) / step))
-        if count < 0:
+        span = (stop - start) / step
+        if span < -0.5:  # rounds to a negative count
             raise ValueError(f"empty range {text!r}")
+        if not span < _MAX_RANGE_POINTS - 0.5:  # round(span) + 1 points at most; NaN and inf fail
+            raise ValueError(f"range {text!r} must be finite, of at most {_MAX_RANGE_POINTS} points")
+        count = int(round(span))
         values = [start + i * step for i in range(count + 1)]
         return [round(v, 12) for v in values if (v - stop) * np.sign(step) <= 1e-12]
     return [float(p) for p in text.split(",") if p.strip()]

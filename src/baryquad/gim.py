@@ -15,10 +15,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .barycentric import BarycentricBasis, bary_weights_gg
+from .barycentric import bary_weights_gg
 from .errors import CollisionError
-from .polynomials import (EPS_MACH, GegenbauerParam, _check_epsilon, _frozen, _integration_relation, _norms,
-                          _terms)
+from .polynomials import (EPS_MACH, GegenbauerParam, _check_degree, _check_epsilon, _frozen,
+                          _integration_relation, _norms, _terms)
 from .rules import _write_lines, gg_rule, lg_rule
 
 INTERVAL_BIUNIT = "[-1,1]"
@@ -235,54 +235,40 @@ def _build_rows(target_nodes, nodes: np.ndarray, xi: np.ndarray, lg, epsilon: fl
     return rows
 
 
-def _reflected_rows(basis: BarycentricBasis, lg, epsilon: float):
-    """The square matrix from its rows with x_j <= 0, or None when a screened point hits.
+def _square(n: int, param: GegenbauerParam, epsilon: float, on_hit: str) -> IntegrationMatrix:
+    """The one square-matrix body, after one screen of the Gauss targets and, for odd n, the target 1.
 
-    The Gauss nodes are symmetric, x_{n-j} = -x_j, and so are the cardinal
-    functions, l_{n-i}(-x) = l_i(x); hence Q[j, i] = E_i - Q[n-j, n-i] with
-    E_i the integral of l_i over [-1, 1].  The rows with x_j > 0 are taken
-    that way.  For even n the middle node is exactly 0, so
-    E = Q[n/2] + Q[n/2, ::-1]; for odd n, E is the row of the target 1,
-    built in the same kernel call (the count takes no endpoint bump for
-    odd n).  All n + 1 Gauss targets, and for odd n the target 1, are
-    screened before any row is built.
+    With no hit the rows with x_j <= 0 go through the row kernel and the
+    others follow from the node symmetry, Q[j, i] = E_i - Q[n-j, n-i] with
+    E the full-interval row: Q[n/2] + Q[n/2, ::-1] for even n, whose middle
+    node is 0, and the row of the target 1 for odd n.  Otherwise every
+    Gauss row goes through the kernel, ``on_hit`` "raise" or "cardinal" as
+    in :func:`_build_rows`, or "bump": one more Legendre point if a Gauss
+    target hits (a hit on the target 1 alone keeps the default count).
     """
-    nodes = basis.nodes
-    n = nodes.size - 1
+    rule = gg_rule(n, param)
+    basis = bary_weights_gg(rule)
+    nodes, lg = basis.nodes, lg_rule(_lg_count_default(n))
     half = n // 2 + 1  # the rows with x_j <= 0
     kept = half + n % 2  # and, for odd n, the target 1 right after them
     targets = np.concatenate((nodes[:half], [1.0], nodes[half:])) if n % 2 else nodes
     mapped, nearest, hit = _screen(targets, nodes, lg, epsilon)
-    if any(hit):
-        return None
-    rows = _build_rows(targets[:kept], nodes, basis.xi, lg, epsilon, "raise",
-                       (mapped[:kept], nearest[:kept], hit[:kept]))
-    total = rows[half] if n % 2 else rows[half - 1] + rows[half - 1, ::-1]
-    entries = np.empty((n + 1, n + 1))
-    entries[:half] = rows[:half]
-    entries[half:] = total - rows[:n + 1 - half][::-1, ::-1]
-    return entries
-
-
-def _build_gim(targets, n: int, param: GegenbauerParam, epsilon: float, on_hit: str, count: int):
-    """The one matrix body: Gauss rule, barycentric weights, Legendre rule, rows.
-
-    ``targets`` None means the Gauss nodes (the square matrix), which are
-    built by reflection (:func:`_reflected_rows`) when no screened point
-    hits, and otherwise row by row as any other target set.  ``on_hit`` is
-    a :func:`_build_rows` policy.
-    """
-    rule = gg_rule(n, param)
-    basis = bary_weights_gg(rule)
-    lg = lg_rule(count)
-    entries = None
-    if targets is None:
-        targets = rule.nodes
-        entries = _reflected_rows(basis, lg, epsilon)
-    if entries is None:
-        entries = _build_rows(targets, basis.nodes, basis.xi, lg, epsilon, on_hit)
+    if not any(hit):
+        rows = _build_rows(targets[:kept], nodes, basis.xi, lg, epsilon, "raise",
+                           (mapped[:kept], nearest[:kept], hit[:kept]))
+        total = rows[half] if n % 2 else rows[half - 1] + rows[half - 1, ::-1]
+        entries = np.empty((n + 1, n + 1))
+        entries[:half] = rows[:half]
+        entries[half:] = total - rows[:n + 1 - half][::-1, ::-1]
+    else:
+        gauss = np.arange(targets.size) != half if n % 2 else slice(None)  # the screen without the 1
+        screen = mapped[gauss], nearest[gauss], hit[:half] + hit[kept:]
+        if on_hit == "bump" and any(screen[2]):
+            lg, screen = lg_rule(_lg_count_default(n) + 1), None
+        policy = "raise" if on_hit == "bump" else on_hit
+        entries = _build_rows(nodes, nodes, basis.xi, lg, epsilon, policy, screen)
     return IntegrationMatrix(entries=entries, order=1, source_nodes=rule.nodes,
-                             target_nodes=targets, interval=INTERVAL_BIUNIT, alpha=param.alpha)
+                             target_nodes=rule.nodes, interval=INTERVAL_BIUNIT, alpha=param.alpha)
 
 
 def build_gim_gg(n: int, param: GegenbauerParam, epsilon: float = EPS_MACH) -> IntegrationMatrix:
@@ -303,7 +289,7 @@ def build_gim_gg(n: int, param: GegenbauerParam, epsilon: float = EPS_MACH) -> I
         node (the infeasible case); the guarded or bumped builders handle
         those parameter pairs.
     """
-    return _build_gim(None, n, param, epsilon, "raise", _lg_count_default(n))
+    return _square(n, param, epsilon, "raise")
 
 
 def build_gim_gg_guarded(n: int, param: GegenbauerParam, epsilon: float = EPS_MACH) -> IntegrationMatrix:
@@ -313,23 +299,20 @@ def build_gim_gg_guarded(n: int, param: GegenbauerParam, epsilon: float = EPS_MA
     the interpolant value at the hit node is the sample itself, so the
     cardinal row preserves polynomial exactness instead of overflowing.
     """
-    return _build_gim(None, n, param, epsilon, "cardinal", _lg_count_default(n))
+    return _square(n, param, epsilon, "cardinal")
 
 
 def build_gim_gg_bumped(n: int, param: GegenbauerParam, epsilon: float = EPS_MACH) -> IntegrationMatrix:
-    """Square matrix that retries with one extra Legendre point on collision.
+    """Square matrix built with one extra Legendre point where the plain one collides.
 
     The interpolant has degree <= n, so both Legendre counts integrate it
     exactly and the result equals :func:`build_gim_gg` whenever the latter
     exists; the enlarged rule merely moves the evaluation points off the
-    colliding configuration.  Every row of the retry goes through the row
-    kernel, none by reflection.
+    colliding configuration.  Every row of that rebuild goes through the
+    row kernel, none by reflection, and it raises :class:`CollisionError`
+    only if the enlarged rule collides too.
     """
-    try:
-        return build_gim_gg(n, param, epsilon)
-    except CollisionError:
-        nodes = gg_rule(n, param).nodes
-        return _build_gim(nodes, n, param, epsilon, "raise", _lg_count_default(n) + 1)
+    return _square(n, param, epsilon, "bump")
 
 
 def build_gim_arbitrary(target_nodes, n: int, param: GegenbauerParam,
@@ -338,19 +321,15 @@ def build_gim_arbitrary(target_nodes, n: int, param: GegenbauerParam,
 
     Source nodes are still the n+1 Gauss nodes of the family; one row is
     produced per target.  The endpoint parity bump of the Legendre count
-    applies whenever a target lies within 2 epsilon of 1.
+    applies whenever a target lies within 2 epsilon of 1, so the row of
+    the target 1 is the quadrature row for the full interval.
     """
     targets = _validated_targets(target_nodes)
-    return _build_gim(targets, n, param, epsilon, "raise", _lg_count(n, targets, epsilon))
-
-
-def row_gim_endpoint(n: int, param: GegenbauerParam, epsilon: float = EPS_MACH) -> np.ndarray:
-    """Quadrature row for the full interval: coefficients for the integral to 1.
-
-    The row of :func:`build_gim_arbitrary` for the target 1, which always
-    takes the endpoint parity bump.
-    """
-    return build_gim_arbitrary(1.0, n, param, epsilon).entries[0]
+    count = _lg_count(n, targets, epsilon)
+    rule = gg_rule(n, param)
+    entries = _build_rows(targets, rule.nodes, bary_weights_gg(rule).xi, lg_rule(count), epsilon, "raise")
+    return IntegrationMatrix(entries=entries, order=1, source_nodes=rule.nodes,
+                             target_nodes=targets, interval=INTERVAL_BIUNIT, alpha=param.alpha)
 
 
 def build_basis_gim(n: int, param: GegenbauerParam) -> IntegrationMatrix:
@@ -387,11 +366,9 @@ def qth_order_gim(first: IntegrationMatrix, q: int) -> IntegrationMatrix:
     coordinates; applied to samples of f it approximates the q-fold
     iterated integral, exactly so for degree <= cols - q.
     """
-    if int(q) != q or q < 1:
-        raise ValueError(f"order must be a positive integer, got {q}")
+    q = _check_degree(q, "order", positive=True)
     if first.order != 1:
         raise ValueError("qth_order_gim expects a first-order matrix")
-    q = int(q)
     if q == 1:
         return first
     diff = first.target_nodes[:, None] - first.source_nodes

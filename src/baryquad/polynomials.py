@@ -31,10 +31,14 @@ def _check_epsilon(epsilon: float) -> None:
         raise ValueError("epsilon must be positive and finite")
 
 
-def _check_degree(value, name: str) -> int:
-    """The package's one test of a degree: a non-negative integer (3.0 passes), returned as an int."""
-    if not (math.isfinite(value) and value >= 0 and int(value) == value):
-        raise ValueError(f"{name} must be a non-negative integer, got {value}")
+def _check_degree(value, name: str, positive: bool = False) -> int:
+    """The package's one test of a degree: a non-negative integer (3.0 passes), returned as an int.
+
+    ``positive`` also refuses 0, for an integration order.
+    """
+    if not (math.isfinite(value) and value >= (1 if positive else 0) and int(value) == value):
+        kind = "positive" if positive else "non-negative"
+        raise ValueError(f"{name} must be a {kind} integer, got {value}")
     return int(value)
 
 
@@ -71,43 +75,11 @@ class GegenbauerParam:
 
 
 @dataclass(frozen=True)
-class PolySpec:
-    """A degree together with its family parameter."""
-
-    degree: int
-    param: GegenbauerParam
-
-    def __post_init__(self):
-        object.__setattr__(self, "degree", _check_degree(self.degree, "degree"))
-
-
-@dataclass(frozen=True)
 class NormAndLeading:
     """Weighted L2 norm squared and leading (x^n) coefficient of G_n."""
 
     norm: float
     leading: float
-
-
-@dataclass(frozen=True)
-class ErrorBoundInput:
-    """Inputs of the finite-degree quadrature error bounds.
-
-    ``derivative_bound`` is a uniform bound on the (degree+1)-th derivative
-    of the integrand over [-1, 1].
-    """
-
-    degree: int
-    param: GegenbauerParam
-    x: float
-    derivative_bound: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "degree", _check_degree(self.degree, "degree"))
-        if not -1.0 <= self.x <= 1.0:
-            raise ValueError(f"x must lie in [-1, 1], got {self.x}")
-        if self.derivative_bound < 0:
-            raise ValueError("derivative bound must be non-negative")
 
 
 def _terms(n: int, a, x):
@@ -184,30 +156,21 @@ def _integration_relation(l, a, g_prev, g_next):
             - l / (l + 2.0 * a - 1.0) * (g_prev - end)) / (2.0 * (l + a))
 
 
-def gegenbauer_eval(spec: PolySpec, x):
-    """Evaluate G_n(x) under the G_n(1) = 1 standardization.
+def gegenbauer_eval(x, n: int, param: GegenbauerParam):
+    """G_n(x) under the G_n(1) = 1 standardization, odd in x for odd n and even for even n.
 
-    Parameters
-    ----------
-    spec : PolySpec
-        Degree and family parameter.
-    x : float or ndarray
-        Evaluation point(s).  Values outside [-1, 1] are allowed.
-
-    Returns
-    -------
-    float or ndarray
-        G_n(x), odd in x for odd n and even for even n.
+    ``x`` is a float or an array; points outside [-1, 1] are allowed.
     """
+    n = _check_degree(n, "degree")
     arr = np.asarray(x, dtype=float)
-    (val,) = deque(_terms(spec.degree, spec.param.alpha, np.atleast_1d(arr)), maxlen=1)
+    (val,) = deque(_terms(n, param.alpha, np.atleast_1d(arr)), maxlen=1)
     return float(val[0]) if arr.ndim == 0 else np.array(val).reshape(arr.shape)  # copy: G_1 is x itself
 
 
-def gegenbauer_norm_leading(spec: PolySpec) -> NormAndLeading:
+def gegenbauer_norm_leading(n: int, param: GegenbauerParam) -> NormAndLeading:
     """Weighted norm squared, as in :func:`_norms`, and leading coefficient of G_n."""
-    n = spec.degree
-    a = spec.param.alpha
+    n = _check_degree(n, "degree")
+    a = param.alpha
     leading = 1.0
     for j in range(2, n + 1):
         leading *= 2.0 * (j + a - 1.0) / (j + 2.0 * a - 1.0)
@@ -248,13 +211,13 @@ def _running_integral(n: int, a, x):
     return np.where(x == -1.0, 0.0, _integration_relation(n, a, g_prev, g_next))
 
 
-def integrate_gegenbauer(spec: PolySpec, x: float) -> float:
+def integrate_gegenbauer(x: float, n: int, param: GegenbauerParam) -> float:
     """Definite integral of G_n from -1 to ``x``.
 
     Closed form, O(n) per alpha: the ultraspherical integration relation
     writes the running integral through G_{n+1} and G_{n-1}.
     """
-    return float(_running_integral(spec.degree, spec.param.alpha, float(x)))
+    return float(_running_integral(_check_degree(n, "degree"), param.alpha, float(x)))
 
 
 def _eta_scale(m: int, a):
@@ -326,26 +289,35 @@ def discrete_gegenbauer_transform(rule, values) -> np.ndarray:
     return (table @ (rule.weights * f)) / _norms(n, alpha)
 
 
-def error_bound(inp: ErrorBoundInput, asymptotic: bool = False, b_constant: float | None = None) -> float:
+def error_bound(x: float, n: int, param: GegenbauerParam, derivative_bound: float,
+                asymptotic: bool = False, b_constant: float | None = None) -> float:
     """Upper bound on the quadrature truncation error over [-1, x].
 
-    The finite-degree branches split on the sign of alpha and, for negative
-    alpha, on the parity of the degree.  Binomial/gamma products are
-    evaluated in log space with the sign-indefinite gamma factors cancelled
-    analytically, so every branch is a product of positive terms.
+    ``derivative_bound``, which must be >= 0, bounds the (n+1)-th
+    derivative of the integrand over [-1, 1].  The finite-degree branches
+    split on the sign of alpha and, for negative alpha, on the parity of
+    the degree.  Binomial/gamma products are evaluated in log space with
+    the sign-indefinite gamma factors cancelled analytically, so every
+    branch is a product of positive terms.
 
-    With ``asymptotic=True`` the large-degree envelope is returned instead;
-    it contains an unspecified positive constant that the caller must
-    supply as ``b_constant``.
+    With ``asymptotic=True`` the large-degree envelope (n >= 1) is returned
+    instead; it contains an unspecified constant that the caller must
+    supply as ``b_constant``, positive and finite.
     """
-    n = inp.degree
-    a = inp.param.alpha
-    A = inp.derivative_bound
-    width = inp.x + 1.0
+    n = _check_degree(n, "degree")
+    if not -1.0 <= x <= 1.0:
+        raise ValueError(f"x must lie in [-1, 1], got {x}")
+    if not derivative_bound >= 0.0:
+        raise ValueError(f"derivative bound must be non-negative, got {derivative_bound}")
+    a = param.alpha
+    A = derivative_bound
+    width = x + 1.0
 
     if asymptotic:
         if b_constant is None:
             raise ValueError("asymptotic bound requires the caller-supplied constant")
+        if not 0.0 < b_constant < math.inf:
+            raise ValueError(f"asymptotic constant must be positive and finite, got {b_constant}")
         if n < 1:
             raise ValueError("asymptotic bound needs degree >= 1")
         exponent = n * (1.0 - math.log(2.0)) - (n + 1.5) * math.log(n)

@@ -197,7 +197,9 @@ def rule_from_csv(path_or_file) -> QuadratureRule:
     """Inverse of :func:`rule_to_csv`."""
     with _opened(path_or_file, "r") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or lines[0] != "kind,n,alpha":
+    fields = [ln.count(",") + 1 for ln in lines]
+    # the header, one kind,n,alpha line, then at least one node,weight row
+    if lines[:1] != ["kind,n,alpha"] or fields[1:2] != [3] or set(fields[2:]) != {2}:
         raise ValueError("not a quadrature-rule CSV")
     kind, n_s, alpha_s = lines[1].split(",")
     data = np.array([[float(v) for v in ln.split(",")] for ln in lines[2:]])

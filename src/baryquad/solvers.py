@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError
-from .gim import apply_quadrature, build_gim_gg_bumped, map_to_unit, qth_order_gim, row_gim_endpoint
+from .gim import apply_quadrature, build_gim_arbitrary, build_gim_gg_bumped, map_to_unit, qth_order_gim
 from .optimal import OptimalConfig, build_optimal_gim
 from .polynomials import EPS_MACH, GegenbauerParam, _frozen
 from .rules import _write_lines
@@ -133,7 +133,7 @@ def _unit_interval_operators(n: int, param: GegenbauerParam):
     """Gauss nodes, then on [0, 1] the nodes, bumped square matrix (built at every alpha) and endpoint row."""
     biunit = build_gim_gg_bumped(n, param)
     square = map_to_unit(biunit)
-    endpoint = row_gim_endpoint(n, param) / 2.0
+    endpoint = build_gim_arbitrary(1.0, n, param).entries[0] / 2.0
     return biunit.target_nodes, square.target_nodes, square, endpoint
 
 

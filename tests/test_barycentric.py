@@ -77,6 +77,12 @@ class TestBasisInvariants:
         with pytest.raises(ValueError):
             BarycentricBasis(nodes=np.array([0.0, 0.5, 1.0]), xi=np.array([1.0, -1.0, -2.0]))
 
+    @pytest.mark.parametrize("nodes, xi", [([0.0, 1.0], [1.0, -1.0, 1.0]), ([[0.0, 1.0]], [1.0, -1.0]),
+                                           ([], [])])
+    def test_shapes_must_be_equal_one_dimensional_and_non_empty(self, nodes, xi):
+        with pytest.raises(ValueError, match="1-D arrays of equal nonzero length"):
+            BarycentricBasis(nodes=np.array(nodes), xi=np.array(xi))
+
     def test_holds_read_only_views_of_writeable_arrays(self):
         nodes, xi = np.array([0.0, 0.5, 1.0]), np.array([1.0, -2.0, 1.0])
         basis = BarycentricBasis(nodes=nodes, xi=xi)

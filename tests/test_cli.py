@@ -38,6 +38,11 @@ class TestParseGrid:
             parse_grid("")
         with pytest.raises(ValueError):
             parse_grid("0:0:1")
+        with pytest.raises(ValueError, match="empty range"):
+            parse_grid("5:1:1")
+        # refused before any value is built: 10^12 points would never finish
+        with pytest.raises(ValueError, match="of at most 1000000 points"):
+            parse_grid("1:1:1e12")
 
 
 class TestGimCommand:
@@ -120,6 +125,16 @@ class TestQuadbenchCommand:
 
     def test_empty_grid_exits_one(self, capsys):
         assert main(["quadbench", "--f", "f1", "--n-grid", "", "--alpha-grid", "0.5"]) == 1
+        # "," parses to an empty list, which the benchmark refuses
+        assert main(["quadbench", "--f", "f1", "--n-grid", ",", "--alpha-grid", "0.5"]) == 1
+        assert "UsageError: benchmark grids must be non-empty" in capsys.readouterr().err
+
+    def test_time_flag_reports_elapsed_on_stderr(self, tmp_path, capsys):
+        out = tmp_path / "bench.csv"
+        assert main(["quadbench", "--f", "f1", "--n-grid", "4", "--alpha-grid", "0.5",
+                     "--time", "--out", str(out)]) == 0
+        assert re.fullmatch(r"elapsed: \d+\.\d{3} s\n", capsys.readouterr().err)
+        assert read_csv(out)[0] == "n,alpha,node_index,err_bary,err_basis"
 
     def test_infeasible_point_becomes_nan_row(self, tmp_path):
         out = tmp_path / "bench.csv"
@@ -179,6 +194,9 @@ class TestFeasibilityCommand:
 
     def test_malformed_range_exits_one(self, capsys):
         assert main(["feasibility", "--n-grid", "1:5", "--alpha-grid", "0.5"]) == 1
+        # refused before any of its 10^12 values is built
+        assert main(["feasibility", "--n-grid", "1:1:1e12", "--alpha-grid", "0.5"]) == 1
+        assert "UsageError: range '1:1:1e12' must be finite, of at most" in capsys.readouterr().err
 
     def test_invalid_alpha_grid_exits_one(self, capsys):
         assert main(["feasibility", "--n-grid", "3", "--alpha-grid", "-0.6"]) == 1

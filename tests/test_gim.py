@@ -14,9 +14,9 @@ from scipy.integrate import quad
 from baryquad import (CollisionError, GegenbauerParam, IntegrationMatrix, apply_quadrature,
                       build_basis_gim, build_gim_arbitrary, build_gim_gg, build_gim_gg_bumped,
                       build_gim_gg_guarded, check_gg_condition, gg_rule, map_to_unit,
-                      lg_rule, matrix_to_csv, qth_order_gim, row_gim_endpoint)
+                      lg_rule, matrix_to_csv, qth_order_gim)
 from baryquad.barycentric import BarycentricBasis, _gauss_xi, bary_weights_gg, lagrange_matrix
-from baryquad.gim import _build_rows, _lg_count_default
+from baryquad.gim import _build_rows, _lg_count_default, _screen
 from baryquad.polynomials import EPS_MACH, _integration_relation, _running_integral, _terms
 
 
@@ -202,6 +202,21 @@ class TestReflectedSquare:
         assert np.array_equal(build_gim_gg_guarded(n, param, epsilon).entries, guarded)
         assert np.array_equal(build_gim_gg_bumped(n, param, epsilon).entries, bumped)
 
+    @pytest.mark.parametrize("n, alpha, epsilon", [(9, -0.27, 2e-4), (17, -0.11, 1e-5),
+                                                   (47, -0.13, 7e-7)])
+    def test_hit_on_the_target_one_alone_builds_every_row(self, n, alpha, epsilon):
+        # for odd n the screen also takes the target 1, whose row gives the reflection's E;
+        # a hit there alone leaves every Gauss target clear, so all three builders return
+        # the default-count kernel rows, which differ from the reflected ones in the last bits
+        param = GegenbauerParam(alpha)
+        nodes, basis, lg = _kernel_inputs(n, alpha)
+        hit = _screen(np.append(nodes, 1.0), basis.nodes, lg, epsilon)[2]
+        assert hit[-1] and not any(hit[:-1])
+        full = _build_rows(nodes, basis.nodes, basis.xi, lg, epsilon, on_hit="raise")
+        for build in (build_gim_gg, build_gim_gg_guarded, build_gim_gg_bumped):
+            assert np.array_equal(build(n, param, epsilon).entries, full)
+        assert not np.array_equal(build_gim_gg(n, param).entries, full)
+
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(1, 400), alpha=st.floats(-0.45, 2.0), data=st.data())
     def test_reflection_identity_on_full_kernel(self, n, alpha, data):
@@ -274,32 +289,33 @@ class TestEndpointRow:
     @pytest.mark.parametrize("alpha", [-0.25, 0.0, 0.5, 1.0])
     @pytest.mark.parametrize("n", [2, 4, 5, 9, 16])
     def test_integrates_monomials_over_full_interval(self, n, alpha):
-        row = row_gim_endpoint(n, GegenbauerParam(alpha))
+        row = build_gim_arbitrary(1.0, n, GegenbauerParam(alpha)).entries[0]
         nodes = gg_rule(n, GegenbauerParam(alpha)).nodes
         for p in range(n + 1):
             exact = 0.0 if p % 2 == 1 else 2.0 / (p + 1)
             assert row @ nodes ** p == pytest.approx(exact, abs=1e-13)
 
     def test_ones_give_interval_length(self):
-        row = row_gim_endpoint(8, GegenbauerParam(0.7))
+        row = build_gim_arbitrary(1.0, 8, GegenbauerParam(0.7)).entries[0]
         assert row @ np.ones(9) == pytest.approx(2.0, abs=1e-14)
 
     def test_odd_integrand_vanishes(self):
-        row = row_gim_endpoint(7, GegenbauerParam(0.3))
+        row = build_gim_arbitrary(1.0, 7, GegenbauerParam(0.3)).entries[0]
         nodes = gg_rule(7, GegenbauerParam(0.3)).nodes
         assert row @ nodes == pytest.approx(0.0, abs=1e-14)
 
     def test_parity_bump_case_n4(self):
         # without enlarging the Legendre rule, the shared zero node makes
         # this overflow; exactness shows the bump happened
-        row = row_gim_endpoint(4, GegenbauerParam(0.9))
+        row = build_gim_arbitrary(1.0, 4, GegenbauerParam(0.9)).entries[0]
         nodes = gg_rule(4, GegenbauerParam(0.9)).nodes
         assert np.all(np.isfinite(row))
         assert row @ nodes ** 4 == pytest.approx(2.0 / 5.0, abs=1e-14)
 
     def test_equals_arbitrary_build_with_endpoint_target(self):
+        # the scalar target 1, as the solvers pass it, and a one-element array give one row
         for n in (4, 7, 10, 80):
-            row = row_gim_endpoint(n, GegenbauerParam(0.2))
+            row = build_gim_arbitrary(1.0, n, GegenbauerParam(0.2)).entries[0]
             m = build_gim_arbitrary(np.array([1.0]), n, GegenbauerParam(0.2))
             assert np.array_equal(m.entries[0], row)
 
@@ -384,10 +400,13 @@ class TestHigherOrder:
 
     def test_invalid_order_rejected(self):
         m = build_gim_gg(4, GegenbauerParam(0.5))
-        with pytest.raises(ValueError):
-            qth_order_gim(m, 0)
+        # inf used to raise OverflowError, and nan a conversion error
+        for q in (0, -1, 2.5, math.inf, math.nan):
+            with pytest.raises(ValueError, match="order must be a positive integer"):
+                qth_order_gim(m, q)
         with pytest.raises(ValueError):
             qth_order_gim(qth_order_gim(m, 2), 2)
+        assert qth_order_gim(m, 2.0).order == 2
 
 
 class TestApply:

@@ -20,7 +20,7 @@ from baryquad import optimal, rules
 from baryquad.barycentric import _gauss_xi
 from baryquad.gim import _build_rows, _lg_count
 from baryquad.optimal import BOUNDARY_MARGIN, _ALPHA_TOL, _GRID_SAMPLES
-from baryquad.polynomials import EPS_MACH, PolySpec, gegenbauer_eval
+from baryquad.polynomials import EPS_MACH, gegenbauer_eval
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -323,9 +323,9 @@ class TestBuildOptimal:
         except CollisionError:
             reject()
         for k in range(m + 1):
-            spec = PolySpec(k, GegenbauerParam(0.5))
-            samples = gegenbauer_eval(spec, mat.source_nodes)
-            exact = [integrate_gegenbauer(spec, x) for x in targets]
+            legendre = GegenbauerParam(0.5)
+            samples = gegenbauer_eval(mat.source_nodes, k, legendre)
+            exact = [integrate_gegenbauer(x, k, legendre) for x in targets]
             err = np.max(np.abs(apply_quadrature(mat, samples) - exact))
             assert err <= 5e-13 * np.max(np.abs(samples)), k
 

@@ -9,16 +9,12 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
-from baryquad import (EPS_MACH, ErrorBoundInput, GegenbauerParam, PolySpec, build_gim_gg_guarded,
+from baryquad import (EPS_MACH, GegenbauerParam, build_gim_gg_guarded,
                       discrete_gegenbauer_transform, error_bound, eta, gegenbauer_eval,
                       gegenbauer_norm_leading, gg_rule, integrate_gegenbauer)
 from baryquad.polynomials import _norms
 
 ALPHAS = [-0.4, 0.0, 0.5, 1.0, 2.0]
-
-
-def spec(n, alpha):
-    return PolySpec(n, GegenbauerParam(alpha))
 
 
 class TestParamInvariants:
@@ -32,62 +28,67 @@ class TestParamInvariants:
 
     def test_rejects_negative_degree(self):
         with pytest.raises(ValueError):
-            PolySpec(-1, GegenbauerParam(0.5))
+            gegenbauer_eval(0.3, -1, GegenbauerParam(0.5))
 
     @pytest.mark.parametrize("degree", [2.5, -1, math.nan, math.inf])
     def test_one_degree_check(self, degree):
-        for make in (lambda: PolySpec(degree, GegenbauerParam(0.5)),
-                     lambda: ErrorBoundInput(degree, GegenbauerParam(0.5), 0.0, 1.0)):
+        param = GegenbauerParam(0.5)
+        for make in (lambda: gegenbauer_eval(0.3, degree, param),
+                     lambda: integrate_gegenbauer(0.3, degree, param),
+                     lambda: gegenbauer_norm_leading(degree, param),
+                     lambda: error_bound(0.0, degree, param, 1.0)):
             with pytest.raises(ValueError, match="degree must be a non-negative integer"):
                 make()
-        assert PolySpec(3.0, GegenbauerParam(0.5)).degree == 3
+        assert gegenbauer_eval(0.3, 3.0, param) == gegenbauer_eval(0.3, 3, param)
+        assert gegenbauer_norm_leading(3.0, param) == gegenbauer_norm_leading(3, param)
 
 
 class TestEval:
     def test_degree_zero_is_one(self):
-        assert gegenbauer_eval(spec(0, 1.0), 0.37) == 1.0
+        assert gegenbauer_eval(0.37, 0, GegenbauerParam(1.0)) == 1.0
 
     def test_standardized_at_one(self):
-        assert gegenbauer_eval(spec(5, 0.2), 1.0) == pytest.approx(1.0, abs=1e-14)
+        assert gegenbauer_eval(1.0, 5, GegenbauerParam(0.2)) == pytest.approx(1.0, abs=1e-14)
 
     def test_legendre_closed_form(self):
         # P_3(x) = (5x^3 - 3x)/2, so P_3(0.4) = -0.44
-        assert gegenbauer_eval(spec(3, 0.5), 0.4) == pytest.approx(-0.44, abs=1e-15)
+        assert gegenbauer_eval(0.4, 3, GegenbauerParam(0.5)) == pytest.approx(-0.44, abs=1e-15)
 
     def test_chebyshev_case_matches_cosine(self):
         x = np.linspace(-1, 1, 41)
         for n in (1, 4, 9):
-            assert_allclose(gegenbauer_eval(spec(n, 0.0), x),
+            assert_allclose(gegenbauer_eval(x, n, GegenbauerParam(0.0)),
                             np.cos(n * np.arccos(x)), atol=1e-13)
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_parity(self, alpha, rng):
         x = rng.uniform(-1, 1, 100)
         for n in range(0, 51, 5):
-            s = spec(n, alpha)
-            assert_allclose(gegenbauer_eval(s, -x), (-1.0) ** n * gegenbauer_eval(s, x),
-                            atol=1e-13)
+            param = GegenbauerParam(alpha)
+            assert_allclose(gegenbauer_eval(-x, n, param),
+                            (-1.0) ** n * gegenbauer_eval(x, n, param), atol=1e-13)
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_standardization_up_to_degree_50(self, alpha):
         for n in range(51):
-            assert abs(gegenbauer_eval(spec(n, alpha), 1.0) - 1.0) <= 1e-12
+            assert abs(gegenbauer_eval(1.0, n, GegenbauerParam(alpha)) - 1.0) <= 1e-12
 
 
 class TestNormAndLeading:
     def test_frozen_legendre_values(self):
         # norm of P_0 = length of the interval, norm of P_1 = 2/3
-        assert gegenbauer_norm_leading(spec(0, 0.5)).norm == pytest.approx(2.0, rel=1e-14)
-        nl1 = gegenbauer_norm_leading(spec(1, 0.5))
+        legendre = GegenbauerParam(0.5)
+        assert gegenbauer_norm_leading(0, legendre).norm == pytest.approx(2.0, rel=1e-14)
+        nl1 = gegenbauer_norm_leading(1, legendre)
         assert nl1.norm == pytest.approx(2.0 / 3.0, rel=1e-14)
         assert nl1.leading == pytest.approx(1.0, rel=1e-15)
         # P_2 = (3x^2 - 1)/2
-        assert gegenbauer_norm_leading(spec(2, 0.5)).leading == pytest.approx(1.5, rel=1e-15)
+        assert gegenbauer_norm_leading(2, legendre).leading == pytest.approx(1.5, rel=1e-15)
 
     @pytest.mark.parametrize("alpha", [-0.4, 0.0, 0.5, 2.0])
     def test_vectorized_norms_match_scalar(self, alpha):
         got = _norms(640, alpha)
-        want = np.array([gegenbauer_norm_leading(spec(n, alpha)).norm for n in range(641)])
+        want = np.array([gegenbauer_norm_leading(n, GegenbauerParam(alpha)).norm for n in range(641)])
         assert_allclose(got, want, rtol=1e-14, atol=0.0)
         assert_allclose(_norms(0, alpha), want[:1], rtol=1e-14, atol=0.0)
 
@@ -112,14 +113,16 @@ class TestNormAndLeading:
             classical = math.exp((1 - 2 * a) * math.log(2) + math.log(math.pi)
                                  + math.lgamma(n + 2 * a) - math.lgamma(n + 1)
                                  - math.log(n + a) - 2 * math.lgamma(a))
-            assert gegenbauer_norm_leading(spec(n, a)).norm == pytest.approx(classical, rel=1e-13)
+            norm = gegenbauer_norm_leading(n, GegenbauerParam(a)).norm
+            assert norm == pytest.approx(classical, rel=1e-13)
 
     @pytest.mark.parametrize("alpha", [-0.4, 0.0, 0.5, 1.3])
     def test_norm_against_adaptive_quadrature(self, alpha):
         for n in range(0, 31, 3):
-            f = lambda x: gegenbauer_eval(spec(n, alpha), x) ** 2
+            f = lambda x: gegenbauer_eval(x, n, GegenbauerParam(alpha)) ** 2
             oracle, _ = quad(f, -1, 1, weight="alg", wvar=(alpha - 0.5, alpha - 0.5))
-            assert gegenbauer_norm_leading(spec(n, alpha)).norm == pytest.approx(oracle, rel=1e-10)
+            norm = gegenbauer_norm_leading(n, GegenbauerParam(alpha)).norm
+            assert norm == pytest.approx(oracle, rel=1e-10)
 
     @pytest.mark.parametrize("alpha", [-0.4, 0.0, 0.5, 1.3])
     def test_leading_against_divided_differences(self, alpha):
@@ -133,7 +136,7 @@ class TestNormAndLeading:
                     vals = [(vals[i + 1] - vals[i]) / (pts[i + order] - pts[i])
                             for i in range(len(vals) - 1)]
                 oracle = float(vals[0])
-                assert gegenbauer_norm_leading(spec(n, alpha)).leading == pytest.approx(
+                assert gegenbauer_norm_leading(n, GegenbauerParam(alpha)).leading == pytest.approx(
                     oracle, rel=1e-10)
 
 
@@ -150,23 +153,23 @@ def _mp_geg(n, alpha, x):
 
 class TestIntegrate:
     def test_constant(self):
-        assert integrate_gegenbauer(spec(0, 0.9), 0.25) == pytest.approx(1.25, abs=1e-15)
+        assert integrate_gegenbauer(0.25, 0, GegenbauerParam(0.9)) == pytest.approx(1.25, abs=1e-15)
 
     def test_odd_over_symmetric_interval(self):
-        assert integrate_gegenbauer(spec(1, 0.5), 1.0) == pytest.approx(0.0, abs=1e-15)
+        assert integrate_gegenbauer(1.0, 1, GegenbauerParam(0.5)) == pytest.approx(0.0, abs=1e-15)
 
     def test_legendre_antiderivative(self):
         # antiderivative of P_2 is (x^3 - x)/2, zero at both 0 and -1
-        assert integrate_gegenbauer(spec(2, 0.5), 0.0) == pytest.approx(0.0, abs=1e-15)
+        assert integrate_gegenbauer(0.0, 2, GegenbauerParam(0.5)) == pytest.approx(0.0, abs=1e-15)
 
     @pytest.mark.parametrize("alpha", [-0.3, 0.0, 0.8])
     def test_derivative_recovers_integrand(self, alpha):
         h = 1e-6
         for n in (3, 8):
             for x in (-0.45, 0.1, 0.62):
-                fd = (integrate_gegenbauer(spec(n, alpha), x + h)
-                      - integrate_gegenbauer(spec(n, alpha), x - h)) / (2 * h)
-                assert fd == pytest.approx(gegenbauer_eval(spec(n, alpha), x), abs=1e-6)
+                fd = (integrate_gegenbauer(x + h, n, GegenbauerParam(alpha))
+                      - integrate_gegenbauer(x - h, n, GegenbauerParam(alpha))) / (2 * h)
+                assert fd == pytest.approx(gegenbauer_eval(x, n, GegenbauerParam(alpha)), abs=1e-6)
 
 
 def _mp_running_integrals(alpha, n_max, xs):
@@ -192,26 +195,26 @@ class TestIntegrateClosedForm:
     def test_matches_mpmath_oracle(self, alpha):
         with mpmath.workdps(50):
             want = _mp_running_integrals(alpha, 60, self.XS)
-        got = np.array([[integrate_gegenbauer(spec(n, alpha), x) for x in self.XS]
+        got = np.array([[integrate_gegenbauer(x, n, GegenbauerParam(alpha)) for x in self.XS]
                         for n in range(61)])
         assert np.max(np.abs(got - want)) <= 8 * EPS_MACH * max(1.0, np.max(np.abs(want)))
 
     def test_chebyshev_case_matches_numpy_antiderivative(self):
         for n in range(61):
             antiderivative = np.polynomial.Chebyshev.basis(n).integ(lbnd=-1)
-            got = [integrate_gegenbauer(spec(n, 0.0), x) for x in self.XS]
+            got = [integrate_gegenbauer(x, n, GegenbauerParam(0.0)) for x in self.XS]
             assert_allclose(got, antiderivative(self.XS), rtol=0, atol=1e-15)
 
     def test_exactly_zero_at_left_endpoint(self):
         for n in range(12):
             for alpha in ALPHAS:
-                assert integrate_gegenbauer(spec(n, alpha), -1.0) == 0.0
+                assert integrate_gegenbauer(-1.0, n, GegenbauerParam(alpha)) == 0.0
 
     @settings(max_examples=200, deadline=None)
     @given(n=st.integers(0, 100).map(lambda j: 2 * j + 1),
            alpha=st.floats(-0.45, 3.0, allow_nan=False))
     def test_odd_degree_integrates_to_zero_over_interval(self, n, alpha):
-        assert abs(integrate_gegenbauer(spec(n, alpha), 1.0)) <= 1e-14
+        assert abs(integrate_gegenbauer(1.0, n, GegenbauerParam(alpha))) <= 1e-14
 
 
 class TestEta:
@@ -264,7 +267,7 @@ class TestDiscreteTransform:
         n = 14
         rule = gg_rule(n, GegenbauerParam(alpha))
         for k in range(n + 1):
-            samples = gegenbauer_eval(spec(k, alpha), rule.nodes)
+            samples = gegenbauer_eval(rule.nodes, k, GegenbauerParam(alpha))
             coeffs = discrete_gegenbauer_transform(rule, samples)
             expect = np.zeros(n + 1)
             expect[k] = 1.0
@@ -279,35 +282,41 @@ class TestDiscreteTransform:
 class TestErrorBound:
     def test_zero_width_interval(self):
         for n, alpha in ((0, 0.0), (5, 1.2), (6, -0.3)):
-            b = error_bound(ErrorBoundInput(n, GegenbauerParam(alpha), -1.0, 1.0))
+            b = error_bound(-1.0, n, GegenbauerParam(alpha), 1.0)
             assert b == 0.0
 
     def test_frozen_first_branch_value(self):
         # every gamma ratio collapses to 1: bound = 2^0 * (1 + 1) * 1
-        b = error_bound(ErrorBoundInput(0, GegenbauerParam(0.0), 1.0, 1.0))
+        b = error_bound(1.0, 0, GegenbauerParam(0.0), 1.0)
         assert b == pytest.approx(2.0, rel=1e-14)
 
     def test_linear_in_derivative_bound(self):
-        b1 = error_bound(ErrorBoundInput(7, GegenbauerParam(0.4), 0.3, 1.0))
-        b2 = error_bound(ErrorBoundInput(7, GegenbauerParam(0.4), 0.3, 2.0))
+        b1 = error_bound(0.3, 7, GegenbauerParam(0.4), 1.0)
+        b2 = error_bound(0.3, 7, GegenbauerParam(0.4), 2.0)
         assert b2 == pytest.approx(2.0 * b1, rel=1e-14)
 
     @pytest.mark.parametrize("alpha", [-0.3, -0.1, 0.0, 0.7])
     def test_decreasing_in_degree(self, alpha):
-        vals = [error_bound(ErrorBoundInput(n, GegenbauerParam(alpha), 0.5, 1.0))
+        vals = [error_bound(0.5, n, GegenbauerParam(alpha), 1.0)
                 for n in range(5, 41)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
     def test_negative_alpha_branches_positive_and_finite(self):
         for n in (4, 5, 10, 11):
-            b = error_bound(ErrorBoundInput(n, GegenbauerParam(-0.25), 0.5, 1.0))
+            b = error_bound(0.5, n, GegenbauerParam(-0.25), 1.0)
             assert 0.0 < b < math.inf
 
     def test_asymptotic_requires_constant(self):
-        inp = ErrorBoundInput(20, GegenbauerParam(0.5), 0.5, 1.0)
+        param = GegenbauerParam(0.5)
         with pytest.raises(ValueError):
-            error_bound(inp, asymptotic=True)
-        assert error_bound(inp, asymptotic=True, b_constant=1.0) > 0.0
+            error_bound(0.5, 20, param, 1.0, asymptotic=True)
+        # -1 used to give a negative "upper bound"
+        for b_constant in (-1.0, 0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="asymptotic constant must be positive and finite"):
+                error_bound(0.5, 20, param, 1.0, asymptotic=True, b_constant=b_constant)
+        with pytest.raises(ValueError, match="asymptotic bound needs degree >= 1"):
+            error_bound(0.5, 0, param, 1.0, asymptotic=True, b_constant=1.0)
+        assert error_bound(0.5, 20, param, 1.0, asymptotic=True, b_constant=1.0) > 0.0
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 40), alpha=st.floats(-0.45, 2.0), omega=st.sampled_from([1.0, 3.0, 8.0]))
@@ -322,10 +331,14 @@ class TestErrorBound:
         errors = np.abs(matrix.entries @ samples - exact)
         derivative_bound = math.sqrt(2.0) * omega ** (n + 1)
         for xj, err in zip(x.tolist(), errors.tolist()):
-            assert err <= error_bound(ErrorBoundInput(n, param, xj, derivative_bound)) + 1e-14
+            assert err <= error_bound(xj, n, param, derivative_bound) + 1e-14
 
     def test_bad_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            ErrorBoundInput(3, GegenbauerParam(0.5), 1.5, 1.0)
-        with pytest.raises(ValueError):
-            ErrorBoundInput(3, GegenbauerParam(0.5), 0.5, -1.0)
+        param = GegenbauerParam(0.5)
+        for x in (1.5, -1.5, math.nan):
+            with pytest.raises(ValueError, match=r"x must lie in \[-1, 1\]"):
+                error_bound(x, 3, param, 1.0)
+        # a NaN bound used to give a NaN
+        for derivative_bound in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="derivative bound must be non-negative"):
+                error_bound(0.5, 3, param, derivative_bound)

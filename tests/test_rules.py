@@ -341,7 +341,11 @@ class TestCsv:
         assert_allclose(back.nodes, rule.nodes, atol=0.0)
         assert_allclose(back.weights, rule.weights, atol=0.0)
 
-    @pytest.mark.parametrize("text", ["", "n,alpha\n3,0.5\n"])
+    @pytest.mark.parametrize("text", [
+        "", "n,alpha\n3,0.5\n",
+        # truncated texts, which used to raise IndexError or an unpacking error
+        "kind,n,alpha\n", "kind,n,alpha\nGG,1,0.5\n", "kind,n,alpha\nGG,1,0.5\n-0.5\n0.5\n",
+        "kind,n,alpha\nGG,1\n-0.5,1.0\n0.5,1.0\n"])
     def test_not_a_rule_csv_rejected(self, text):
         with pytest.raises(ValueError, match="not a quadrature-rule CSV"):
             rule_from_csv(io.StringIO(text))

@@ -28,6 +28,20 @@ class TestNewton:
         with pytest.raises(ValueError):
             newton_solve(lambda v: v, np.array([]))
 
+    def test_residual_of_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match="residual dimension must match"):
+            newton_solve(lambda v: np.ones(3), np.zeros(2))
+
+    def test_singular_jacobian_reported(self):
+        with pytest.raises(ConvergenceError, match=r"singular Jacobian \(residual max-norm 1\.000e\+00\)"):
+            newton_solve(lambda v: v - 1.0, np.zeros(2), jacobian=lambda v: np.zeros((2, 2)))
+
+    def test_converges_on_the_last_allowed_iteration(self):
+        # one exact step solves a linear residual; the check after the loop accepts it
+        c = np.array([1.0, -2.0, 0.5])
+        x = newton_solve(lambda v: v - c, np.zeros(3), max_iter=1, jacobian=lambda v: np.eye(3))
+        assert np.array_equal(x, c)
+
     def test_non_convergence_reported(self):
         # e^v: every Newton step is -1 (to rounding) and is accepted at once, and
         # divides the residual by e, so 5 iterations from 0 leave it at e^-5
