@@ -117,7 +117,7 @@ def _terms(n: int, a, x):
 
 
 def _recurrence_with_derivative(n: int, alpha, x: np.ndarray):
-    """Evaluate (G_n, G_n') jointly: the Newton node polish's own recurrence.
+    """Evaluate (G_n, G_n'), n >= 1, jointly: the Newton node polish's own recurrence.
 
     ``alpha`` is a float with ``x`` 1-D, or an (A, 1) column with ``x``
     (A, N): A rules in one loop over k.  The coefficients of all k are
@@ -130,8 +130,6 @@ def _recurrence_with_derivative(n: int, alpha, x: np.ndarray):
     """
     g0 = np.ones_like(x)
     d0 = np.zeros_like(x)
-    if n == 0:
-        return g0, d0
     g1 = x.copy()
     d1 = np.ones_like(x)
     k = np.arange(2.0, n + 1.0) if isinstance(alpha, float) else np.arange(2.0, n + 1.0)[:, None, None]
@@ -302,7 +300,10 @@ def error_bound(x: float, n: int, param: GegenbauerParam, derivative_bound: floa
 
     With ``asymptotic=True`` the large-degree envelope (n >= 1) is returned
     instead; it contains an unspecified constant that the caller must
-    supply as ``b_constant``, positive and finite.
+    supply as ``b_constant``, positive and finite.  The envelope folds the
+    derivative bound into that constant: ``derivative_bound`` is checked
+    but does not enter the value, so scale ``b_constant`` by it to bound a
+    given integrand.
     """
     n = _check_degree(n, "degree")
     if not -1.0 <= x <= 1.0:

@@ -194,7 +194,13 @@ def rule_to_csv(rule: QuadratureRule, path_or_file) -> None:
 
 
 def rule_from_csv(path_or_file) -> QuadratureRule:
-    """Inverse of :func:`rule_to_csv`."""
+    """Inverse of :func:`rule_to_csv`, for the text of a Gauss rule only.
+
+    The kind is GG or LG, n is a degree equal to the point count less one,
+    alpha is a valid parameter (0.5 for LG), the nodes strictly increase
+    inside (-1, 1) and the weights are positive and finite; anything else
+    raises :class:`ValueError`.
+    """
     with _opened(path_or_file, "r") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     fields = [ln.count(",") + 1 for ln in lines]
@@ -203,5 +209,18 @@ def rule_from_csv(path_or_file) -> QuadratureRule:
         raise ValueError("not a quadrature-rule CSV")
     kind, n_s, alpha_s = lines[1].split(",")
     data = np.array([[float(v) for v in ln.split(",")] for ln in lines[2:]])
-    return QuadratureRule(kind=kind, n=int(n_s), alpha=float(alpha_s), nodes=_frozen(data[:, 0]),
-                          weights=_frozen(data[:, 1]))
+    nodes, weights = data[:, 0], data[:, 1]
+    try:
+        n, param = _check_degree(float(n_s), "degree"), GegenbauerParam(float(alpha_s))
+    except ValueError as exc:
+        raise ValueError(f"not a quadrature-rule CSV: {exc}") from None
+    fault = ("kind must be GG or LG" if kind not in ("GG", "LG")
+             else f"n = {n} with {nodes.size} points" if n != nodes.size - 1
+             else "an LG rule has alpha 0.5" if kind == "LG" and param.alpha != 0.5
+             else "nodes must increase inside (-1, 1)"
+             if not (np.all(nodes[1:] > nodes[:-1]) and np.all(np.abs(nodes) < 1.0))
+             else "weights must be positive and finite" if not np.all((weights > 0.0) & (weights < np.inf))
+             else None)
+    if fault:
+        raise ValueError(f"not a quadrature-rule CSV: {fault}")
+    return QuadratureRule(kind=kind, n=n, alpha=param.alpha, nodes=_frozen(nodes), weights=_frozen(weights))

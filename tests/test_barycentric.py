@@ -83,6 +83,10 @@ class TestBasisInvariants:
         with pytest.raises(ValueError, match="1-D arrays of equal nonzero length"):
             BarycentricBasis(nodes=np.array(nodes), xi=np.array(xi))
 
+    def test_length_is_the_node_count(self):
+        assert len(bary_weights_gg(gg_rule(6, GegenbauerParam(0.5)))) == 7
+        assert len(BarycentricBasis(nodes=np.array([0.0, 1.0]), xi=np.array([1.0, -1.0]))) == 2
+
     def test_holds_read_only_views_of_writeable_arrays(self):
         nodes, xi = np.array([0.0, 0.5, 1.0]), np.array([1.0, -2.0, 1.0])
         basis = BarycentricBasis(nodes=nodes, xi=xi)

@@ -270,6 +270,22 @@ class TestAlphaStarRegression:
         assert_allclose(mat.alpha, self.ALPHA_STAR[m], rtol=0.0, atol=1e-6)
 
 
+class TestWhereAlphaStarPays:
+    @pytest.mark.parametrize("m", range(4, 11))
+    def test_optimal_rows_beat_legendre_rows_on_exp(self, m):
+        # e^x's derivatives keep their sign, so the alpha* that minimizes eta also shrinks the
+        # error: over 30 seeded sets of 12 targets the median ratio read 0.087 to 0.167
+        ratios = []
+        for seed in range(30):
+            targets = np.random.default_rng(seed).uniform(-1.0, 1.0, 12)
+            exact = np.exp(targets) - np.exp(-1.0)
+            errors = [np.abs(apply_quadrature(mat, np.exp(mat.source_nodes)) - exact)
+                      for mat in (build_optimal_gim(targets, OptimalConfig(m=m)),
+                                  build_gim_arbitrary(targets, m, GegenbauerParam(0.5)))]
+            ratios += list(errors[0] / errors[1])
+        assert np.median(ratios) <= 0.5
+
+
 class TestAdjointBasis:
     # build_optimal_gim samples row k at gg_rule(m, alpha*_k) with its bary_weights_gg basis
     def test_legendre_parameter_gives_lg_nodes(self):

@@ -318,6 +318,16 @@ class TestErrorBound:
             error_bound(0.5, 0, param, 1.0, asymptotic=True, b_constant=1.0)
         assert error_bound(0.5, 20, param, 1.0, asymptotic=True, b_constant=1.0) > 0.0
 
+    def test_asymptotic_envelope_folds_the_derivative_bound_into_the_constant(self):
+        # the derivative bound is checked but does not enter the envelope; b_constant carries it
+        param = GegenbauerParam(0.5)
+        one = error_bound(0.5, 20, param, 1.0, asymptotic=True, b_constant=1.0)
+        assert one == pytest.approx(3.309e-25, rel=1e-3)
+        assert error_bound(0.5, 20, param, 99.0, asymptotic=True, b_constant=1.0) == one
+        assert error_bound(0.5, 20, param, 1.0, asymptotic=True, b_constant=99.0) == pytest.approx(99.0 * one)
+        with pytest.raises(ValueError, match="derivative bound must be non-negative"):
+            error_bound(0.5, 20, param, -1.0, asymptotic=True, b_constant=1.0)
+
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 40), alpha=st.floats(-0.45, 2.0), omega=st.sampled_from([1.0, 3.0, 8.0]))
     def test_bounds_the_observed_error(self, n, alpha, omega):

@@ -155,6 +155,7 @@ class TestRuleProperties:
     @pytest.mark.parametrize("n", [1, 5, 12, 40])
     def test_structure_and_mass(self, n, alpha):
         rule = gg_rule(n, GegenbauerParam(alpha))
+        assert len(rule) == n + 1
         assert np.all(np.diff(rule.nodes) > 0)
         assert rule.nodes[0] > -1.0 and rule.nodes[-1] < 1.0
         assert np.all(rule.weights > 0)
@@ -345,7 +346,16 @@ class TestCsv:
         "", "n,alpha\n3,0.5\n",
         # truncated texts, which used to raise IndexError or an unpacking error
         "kind,n,alpha\n", "kind,n,alpha\nGG,1,0.5\n", "kind,n,alpha\nGG,1,0.5\n-0.5\n0.5\n",
-        "kind,n,alpha\nGG,1\n-0.5,1.0\n0.5,1.0\n"])
+        "kind,n,alpha\nGG,1\n-0.5,1.0\n0.5,1.0\n",
+        # metadata that the rows contradict, or rows that are no Gauss rule
+        "kind,n,alpha\nGG,5,0.5\n-0.5,1.0\n0.5,1.0\n", "kind,n,alpha\nXX,1,0.5\n0.3,1.0\n0.1,-0.4\n",
+        "kind,n,alpha\nXX,1,0.5\n-0.5,1.0\n0.5,1.0\n", "kind,n,alpha\nLG,1,3\n-0.5,1.0\n0.5,1.0\n",
+        "kind,n,alpha\nGG,1,-2\n-0.5,1.0\n0.5,1.0\n", "kind,n,alpha\nGG,-1,0.5\n-0.5,1.0\n0.5,1.0\n",
+        "kind,n,alpha\nGG,1.5,0.5\n-0.5,1.0\n0.5,1.0\n", "kind,n,alpha\nGG,1,nan\n-0.5,1.0\n0.5,1.0\n",
+        "kind,n,alpha\nGG,1,0.5\n0.5,1.0\n-0.5,1.0\n", "kind,n,alpha\nGG,1,0.5\n-0.5,1.0\n-0.5,1.0\n",
+        "kind,n,alpha\nGG,1,0.5\n-1.0,1.0\n0.5,1.0\n", "kind,n,alpha\nGG,1,0.5\n-0.5,nan\n0.5,1.0\n",
+        "kind,n,alpha\nGG,1,0.5\n-0.5,0.0\n0.5,1.0\n", "kind,n,alpha\nGG,1,0.5\n-0.5,inf\n0.5,1.0\n",
+        "kind,n,alpha\nGG,1,0.5\n-0.5,1.0\nnan,1.0\n"])
     def test_not_a_rule_csv_rejected(self, text):
         with pytest.raises(ValueError, match="not a quadrature-rule CSV"):
             rule_from_csv(io.StringIO(text))
