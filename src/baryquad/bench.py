@@ -4,14 +4,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CollisionError
 from .gim import apply_quadrature, build_basis_gim, build_gim_gg
-from .polynomials import GegenbauerParam, _check_degree
-from .rules import _nodes_weights
 
 #: named test integrands
 INTEGRANDS = {
@@ -63,30 +60,19 @@ def make_integrand(spec: str):
     return f
 
 
-@dataclass(frozen=True)
-class BenchmarkSpec:
-    """Grid of a quadrature benchmark run."""
-
-    integrand: str
-    n_grid: tuple
-    alpha_grid: tuple
-
-    def __post_init__(self):
-        if not self.n_grid or not self.alpha_grid:
-            raise ValueError("benchmark grids must be non-empty")
-        object.__setattr__(self, "n_grid", tuple(_check_degree(n, "degree") for n in self.n_grid))
-        object.__setattr__(self, "alpha_grid", tuple(GegenbauerParam(a).alpha for a in self.alpha_grid))
-
-
 def reference_integrals(f, targets) -> np.ndarray:
     """Adaptive (Gauss-Kronrod) integrals of f over [-1, x_j], 1e-14 target.
 
     Independent of the package's own rules on purpose: this is the
     comparison oracle for integrand expressions; the named integrands use
     :data:`EXACT_INTEGRALS`.  ``scipy.integrate`` is imported here, not at
-    module level, so importing the package and the CLI does not load it.
+    module level, so importing the package and the CLI does not load it;
+    without scipy, an optional dependency, this raises ``ValueError``.
     """
-    from scipy.integrate import IntegrationWarning, quad
+    try:
+        from scipy.integrate import IntegrationWarning, quad
+    except ImportError:
+        raise ValueError("integrand expressions need scipy: pip install 'baryquad[quad]'") from None
 
     out = np.empty(len(targets))
     with warnings.catch_warnings():
@@ -99,32 +85,31 @@ def reference_integrals(f, targets) -> np.ndarray:
     return out
 
 
-def run_benchmark(spec: BenchmarkSpec):
+def run_benchmark(integrand: str, points):
     """Per-node absolute errors of the barycentric and basis quadratures.
 
-    The reference is the exact integral for a named integrand and
-    :func:`reference_integrals` for an expression.
+    ``integrand`` is resolved by :func:`make_integrand`, and ``points`` are
+    the ``(n, param)`` grid points in order.  The reference is the exact
+    integral for a named integrand and :func:`reference_integrals` for an
+    expression.
 
     Yields ``(n, alpha, node_index, err_bary, err_basis)`` tuples; grid
     points whose square matrix cannot be built (node collision) produce a
     single row with NaN errors and node index -1.
     """
-    f = make_integrand(spec.integrand)
-    exact = EXACT_INTEGRALS.get(spec.integrand)
-    params = [GegenbauerParam(a) for a in spec.alpha_grid]
-    for n in spec.n_grid:
-        _nodes_weights(n, spec.alpha_grid)  # the Gauss rules of all alpha in one batch
-        for alpha, param in zip(spec.alpha_grid, params):
-            try:
-                bary = build_gim_gg(n, param)
-            except CollisionError:
-                yield (n, alpha, -1, math.nan, math.nan)
-                continue
-            basis = build_basis_gim(n, param)
-            samples = f(bary.source_nodes)
-            targets = bary.target_nodes
-            ref = exact(targets) if exact else reference_integrals(f, targets)
-            err_bary = np.abs(apply_quadrature(bary, samples) - ref)
-            err_basis = np.abs(apply_quadrature(basis, samples) - ref)
-            for j in range(len(ref)):
-                yield (n, alpha, j, float(err_bary[j]), float(err_basis[j]))
+    f = make_integrand(integrand)
+    exact = EXACT_INTEGRALS.get(integrand)
+    for n, param in points:
+        try:
+            bary = build_gim_gg(n, param)
+        except CollisionError:
+            yield (n, param.alpha, -1, math.nan, math.nan)
+            continue
+        basis = build_basis_gim(n, param)
+        samples = f(bary.source_nodes)
+        targets = bary.target_nodes
+        ref = exact(targets) if exact else reference_integrals(f, targets)
+        err_bary = np.abs(apply_quadrature(bary, samples) - ref)
+        err_basis = np.abs(apply_quadrature(basis, samples) - ref)
+        for j in range(len(ref)):
+            yield (n, param.alpha, j, float(err_bary[j]), float(err_basis[j]))

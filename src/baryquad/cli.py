@@ -20,7 +20,7 @@ import time
 
 import numpy as np
 
-from .bench import BenchmarkSpec, run_benchmark
+from .bench import run_benchmark
 from .errors import CollisionError, ConvergenceError
 from .gim import (build_basis_gim, build_gim_gg, build_gim_gg_bumped, build_gim_gg_guarded,
                   check_gg_condition, matrix_to_csv, qth_order_gim)
@@ -87,6 +87,28 @@ def _attach_grid_values(argv):
     return out
 
 
+def _grid_points(args):
+    """The (n, param) points of ``--n-grid`` x ``--alpha-grid``, every value checked first.
+
+    An empty grid raises ``ValueError``.  Each degree's Gauss rules are built
+    in one batch just before its points: the rule cache holds 512 rules, so
+    a batch of every degree up front would evict them on a large grid.
+    """
+    n_grid, alpha_grid = parse_grid(args.n_grid), parse_grid(args.alpha_grid)
+    if not n_grid or not alpha_grid:
+        raise ValueError("--n-grid and --alpha-grid must each list at least one value")
+    degrees = [_check_degree(n, "degree") for n in n_grid]
+    params = [GegenbauerParam(a) for a in alpha_grid]
+    alphas = tuple(p.alpha for p in params)
+
+    def points():
+        for n in degrees:
+            _nodes_weights(n, alphas)  # the Gauss rules of all alpha in one batch
+            for param in params:
+                yield n, param
+    return points()
+
+
 def _write_rows(path, header, rows):
     _write_lines(sys.stdout if path is None else path, [header + "\n"],
                  (",".join(cells) + "\n" for cells in rows))
@@ -105,11 +127,10 @@ def cmd_gim(args) -> int:
 
 
 def cmd_quadbench(args) -> int:
-    spec = BenchmarkSpec(integrand=args.f, n_grid=tuple(parse_grid(args.n_grid)),
-                         alpha_grid=tuple(parse_grid(args.alpha_grid)))
+    points = _grid_points(args)
     start = time.perf_counter()
     rows = [(str(n), f"{alpha:.17g}", str(j), f"{eb:.17g}", f"{es:.17g}")
-            for n, alpha, j, eb, es in run_benchmark(spec)]
+            for n, alpha, j, eb, es in run_benchmark(args.f, points)]
     elapsed = time.perf_counter() - start
     _write_rows(args.out, "n,alpha,node_index,err_bary,err_basis", rows)
     if args.time:
@@ -118,14 +139,10 @@ def cmd_quadbench(args) -> int:
 
 
 def cmd_feasibility(args) -> int:
-    n_grid = [_check_degree(n, "degree") for n in parse_grid(args.n_grid)]
-    params = [GegenbauerParam(a) for a in parse_grid(args.alpha_grid)]
     rows = []
-    for n in n_grid:
-        _nodes_weights(n, tuple(p.alpha for p in params))  # the Gauss rules of all alpha in one batch
-        for param in params:
-            report = check_gg_condition(n, param, args.epsilon)
-            rows.append((str(n), f"{param.alpha:.17g}", "true" if report.feasible else "false"))
+    for n, param in _grid_points(args):
+        report = check_gg_condition(n, param, args.epsilon)
+        rows.append((str(n), f"{param.alpha:.17g}", "true" if report.feasible else "false"))
     _write_rows(args.out, "n,alpha,feasible", rows)
     return 0
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .barycentric import bary_weights_gg
+from .barycentric import bary_weights_gg, lagrange_matrix
 from .errors import CollisionError
 from .polynomials import (EPS_MACH, GegenbauerParam, _check_degree, _check_epsilon, _frozen,
                           _integration_relation, _norms, _terms)
@@ -109,7 +109,7 @@ _BLOCK_ELEMENTS = 4096
 
 
 def _screen(targets: np.ndarray, nodes: np.ndarray, lg, epsilon: float):
-    """Legendre points mapped onto [-1, x_j] per target x_j, their gap to the nearest node, hits.
+    """Legendre points mapped onto [-1, x_j] per target x_j, and the targets with a hit.
 
     ``nodes`` is 1-D, shared by every target, or (targets, cols), row j the
     nodes of target j.  A point with |y_jk - x_i| <= epsilon is a hit.
@@ -119,8 +119,7 @@ def _screen(targets: np.ndarray, nodes: np.ndarray, lg, epsilon: float):
     nodes are searched with :func:`numpy.searchsorted`; for per-row nodes
     the same left index is the count of the row's nodes below the point,
     taken in blocks of targets within the kernel's element budget.
-    Returns ``(mapped, nearest, hit)``, ``hit`` a list of one bool per
-    target.
+    Returns ``(mapped, hit)``, ``hit`` a list of one bool per target.
     """
     _check_epsilon(epsilon)
     mapped = 0.5 * ((targets[:, None] + 1.0) * lg.nodes + targets[:, None] - 1.0)
@@ -138,7 +137,7 @@ def _screen(targets: np.ndarray, nodes: np.ndarray, lg, epsilon: float):
             above = (nodes[b, None, :] < mapped[b, :, None]).sum(axis=2) + 1
             np.minimum(mapped[b] - np.take_along_axis(padded[b], above - 1, axis=1),
                        np.take_along_axis(padded[b], above, axis=1) - mapped[b], out=nearest[b])
-    return mapped, nearest, (nearest <= epsilon).any(axis=1).tolist()
+    return mapped, (nearest <= epsilon).any(axis=1).tolist()
 
 
 def _collisions(targets: np.ndarray, nodes: np.ndarray, lg, epsilon: float, screen=None):
@@ -149,7 +148,7 @@ def _collisions(targets: np.ndarray, nodes: np.ndarray, lg, epsilon: float, scre
     the targets; each of those takes one dense test of its mapped points
     against its nodes.
     """
-    mapped, _, hit = _screen(targets, nodes, lg, epsilon) if screen is None else screen
+    mapped, hit = _screen(targets, nodes, lg, epsilon) if screen is None else screen
     triples = []
     for j in (j for j, h in enumerate(hit) if h):
         row = nodes if nodes.ndim == 1 else nodes[j]
@@ -178,8 +177,7 @@ def check_gg_condition(n: int, param: GegenbauerParam, epsilon: float = EPS_MACH
     return FeasibilityReport(feasible=not violations, violations=violations)
 
 
-def _build_rows(target_nodes, nodes: np.ndarray, xi: np.ndarray, lg, epsilon: float, on_hit: str,
-                screen=None):
+def _build_rows(target_nodes, nodes: np.ndarray, xi: np.ndarray, lg, epsilon: float, screen=None):
     """The one row kernel: integrate the interpolant over [-1, x_j] for each target x_j.
 
     ``nodes`` and their barycentric weights ``xi`` are 1-D, shared by every
@@ -199,39 +197,27 @@ def _build_rows(target_nodes, nodes: np.ndarray, xi: np.ndarray, lg, epsilon: fl
     memory stays O(p (n + T)) for p Legendre points and T targets.
 
     Hits are found by :func:`_screen`, or taken from ``screen``, its result
-    for these targets.  ``on_hit`` "raise" reports the first hit in
-    (j, k, i) order as a :class:`CollisionError` (i, j, k) before any row
-    is built; "cardinal" replaces the point's cardinal values by the unit
-    row of its nearest node (the lower one on a tie), which the cardinal
-    property dictates, as :func:`lagrange_matrix` does.  A point within
-    epsilon of two nodes thus still counts once.
+    for these targets.  The first hit in (j, k, i) order is raised as a
+    :class:`CollisionError` (i, j, k) before any row is built.
     """
     targets = np.atleast_1d(np.asarray(target_nodes, dtype=float))
     w = lg.weights
-    mapped, nearest, hit = _screen(targets, nodes, lg, epsilon) if screen is None else screen
-    if on_hit == "raise" and any(hit):
-        i, j, k = _collisions(targets, nodes, lg, epsilon, (mapped, nearest, hit))[0]
+    mapped, hit = _screen(targets, nodes, lg, epsilon) if screen is None else screen
+    if any(hit):
+        i, j, k = _collisions(targets, nodes, lg, epsilon, (mapped, hit))[0]
         raise CollisionError(i, j, k, "mapped Legendre point coincides with a source node")
     per_row = nodes.ndim == 2
     cols = nodes.shape[-1]
     size = max(1, _BLOCK_ELEMENTS // (w.size * cols))
     rows = np.empty((targets.size, cols))
     buffer = np.empty((min(size, targets.size), w.size, cols))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for start in range(0, targets.size, size):
-            stop = min(start + size, targets.size)
-            b, mu = slice(start, stop), buffer[:stop - start]
-            np.subtract(mapped[b, :, None], nodes[b, None] if per_row else nodes, out=mu)
-            np.divide(xi[b, None] if per_row else xi, mu, out=mu)
-            c = w / mu.sum(axis=2)
-            for j in (j for j in range(start, stop) if hit[j]):
-                # each hit point takes the unit row of its nearest node, the lower on a tie
-                k = np.flatnonzero(nearest[j] <= epsilon)
-                i = np.abs(mapped[j, k, None] - (nodes[j] if per_row else nodes)).argmin(axis=1)
-                mu[j - start, k] = 0.0
-                mu[j - start, k, i] = 1.0
-                c[j - start, k] = w[k]
-            rows[b] = (0.5 * (targets[b] + 1.0))[:, None] * (c[:, None, :] @ mu)[:, 0]
+    for start in range(0, targets.size, size):
+        stop = min(start + size, targets.size)
+        b, mu = slice(start, stop), buffer[:stop - start]
+        np.subtract(mapped[b, :, None], nodes[b, None] if per_row else nodes, out=mu)
+        np.divide(xi[b, None] if per_row else xi, mu, out=mu)
+        c = w / mu.sum(axis=2)
+        rows[b] = (0.5 * (targets[b] + 1.0))[:, None] * (c[:, None, :] @ mu)[:, 0]
     return rows
 
 
@@ -242,26 +228,32 @@ def _square(n: int, param: GegenbauerParam, epsilon: float, on_hit: str) -> Inte
     x_j > 0, go through the row kernel and the others follow from the node
     symmetry, Q[j, i] = E_i - Q[n-j, n-i] with E the full-interval row,
     E = Q[n//2] + Q[(n+1)//2, ::-1]: the middle row, or the middle pair of
-    mirror-image nodes.  Otherwise every row goes through the kernel,
-    ``on_hit`` "raise" or "cardinal" as in :func:`_build_rows`, or "bump":
-    one more Legendre point.
+    mirror-image nodes.  Otherwise ``on_hit`` "raise" raises, "bump" builds
+    every row with one more Legendre point, and "cardinal" integrates the
+    table of :func:`lagrange_matrix` in the rows with a hit, the kernel's elsewhere.
     """
     rule = gg_rule(n, param)
     basis = bary_weights_gg(rule)
     nodes, lg = basis.nodes, lg_rule(_lg_count_default(n))
-    screen = _screen(nodes, nodes, lg, epsilon)
-    if not any(screen[2]):
+    mapped, hit = screen = _screen(nodes, nodes, lg, epsilon)
+    if not any(hit):
         kept = (n + 1) // 2 + 1  # the rows with x_j <= 0 and, for odd n, the first x_j > 0
-        rows = _build_rows(nodes[:kept], nodes, basis.xi, lg, epsilon, "raise",
-                           tuple(part[:kept] for part in screen))
+        rows = _build_rows(nodes[:kept], nodes, basis.xi, lg, epsilon, (mapped[:kept], hit[:kept]))
         total = rows[n // 2] + rows[kept - 1, ::-1]
         entries = np.empty((n + 1, n + 1))
         entries[:kept] = rows
         entries[kept:] = total - rows[:n + 1 - kept][::-1, ::-1]
     elif on_hit == "bump":
-        entries = _build_rows(nodes, nodes, basis.xi, lg_rule(_lg_count_default(n) + 1), epsilon, "raise")
+        entries = _build_rows(nodes, nodes, basis.xi, lg_rule(_lg_count_default(n) + 1), epsilon)
+    elif on_hit == "cardinal":
+        free = np.flatnonzero(np.logical_not(hit))
+        entries = np.empty((n + 1, n + 1))
+        entries[free] = _build_rows(nodes[free], nodes, basis.xi, lg, epsilon,
+                                    (mapped[free], [False] * free.size))
+        for j in np.flatnonzero(hit):
+            entries[j] = 0.5 * (nodes[j] + 1.0) * (lg.weights @ lagrange_matrix(basis, mapped[j], epsilon))
     else:
-        entries = _build_rows(nodes, nodes, basis.xi, lg, epsilon, on_hit, screen)
+        entries = _build_rows(nodes, nodes, basis.xi, lg, epsilon, screen)
     return IntegrationMatrix(entries=entries, order=1, source_nodes=rule.nodes,
                              target_nodes=rule.nodes, interval=INTERVAL_BIUNIT, alpha=param.alpha)
 
@@ -289,11 +281,11 @@ def build_gim_gg(n: int, param: GegenbauerParam, epsilon: float = EPS_MACH) -> I
 
 
 def build_gim_gg_guarded(n: int, param: GegenbauerParam, epsilon: float = EPS_MACH) -> IntegrationMatrix:
-    """Square matrix with exact-hit rows replaced by cardinal unit rows.
+    """Square matrix whose rows with a hit integrate the cardinal table of :func:`lagrange_matrix`.
 
     Identical to :func:`build_gim_gg` on the feasible set; at a collision
-    the interpolant value at the hit node is the sample itself, so the
-    cardinal row preserves polynomial exactness instead of overflowing.
+    the hit point's unit row gives the sample itself as the interpolant
+    value, which preserves polynomial exactness instead of overflowing.
     """
     return _square(n, param, epsilon, "cardinal")
 
@@ -323,7 +315,7 @@ def build_gim_arbitrary(target_nodes, n: int, param: GegenbauerParam,
     targets = _validated_targets(target_nodes)
     count = _lg_count(n, targets, epsilon)
     rule = gg_rule(n, param)
-    entries = _build_rows(targets, rule.nodes, bary_weights_gg(rule).xi, lg_rule(count), epsilon, "raise")
+    entries = _build_rows(targets, rule.nodes, bary_weights_gg(rule).xi, lg_rule(count), epsilon)
     return IntegrationMatrix(entries=entries, order=1, source_nodes=rule.nodes,
                              target_nodes=targets, interval=INTERVAL_BIUNIT, alpha=param.alpha)
 

@@ -150,7 +150,7 @@ def build_optimal_gim(target_nodes, config: OptimalConfig) -> IntegrationMatrix:
     nodes, xi = nodes[row], xi[row]
     lg = lg_rule(_lg_count(m, targets, config.epsilon))
     try:
-        entries = _build_rows(targets, nodes, xi, lg, config.epsilon, "raise")
+        entries = _build_rows(targets, nodes, xi, lg, config.epsilon)
     except CollisionError as err:
         detail = "mapped Legendre point coincides with an adjoint node"
         raise CollisionError(err.i, err.j, err.k, detail) from None

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from baryquad import GegenbauerParam, gg_rule
-from baryquad.bench import EXACT_INTEGRALS, INTEGRANDS, BenchmarkSpec, make_integrand, reference_integrals
+from baryquad.bench import EXACT_INTEGRALS, INTEGRANDS, make_integrand, reference_integrals
+from baryquad.cli import main
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -99,16 +100,29 @@ class TestMakeIntegrand:
 
 
 class TestBenchmarkSpec:
+    """The grid check that quadbench and feasibility share, before any work."""
+
+    COMMANDS = ("quadbench", "feasibility")
+
     @pytest.mark.parametrize("alpha", [-0.5, -1.0, float("nan"), float("inf")])
-    def test_alpha_outside_the_family_rejected(self, alpha):
-        with pytest.raises(ValueError, match="alpha must"):
-            BenchmarkSpec("f1", (4,), (0.5, alpha))
+    def test_alpha_outside_the_family_rejected(self, alpha, tmp_path, capsys):
+        for command in self.COMMANDS:
+            out = tmp_path / f"{command}.csv"
+            assert main([command, "--n-grid", "4", "--alpha-grid", f"0.5,{alpha}", "--out", str(out)]) == 1
+            assert "UsageError: alpha must" in capsys.readouterr().err and not out.exists()
 
     @pytest.mark.parametrize("n", [2.5, -1, float("nan"), float("inf")])
-    def test_degree_must_be_a_non_negative_integer(self, n):
-        # a fractional degree was truncated, so (2.5,) ran n = 2
-        with pytest.raises(ValueError, match="degree must be a non-negative integer"):
-            BenchmarkSpec("f1", (4, n), (0.5,))
+    def test_degree_must_be_a_non_negative_integer(self, n, tmp_path, capsys):
+        # a fractional degree was truncated, so 2.5 ran n = 2
+        for command in self.COMMANDS:
+            out = tmp_path / f"{command}.csv"
+            assert main([command, "--n-grid", f"4,{n}", "--alpha-grid", "0.5", "--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert "UsageError: degree must be a non-negative integer" in err and not out.exists()
 
-    def test_integral_float_degree_kept_as_int(self):
-        assert BenchmarkSpec("f1", (4.0,), (0.5,)).n_grid == (4,)
+    def test_integral_float_degree_kept_as_int(self, tmp_path):
+        for command in self.COMMANDS:
+            out = tmp_path / f"{command}.csv"
+            assert main([command, "--n-grid", "4.0", "--alpha-grid", "0.5", "--out", str(out)]) == 0
+            rows = out.read_text().splitlines()[1:]
+            assert rows and all(row.split(",")[0] == "4" for row in rows)

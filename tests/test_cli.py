@@ -125,9 +125,25 @@ class TestQuadbenchCommand:
 
     def test_empty_grid_exits_one(self, capsys):
         assert main(["quadbench", "--f", "f1", "--n-grid", "", "--alpha-grid", "0.5"]) == 1
-        # "," parses to an empty list, which the benchmark refuses
-        assert main(["quadbench", "--f", "f1", "--n-grid", ",", "--alpha-grid", "0.5"]) == 1
-        assert "UsageError: benchmark grids must be non-empty" in capsys.readouterr().err
+        # "," parses to an empty list, which the grid check refuses before the integrand is read
+        assert main(["quadbench", "--f", "x**", "--n-grid", ",", "--alpha-grid", "0.5"]) == 1
+        assert main(["quadbench", "--f", "f1", "--n-grid", "4", "--alpha-grid", ","]) == 1
+        err = capsys.readouterr().err
+        assert err.count("UsageError: --n-grid and --alpha-grid must each list at least one value\n") == 2
+        assert "integrand" not in err
+
+    def test_expression_without_scipy_exits_one(self, tmp_path, monkeypatch, capsys):
+        # scipy is an optional extra: an expression without it ends in one line, no traceback
+        monkeypatch.setitem(sys.modules, "scipy.integrate", None)
+        out = tmp_path / "bench.csv"
+        assert main(["quadbench", "--f", "exp(x)", "--n-grid", "4", "--alpha-grid", "0.5",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "UsageError: integrand expressions need scipy: pip install 'baryquad[quad]'\n")
+        assert not out.exists()
+        # the named integrands have exact integrals and need no scipy
+        assert main(["quadbench", "--f", "f1", "--n-grid", "4", "--alpha-grid", "0.5",
+                     "--out", str(out)]) == 0
 
     def test_time_flag_reports_elapsed_on_stderr(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"
@@ -191,6 +207,15 @@ class TestFeasibilityCommand:
         assert table[("4", "1")] == "false"
         assert table[("4", "0.5")] == "true"
         assert table[("1", "0.5")] == "true" and table[("1", "1")] == "true"
+
+    def test_empty_grid_exits_one(self, tmp_path, capsys):
+        # "," parses to an empty list: it wrote a header-only CSV and exited 0
+        out = tmp_path / "feas.csv"
+        assert main(["feasibility", "--n-grid", ",", "--alpha-grid", "0.5", "--out", str(out)]) == 1
+        assert main(["feasibility", "--n-grid", "4", "--alpha-grid", ",", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("UsageError: --n-grid and --alpha-grid must each list at least one value\n") == 2
+        assert not out.exists()
 
     def test_malformed_range_exits_one(self, capsys):
         assert main(["feasibility", "--n-grid", "1:5", "--alpha-grid", "0.5"]) == 1

@@ -196,10 +196,9 @@ class TestReflectedSquare:
         with pytest.raises(CollisionError) as err:
             build_gim_gg(n, param, epsilon)
         assert (err.value.i, err.value.j, err.value.k) == triple
-        nodes, basis, lg = _kernel_inputs(n, alpha)
-        guarded = _build_rows(nodes, basis.nodes, basis.xi, lg, epsilon, on_hit="cardinal")
-        bumped = _build_rows(nodes, basis.nodes, basis.xi, lg_rule(_lg_count_default(n) + 1), epsilon,
-                             on_hit="raise")
+        nodes, basis, _ = _kernel_inputs(n, alpha)
+        bumped = _build_rows(nodes, basis.nodes, basis.xi, lg_rule(_lg_count_default(n) + 1), epsilon)
+        guarded, _ = _guarded_oracle(n, alpha, epsilon)
         assert np.array_equal(build_gim_gg_guarded(n, param, epsilon).entries, guarded)
         assert np.array_equal(build_gim_gg_bumped(n, param, epsilon).entries, bumped)
 
@@ -211,13 +210,13 @@ class TestReflectedSquare:
         # changes nothing and every builder reflects
         param = GegenbauerParam(alpha)
         nodes, basis, lg = _kernel_inputs(n, alpha)
-        assert not any(_screen(nodes, basis.nodes, lg, epsilon)[2])
-        assert _screen(np.array([1.0]), basis.nodes, lg, epsilon)[2] == [True]
+        assert not any(_screen(nodes, basis.nodes, lg, epsilon)[1])
+        assert _screen(np.array([1.0]), basis.nodes, lg, epsilon)[1] == [True]
         square = build_gim_gg(n, param, epsilon).entries
         for build in (build_gim_gg_guarded, build_gim_gg_bumped):
             assert np.array_equal(build(n, param, epsilon).entries, square)
         assert np.array_equal(build_gim_gg(n, param).entries, square)
-        full = _build_rows(nodes, basis.nodes, basis.xi, lg, EPS_MACH, on_hit="raise")
+        full = _build_rows(nodes, basis.nodes, basis.xi, lg, EPS_MACH)
         assert np.max(np.abs(square - full)) <= REFLECTION_ATOL
 
     @settings(max_examples=40, deadline=None)
@@ -646,13 +645,32 @@ def _kernel_inputs(n, alpha, stride=1):
     return rule.nodes[::stride], bary_weights_gg(rule), lg_rule(_lg_count_default(n))
 
 
+def _guarded_oracle(n, alpha, epsilon):
+    """The guarded square matrix from its two sources, and which of its targets have a hit.
+
+    A target has a hit when a dense test finds a mapped point within epsilon
+    of a node, as in _oracle_rows.  Its row is the cardinal row of
+    _oracle_rows; every other row is the row kernel's for that target alone.
+    """
+    nodes, basis, lg = _kernel_inputs(n, alpha)
+    rows, hit = np.empty((n + 1, n + 1)), np.zeros(n + 1, dtype=bool)
+    for j, x_j in enumerate(nodes):
+        mapped = 0.5 * ((x_j + 1.0) * lg.nodes + x_j - 1.0)
+        hit[j] = np.any(np.abs(mapped[:, None] - basis.nodes) <= epsilon)
+        if hit[j]:
+            rows[j] = _oracle_rows([x_j], basis, lg, epsilon, "cardinal")[0]
+        else:
+            rows[j] = _build_rows([x_j], basis.nodes, basis.xi, lg, epsilon)[0]
+    return rows, hit
+
+
 class TestRowKernelMatchesLagrangeOracle:
     @pytest.mark.parametrize("alpha", [-0.4, 0.0, 0.5, 1.5, 2.0])
     def test_feasible_rows(self, alpha):
         for n, stride in ((1, 1), (2, 1), (7, 1), (40, 1), (160, 1), (640, 16)):
             targets, basis, lg = _kernel_inputs(n, alpha, stride)
             targets = np.concatenate([[-1.0], targets])
-            got = _build_rows(targets, basis.nodes, basis.xi, lg, EPS_MACH, on_hit="raise")
+            got = _build_rows(targets, basis.nodes, basis.xi, lg, EPS_MACH)
             want = _oracle_rows(targets, basis, lg, EPS_MACH, "raise")
             assert np.max(np.abs(got - want)) <= 1e-15
 
@@ -661,26 +679,31 @@ class TestRowKernelMatchesLagrangeOracle:
         assert not check_gg_condition(n, GegenbauerParam(alpha)).feasible
         targets, basis, lg = _kernel_inputs(n, alpha)
         with pytest.raises(CollisionError) as got:
-            _build_rows(targets, basis.nodes, basis.xi, lg, EPS_MACH, on_hit="raise")
+            _build_rows(targets, basis.nodes, basis.xi, lg, EPS_MACH)
         with pytest.raises(CollisionError) as want:
             _oracle_rows(targets, basis, lg, EPS_MACH, "raise")
         assert (got.value.i, got.value.j, got.value.k) == (want.value.i, want.value.j, want.value.k)
-        # guarded rows on the targets around the first collision
-        window = targets[max(got.value.j - 8, 0):got.value.j + 8]
-        guarded = _build_rows(window, basis.nodes, basis.xi, lg, EPS_MACH, on_hit="cardinal")
-        oracle = _oracle_rows(window, basis, lg, EPS_MACH, "cardinal")
-        assert np.max(np.abs(guarded - oracle)) <= 1e-15
+        # guarded rows: the cardinal oracle's bits at a hit, the kernel's elsewhere, and
+        # every row on the targets around the first collision near the oracle
+        guarded = build_gim_gg_guarded(n, GegenbauerParam(alpha)).entries
+        want_rows, hit = _guarded_oracle(n, alpha, EPS_MACH)
+        assert hit[got.value.j] and np.array_equal(guarded, want_rows)
+        window = slice(max(got.value.j - 8, 0), got.value.j + 8)
+        oracle = _oracle_rows(targets[window], basis, lg, EPS_MACH, "cardinal")
+        assert np.max(np.abs(guarded[window] - oracle)) <= 1e-15
 
     @pytest.mark.parametrize("epsilon", [1e-3, 2e-2])
     def test_many_hits_with_wide_tolerance(self, epsilon):
         # several hits per target, and points within epsilon of two nodes
         targets, basis, lg = _kernel_inputs(30, 0.3)
         with pytest.raises(CollisionError) as got:
-            _build_rows(targets, basis.nodes, basis.xi, lg, epsilon, on_hit="raise")
+            _build_rows(targets, basis.nodes, basis.xi, lg, epsilon)
         with pytest.raises(CollisionError) as want:
             _oracle_rows(targets, basis, lg, epsilon, "raise")
         assert (got.value.i, got.value.j, got.value.k) == (want.value.i, want.value.j, want.value.k)
-        guarded = _build_rows(targets, basis.nodes, basis.xi, lg, epsilon, on_hit="cardinal")
+        guarded = build_gim_gg_guarded(30, GegenbauerParam(0.3), epsilon).entries
+        want_rows, hit = _guarded_oracle(30, 0.3, epsilon)
+        assert hit.sum() > 1 and np.array_equal(guarded, want_rows)
         oracle = _oracle_rows(targets, basis, lg, epsilon, "cardinal")
         assert np.max(np.abs(guarded - oracle)) <= 1e-15
 
@@ -702,7 +725,7 @@ class TestPerRowBases:
         targets, nodes, xi, lg = _per_row_inputs(20, 5000)
         tracemalloc.start()
         try:
-            rows = _build_rows(targets, nodes, xi, lg, EPS_MACH, "raise")
+            rows = _build_rows(targets, nodes, xi, lg, EPS_MACH)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -711,15 +734,14 @@ class TestPerRowBases:
 
     def test_rows_equal_shared_basis_rows(self):
         targets, nodes, xi, lg = _per_row_inputs(14, 300)
-        rows = _build_rows(targets, nodes, xi, lg, EPS_MACH, "raise")
+        rows = _build_rows(targets, nodes, xi, lg, EPS_MACH)
         for j in range(0, targets.size, 7):
-            alone = _build_rows(targets[j:j + 1], nodes[j], xi[j], lg, EPS_MACH, "raise")
+            alone = _build_rows(targets[j:j + 1], nodes[j], xi[j], lg, EPS_MACH)
             assert np.array_equal(rows[j], alone[0]), j
 
     @pytest.mark.parametrize("epsilon", [1e-3, 2e-2])
     def test_hits_match_the_lagrange_oracle(self, epsilon):
-        # per-row bases with several hits per target: the first collision in (j, k, i)
-        # order, and guarded rows from each target's own cardinal table
+        # per-row bases with several hits per target: the first collision in (j, k, i) order
         targets, nodes, xi, lg = _per_row_inputs(9, 40)
         oracle = []
         for j, x_j in enumerate(targets):
@@ -729,12 +751,8 @@ class TestPerRowBases:
             except CollisionError as err:
                 oracle.append((j, err.k, err.i))
         with pytest.raises(CollisionError) as got:
-            _build_rows(targets, nodes, xi, lg, epsilon, "raise")
+            _build_rows(targets, nodes, xi, lg, epsilon)
         assert (got.value.j, got.value.k, got.value.i) == min(oracle)
-        guarded = _build_rows(targets, nodes, xi, lg, epsilon, "cardinal")
-        for j, x_j in enumerate(targets):
-            want = _oracle_rows([x_j], BarycentricBasis(nodes[j], xi[j]), lg, epsilon, "cardinal")
-            assert np.max(np.abs(guarded[j] - want[0])) <= 1e-15, j
 
 
 def _csv_oracle(matrix, alpha_text, tail=()):

@@ -92,7 +92,7 @@ def grouped_optimal_gim(targets, config):
         basis = bary_weights_gg(gg_rule(m, GegenbauerParam(a_k)))
         adjoint_nodes[ks] = basis.nodes
         try:
-            entries[ks] = _build_rows(targets[ks], basis.nodes, basis.xi, lg, config.epsilon, "raise")
+            entries[ks] = _build_rows(targets[ks], basis.nodes, basis.xi, lg, config.epsilon)
         except CollisionError as err:
             collisions.append((ks[err.j], err.i, err.k))
     if collisions:
