@@ -66,13 +66,9 @@ def reference_integrals(f, targets) -> np.ndarray:
     Independent of the package's own rules on purpose: this is the
     comparison oracle for integrand expressions; the named integrands use
     :data:`EXACT_INTEGRALS`.  ``scipy.integrate`` is imported here, not at
-    module level, so importing the package and the CLI does not load it;
-    without scipy, an optional dependency, this raises ``ValueError``.
+    module level, so importing the package and the CLI does not load it.
     """
-    try:
-        from scipy.integrate import IntegrationWarning, quad
-    except ImportError:
-        raise ValueError("integrand expressions need scipy: pip install 'baryquad[quad]'") from None
+    from scipy.integrate import IntegrationWarning, quad
 
     out = np.empty(len(targets))
     with warnings.catch_warnings():

@@ -132,19 +132,6 @@ class TestQuadbenchCommand:
         assert err.count("UsageError: --n-grid and --alpha-grid must each list at least one value\n") == 2
         assert "integrand" not in err
 
-    def test_expression_without_scipy_exits_one(self, tmp_path, monkeypatch, capsys):
-        # scipy is an optional extra: an expression without it ends in one line, no traceback
-        monkeypatch.setitem(sys.modules, "scipy.integrate", None)
-        out = tmp_path / "bench.csv"
-        assert main(["quadbench", "--f", "exp(x)", "--n-grid", "4", "--alpha-grid", "0.5",
-                     "--out", str(out)]) == 1
-        assert capsys.readouterr().err == (
-            "UsageError: integrand expressions need scipy: pip install 'baryquad[quad]'\n")
-        assert not out.exists()
-        # the named integrands have exact integrals and need no scipy
-        assert main(["quadbench", "--f", "f1", "--n-grid", "4", "--alpha-grid", "0.5",
-                     "--out", str(out)]) == 0
-
     def test_time_flag_reports_elapsed_on_stderr(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"
         assert main(["quadbench", "--f", "f1", "--n-grid", "4", "--alpha-grid", "0.5",
