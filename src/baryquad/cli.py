@@ -157,6 +157,8 @@ def cmd_example(args) -> int:
         if args.m is None:
             raise ValueError("example 1 requires --m")
         solution = solve_example1(args.n, args.m, param)
+    elif args.m is not None:
+        raise ValueError("example 2 takes no --m")
     else:
         solution = solve_example2(args.n, param)
     if args.out is not None:
@@ -246,7 +248,3 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
-
-
-if __name__ == "__main__":
-    entry()

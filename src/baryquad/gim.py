@@ -221,30 +221,37 @@ def _build_rows(target_nodes, nodes: np.ndarray, xi: np.ndarray, lg, epsilon: fl
     return rows
 
 
+def _full_interval_row(rows: np.ndarray) -> np.ndarray:
+    """E from a square matrix's rows j <= (n + 1) // 2: the middle row plus its mirror, or middle pair."""
+    n = rows.shape[1] - 1
+    return rows[n // 2] + rows[(n + 1) // 2, ::-1]
+
+
 def _square(n: int, param: GegenbauerParam, epsilon: float, on_hit: str) -> IntegrationMatrix:
     """The one square-matrix body, after one screen of the n + 1 Gauss targets.
 
-    With no hit the rows with x_j <= 0, and for odd n the first with
-    x_j > 0, go through the row kernel and the others follow from the node
-    symmetry, Q[j, i] = E_i - Q[n-j, n-i] with E the full-interval row,
-    E = Q[n//2] + Q[(n+1)//2, ::-1]: the middle row, or the middle pair of
-    mirror-image nodes.  Otherwise ``on_hit`` "raise" raises, "bump" builds
-    every row with one more Legendre point, and "cardinal" integrates the
-    table of :func:`lagrange_matrix` in the rows with a hit, the kernel's elsewhere.
+    On a hit, ``on_hit`` "bump" takes the Legendre rule with one more point
+    and screens again.  With no hit the rows with x_j <= 0, and for odd n
+    the first with x_j > 0, go through the row kernel and the others follow
+    from the node symmetry, Q[j, i] = E_i - Q[n-j, n-i] with E the
+    full-interval row (:func:`_full_interval_row`).  Otherwise "cardinal"
+    integrates the table of :func:`lagrange_matrix` in the rows with a hit,
+    the kernel's elsewhere, and "raise", or "bump" when its larger rule
+    collides too, raises the first hit.
     """
     rule = gg_rule(n, param)
     basis = bary_weights_gg(rule)
     nodes, lg = basis.nodes, lg_rule(_lg_count_default(n))
     mapped, hit = screen = _screen(nodes, nodes, lg, epsilon)
+    if any(hit) and on_hit == "bump":
+        lg = lg_rule(lg.n + 1)
+        mapped, hit = screen = _screen(nodes, nodes, lg, epsilon)
     if not any(hit):
         kept = (n + 1) // 2 + 1  # the rows with x_j <= 0 and, for odd n, the first x_j > 0
         rows = _build_rows(nodes[:kept], nodes, basis.xi, lg, epsilon, (mapped[:kept], hit[:kept]))
-        total = rows[n // 2] + rows[kept - 1, ::-1]
         entries = np.empty((n + 1, n + 1))
         entries[:kept] = rows
-        entries[kept:] = total - rows[:n + 1 - kept][::-1, ::-1]
-    elif on_hit == "bump":
-        entries = _build_rows(nodes, nodes, basis.xi, lg_rule(_lg_count_default(n) + 1), epsilon)
+        entries[kept:] = _full_interval_row(rows) - rows[:n + 1 - kept][::-1, ::-1]
     elif on_hit == "cardinal":
         free = np.flatnonzero(np.logical_not(hit))
         entries = np.empty((n + 1, n + 1))
@@ -253,7 +260,7 @@ def _square(n: int, param: GegenbauerParam, epsilon: float, on_hit: str) -> Inte
         for j in np.flatnonzero(hit):
             entries[j] = 0.5 * (nodes[j] + 1.0) * (lg.weights @ lagrange_matrix(basis, mapped[j], epsilon))
     else:
-        entries = _build_rows(nodes, nodes, basis.xi, lg, epsilon, screen)
+        _build_rows(nodes, nodes, basis.xi, lg, epsilon, screen)  # raises the first hit
     return IntegrationMatrix(entries=entries, order=1, source_nodes=rule.nodes,
                              target_nodes=rule.nodes, interval=INTERVAL_BIUNIT, alpha=param.alpha)
 
@@ -266,9 +273,9 @@ def build_gim_gg(n: int, param: GegenbauerParam, epsilon: float = EPS_MACH) -> I
     by reflection, Q[j, i] = E_i - Q[n-j, n-i] with E the full-interval
     row, which moves entries at the rounding level against building every
     row (at most 9.4e-14 for n <= 641, -0.4 <= alpha <= 2; the worst case
-    is n = 639, alpha = 2).  On a hit all rows are built, and the
-    guarded and bumped builders handle it as they describe; on the
-    feasible set the three builders return the same bits.
+    is n = 639, alpha = 2).  The guarded and bumped builders handle a hit
+    as they describe; on the feasible set the three builders return the
+    same bits.
 
     Raises
     ------
@@ -296,9 +303,9 @@ def build_gim_gg_bumped(n: int, param: GegenbauerParam, epsilon: float = EPS_MAC
     The interpolant has degree <= n, so both Legendre counts integrate it
     exactly and the result equals :func:`build_gim_gg` whenever the latter
     exists; the enlarged rule merely moves the evaluation points off the
-    colliding configuration.  Every row of that rebuild goes through the
-    row kernel, none by reflection, and it raises :class:`CollisionError`
-    only if the enlarged rule collides too.
+    colliding configuration.  The rebuild is the plain body with that rule,
+    reflection included, and it raises :class:`CollisionError` only if the
+    enlarged rule collides too.
     """
     return _square(n, param, epsilon, "bump")
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError
-from .gim import apply_quadrature, build_gim_arbitrary, build_gim_gg_bumped, map_to_unit, qth_order_gim
+from .gim import _full_interval_row, apply_quadrature, build_gim_gg_bumped, map_to_unit, qth_order_gim
 from .optimal import OptimalConfig, build_optimal_gim
 from .polynomials import EPS_MACH, GegenbauerParam, _frozen
 from .rules import _write_lines
@@ -130,10 +130,10 @@ def newton_solve(residual, x0, tol: float = 1e-12, max_iter: int = 100,
 
 
 def _unit_interval_operators(n: int, param: GegenbauerParam):
-    """Gauss nodes, then on [0, 1] the nodes, bumped square matrix (built at every alpha) and endpoint row."""
+    """Gauss nodes, then on [0, 1] the nodes, bumped square matrix (any alpha) and endpoint row E / 2."""
     biunit = build_gim_gg_bumped(n, param)
     square = map_to_unit(biunit)
-    endpoint = build_gim_arbitrary(1.0, n, param).entries[0] / 2.0
+    endpoint = _full_interval_row(biunit.entries) / 2.0
     return biunit.target_nodes, square.target_nodes, square, endpoint
 
 
@@ -154,8 +154,9 @@ def solve_example1(n: int, m: int, param: GegenbauerParam) -> CollocationSolutio
     controls its expansion degree).  The resulting dense linear system is
     solved by LU with partial pivoting.
     """
+    config = OptimalConfig(m=m)  # checks m before any work
     x, s, square, endpoint = _unit_interval_operators(n, param)
-    optimal = map_to_unit(build_optimal_gim(x, OptimalConfig(m=m)))
+    optimal = map_to_unit(build_optimal_gim(x, config))
 
     kernel = np.exp(np.outer(s, s))
     a = np.eye(n + 1) - square.entries - (square.entries @ kernel) * endpoint[None, :]

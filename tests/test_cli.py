@@ -301,6 +301,20 @@ class TestExampleCommand:
     def test_example1_requires_m(self, capsys):
         assert main(["example", "--id", "1", "--n", "10", "--alpha", "0.5"]) == 1
 
+    def test_m_is_checked_before_any_work(self, capsys):
+        # the rule of (640, 30) does not converge, so any work before the check exits 2
+        assert main(["example", "--id", "1", "--n", "640", "--m", "-1", "--alpha", "30"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "m must be a non-negative integer" in err
+
+    def test_example2_refuses_m(self, tmp_path, capsys):
+        path = tmp_path / "sol.csv"
+        assert main(["example", "--id", "2", "--n", "9", "--m", "3", "--alpha", "0.5",
+                     "--out", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "example 2 takes no --m" in err
+        assert not path.exists()
+
 
 class TestUnwritableOutput:
     @pytest.mark.parametrize("argv", [

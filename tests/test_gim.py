@@ -197,11 +197,26 @@ class TestReflectedSquare:
         with pytest.raises(CollisionError) as err:
             build_gim_gg(n, param, epsilon)
         assert (err.value.i, err.value.j, err.value.k) == triple
-        nodes, basis, _ = _kernel_inputs(n, alpha)
-        bumped = _build_rows(nodes, basis.nodes, basis.xi, lg_rule(_lg_count_default(n) + 1), epsilon)
         guarded, _ = _guarded_oracle(n, alpha, epsilon)
         assert np.array_equal(build_gim_gg_guarded(n, param, epsilon).entries, guarded)
-        assert np.array_equal(build_gim_gg_bumped(n, param, epsilon).entries, bumped)
+
+    @pytest.mark.parametrize("n, alpha, epsilon", [(4, 1.0, EPS_MACH), (16, 1.0, EPS_MACH),
+                                                   (160, 1.0, EPS_MACH), (8, 2.0, 1e-4)])
+    def test_infeasible_pairs_bump_then_reflect(self, n, alpha, epsilon):
+        # the bumped builder is the plain body with n // 2 + 2 Legendre points: the kernel
+        # builds the rows j <= (n + 1) // 2 and the others follow by reflection
+        nodes, basis, _ = _kernel_inputs(n, alpha)
+        lg = lg_rule(_lg_count_default(n) + 1)
+        kept = (n + 1) // 2 + 1
+        expected = np.empty((n + 1, n + 1))
+        expected[:kept] = _build_rows(nodes[:kept], basis.nodes, basis.xi, lg, epsilon)
+        total = expected[n // 2] + expected[(n + 1) // 2, ::-1]
+        for j in range(kept, n + 1):
+            expected[j] = total - expected[n - j, ::-1]
+        bumped = build_gim_gg_bumped(n, GegenbauerParam(alpha), epsilon).entries
+        assert np.array_equal(bumped, expected)
+        every_row = _build_rows(nodes, basis.nodes, basis.xi, lg, epsilon)
+        assert np.max(np.abs(bumped - every_row)) <= REFLECTION_ATOL
 
     @pytest.mark.parametrize("n, alpha, epsilon", [(9, -0.27, 2e-4), (17, -0.11, 1e-5),
                                                    (47, -0.13, 7e-7)])

@@ -9,9 +9,10 @@ from numpy.testing import assert_allclose
 
 from baryquad import solvers
 from baryquad import (CollisionError, CollocationSolution, ConvergenceError, GegenbauerParam,
-                      build_gim_gg, condition_number_2, map_to_unit, newton_solve,
-                      solution_to_csv, solve_example1, solve_example2)
-from baryquad.solvers import _example2_system
+                      build_gim_arbitrary, build_gim_gg, condition_number_2, map_to_unit,
+                      newton_solve, solution_to_csv, solve_example1, solve_example2)
+from baryquad.polynomials import EPS_MACH
+from baryquad.solvers import _example2_system, _unit_interval_operators
 
 
 class TestNewton:
@@ -168,6 +169,24 @@ class TestExample1:
         assert s1.mae == s2.mae and s1.kappa2 == s2.kappa2
 
 
+class TestEndpointRow:
+    """The solvers' endpoint row is their square matrix's full-interval row, halved."""
+
+    @pytest.mark.parametrize("n, alpha", [(0, 0.5), (1, -0.4), (9, 0.5), (10, 0.7), (16, 1.0),
+                                          (80, 2.0), (160, 1.0), (240, 0.0)])
+    def test_integrates_the_unit_interval(self, n, alpha):
+        # (16, 1) and (160, 1) collide, so their square matrix is the bumped one.
+        # Measured at most 1.0 (n + 1) eps on the monomials (at n = 0) and
+        # 0.5 (n + 1) eps from the arbitrary-target row (at n = 1)
+        param = GegenbauerParam(alpha)
+        _, s, _, endpoint = _unit_interval_operators(n, param)
+        bound = 4 * (n + 1) * EPS_MACH
+        for k in range(n + 1):
+            assert abs(endpoint @ s ** k - 1.0 / (k + 1)) <= bound
+        row = build_gim_arbitrary(1.0, n, param).entries[0] / 2.0
+        assert np.max(np.abs(endpoint - row)) <= bound
+
+
 class TestInfeasiblePairs:
     """The solvers build their square matrix with the bumped builder, so they
     solve at the pairs where the plain builder refuses."""
@@ -177,7 +196,7 @@ class TestInfeasiblePairs:
         with pytest.raises(CollisionError):
             build_gim_gg(16, param)
         sol = solve_example1(16, 14, param)
-        # measured: MAE 4.62e-14, kappa2 36.87
+        # measured: MAE 4.80e-14, kappa2 36.87
         assert sol.mae <= 5e-14
         assert 30.0 <= sol.kappa2 <= 50.0
 
