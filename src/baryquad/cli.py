@@ -14,6 +14,8 @@ cannot be written), 2 infeasible parameters.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import re
 import sys
 import time
@@ -22,8 +24,8 @@ import numpy as np
 
 from .bench import run_benchmark
 from .errors import CollisionError, ConvergenceError
-from .gim import (build_basis_gim, build_gim_gg, build_gim_gg_bumped, build_gim_gg_guarded,
-                  check_gg_condition, matrix_to_csv, qth_order_gim)
+from .gim import (_check_gg_batch, build_basis_gim, build_gim_gg, build_gim_gg_bumped,
+                  build_gim_gg_guarded, matrix_to_csv, qth_order_gim)
 from .polynomials import EPS_MACH, GegenbauerParam, _check_degree, _check_epsilon
 from .rules import _nodes_weights, _write_lines
 from .solvers import solve_example1, solve_example2, solution_to_csv
@@ -87,26 +89,23 @@ def _attach_grid_values(argv):
     return out
 
 
-def _grid_points(args):
-    """The (n, param) points of ``--n-grid`` x ``--alpha-grid``, every value checked first.
-
-    An empty grid raises ``ValueError``.  Each degree's Gauss rules are built
-    in one batch just before its points: the rule cache holds 512 rules, so
-    a batch of every degree up front would evict them on a large grid.
-    """
+def _grid(args):
+    """The degrees and parameters of ``--n-grid`` and ``--alpha-grid``, every value checked first."""
     n_grid, alpha_grid = parse_grid(args.n_grid), parse_grid(args.alpha_grid)
     if not n_grid or not alpha_grid:
         raise ValueError("--n-grid and --alpha-grid must each list at least one value")
-    degrees = [_check_degree(n, "degree") for n in n_grid]
-    params = [GegenbauerParam(a) for a in alpha_grid]
-    alphas = tuple(p.alpha for p in params)
+    return [_check_degree(n, "degree") for n in n_grid], [GegenbauerParam(a) for a in alpha_grid]
 
-    def points():
-        for n in degrees:
-            _nodes_weights(n, alphas)  # the Gauss rules of all alpha in one batch
-            for param in params:
-                yield n, param
-    return points()
+
+def _check_out(path) -> None:
+    """Raise the ``OSError`` that opening ``--out`` would: its directory missing or read-only, or a directory."""
+    if path is None:
+        return
+    parent = os.path.dirname(path) or os.curdir
+    fault = (errno.EISDIR if os.path.isdir(path) else errno.ENOENT if not os.path.isdir(parent)
+             else errno.EACCES if not os.access(parent, os.W_OK) else None)
+    if fault:
+        raise OSError(fault, os.strerror(fault), path)
 
 
 def _write_rows(path, header, rows):
@@ -128,10 +127,20 @@ def cmd_gim(args) -> int:
 
 
 def cmd_quadbench(args) -> int:
-    points = _grid_points(args)
+    degrees, params = _grid(args)
+    alphas = tuple(p.alpha for p in params)
+
+    def points():
+        # each degree's Gauss rules in one batch just before its points: the rule cache
+        # holds 512 rules, so a batch of every degree up front would evict them on a large grid
+        for n in degrees:
+            _nodes_weights(n, alphas)
+            for param in params:
+                yield n, param
+
     start = time.perf_counter()
     rows = [(str(n), f"{alpha:.17g}", str(j), f"{eb:.17g}", f"{es:.17g}")
-            for n, alpha, j, eb, es in run_benchmark(args.f, points)]
+            for n, alpha, j, eb, es in run_benchmark(args.f, points())]
     elapsed = time.perf_counter() - start
     _write_rows(args.out, "n,alpha,node_index,err_bary,err_basis", rows)
     if args.time:
@@ -140,11 +149,11 @@ def cmd_quadbench(args) -> int:
 
 
 def cmd_feasibility(args) -> int:
-    _check_epsilon(args.epsilon)  # before the first rule is built
+    degrees, params = _grid(args)
     rows = []
-    for n, param in _grid_points(args):
-        report = check_gg_condition(n, param, args.epsilon)
-        rows.append((str(n), f"{param.alpha:.17g}", "true" if report.feasible else "false"))
+    for n in degrees:
+        for param, report in zip(params, _check_gg_batch(n, params, args.epsilon)):
+            rows.append((str(n), f"{param.alpha:.17g}", "true" if report.feasible else "false"))
     _write_rows(args.out, "n,alpha,feasible", rows)
     return 0
 
@@ -234,6 +243,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
     try:
+        _check_out(args.out)  # every command has --out
         return args.func(args)
     except ValueError as exc:
         print(f"UsageError: {exc}", file=sys.stderr)

@@ -19,7 +19,7 @@ from .barycentric import bary_weights_gg, lagrange_matrix
 from .errors import CollisionError
 from .polynomials import (EPS_MACH, GegenbauerParam, _check_degree, _check_epsilon, _frozen,
                           _integration_relation, _norms, _terms)
-from .rules import _write_lines, gg_rule, lg_rule
+from .rules import _nodes_weights, _screen_nodes, _write_lines, gg_rule, lg_rule
 
 INTERVAL_BIUNIT = "[-1,1]"
 INTERVAL_UNIT = "[0,1]"
@@ -108,8 +108,8 @@ def _validated_targets(target_nodes) -> np.ndarray:
 _BLOCK_ELEMENTS = 4096
 
 
-def _screen(targets: np.ndarray, nodes: np.ndarray, lg, epsilon: float):
-    """Legendre points mapped onto [-1, x_j] per target x_j, and the targets with a hit.
+def _screen(targets: np.ndarray, nodes: np.ndarray, points: np.ndarray, epsilon: float):
+    """Legendre ``points`` mapped onto [-1, x_j] per target x_j, and the targets with a hit.
 
     ``nodes`` is 1-D, shared by every target, or (targets, cols), row j the
     nodes of target j.  A point with |y_jk - x_i| <= epsilon is a hit.
@@ -122,7 +122,7 @@ def _screen(targets: np.ndarray, nodes: np.ndarray, lg, epsilon: float):
     Returns ``(mapped, hit)``, ``hit`` a list of one bool per target.
     """
     _check_epsilon(epsilon)
-    mapped = 0.5 * ((targets[:, None] + 1.0) * lg.nodes + targets[:, None] - 1.0)
+    mapped = 0.5 * ((targets[:, None] + 1.0) * points + targets[:, None] - 1.0)
     # x_below < y <= x_above, so both differences are |y - x| without abs
     inf = np.full(nodes.shape[:-1] + (1,), np.inf)
     padded = np.concatenate((-inf, nodes, inf), axis=-1)
@@ -131,7 +131,7 @@ def _screen(targets: np.ndarray, nodes: np.ndarray, lg, epsilon: float):
         nearest = np.minimum(mapped - padded[above - 1], padded[above] - mapped)
     else:
         nearest = np.empty_like(mapped)
-        size = max(1, _BLOCK_ELEMENTS // (lg.nodes.size * nodes.shape[1]))
+        size = max(1, _BLOCK_ELEMENTS // (points.size * nodes.shape[1]))
         for start in range(0, targets.size, size):
             b = slice(start, start + size)
             above = (nodes[b, None, :] < mapped[b, :, None]).sum(axis=2) + 1
@@ -148,13 +148,49 @@ def _collisions(targets: np.ndarray, nodes: np.ndarray, lg, epsilon: float, scre
     the targets; each of those takes one dense test of its mapped points
     against its nodes.
     """
-    mapped, hit = _screen(targets, nodes, lg, epsilon) if screen is None else screen
+    mapped, hit = _screen(targets, nodes, lg.nodes, epsilon) if screen is None else screen
     triples = []
     for j in (j for j, h in enumerate(hit) if h):
         row = nodes if nodes.ndim == 1 else nodes[j]
         k, i = np.nonzero(np.abs(mapped[j, :, None] - row) <= epsilon)  # in (k, i) order
         triples += zip(i.tolist(), [j] * k.size, k.tolist())
     return triples
+
+
+#: margin of the check on values-only nodes (rules._screen_nodes), within 1.1e-16 of the rules'
+#: nodes: a mapped point and its node move by three such distances and two ulps at most
+_SCREEN_MARGIN = 1e-14
+#: where every rule passes its own checks; outside, the check builds the rule, which may raise
+#: (above alpha = 2 at large n, and from alpha + 1/2 <= 1e-11 at n = 640)
+_SCREEN_MAX_DEGREE, _SCREEN_ALPHAS = 1000, (-0.4999999, 2.0)
+
+
+def _check_gg_batch(n: int, params, epsilon: float) -> list:
+    """:func:`check_gg_condition` of every parameter of ``params`` at degree n, in order.
+
+    The values-only nodes of every alpha in range are screened at epsilon
+    plus :data:`_SCREEN_MARGIN`: no hit there is feasible.  The others, hit
+    or unordered or out of range, build their Gauss rules in one batch.
+    """
+    n = _check_degree(n, "degree")
+    _check_epsilon(epsilon)
+    count = _lg_count_default(n)
+    reports = {}
+    low, high = _SCREEN_ALPHAS
+    inside = [p.alpha for p in params if n <= _SCREEN_MAX_DEGREE and low <= p.alpha <= high]
+    if inside:
+        points = _screen_nodes(count, (0.5,))[0]
+        for alpha, x in zip(inside, _screen_nodes(n, inside)):
+            ordered = np.all(x[1:] > x[:-1]) and x[-1] < 1.0  # symmetric, so x[0] > -1
+            if ordered and not any(_screen(x, x, points, epsilon + _SCREEN_MARGIN)[1]):
+                reports[alpha] = FeasibilityReport(feasible=True, violations=())
+    exact = tuple(p.alpha for p in params if p.alpha not in reports)
+    if exact:
+        lg = lg_rule(count)
+        for alpha, (x, _) in zip(exact, _nodes_weights(n, exact)):
+            violations = tuple(sorted(_collisions(x, x, lg, epsilon)))
+            reports[alpha] = FeasibilityReport(feasible=not violations, violations=violations)
+    return [reports[p.alpha] for p in params]
 
 
 def check_gg_condition(n: int, param: GegenbauerParam, epsilon: float = EPS_MACH) -> FeasibilityReport:
@@ -169,12 +205,14 @@ def check_gg_condition(n: int, param: GegenbauerParam, epsilon: float = EPS_MACH
     triples for n <= 100 on the paper's alpha grids.
 
     Each mapped point is searched in the sorted nodes (:func:`_screen`),
-    which takes O(n^2 log n) time and O(n^2) memory.  Violations are
-    (i, j, k) triples in lexicographic order.
+    which takes O(n^2 log n) time and O(n^2) memory.  For n <= 1000 and
+    -0.4999999 <= alpha <= 2 a values-only SVD's nodes are screened first,
+    with a margin, and only a pair near a hit builds the Gauss rule
+    (:func:`_check_gg_batch`); elsewhere a rule that does not hold raises
+    :class:`ConvergenceError`.  Violations are (i, j, k) triples in
+    lexicographic order.
     """
-    x = gg_rule(n, param).nodes
-    violations = tuple(sorted(_collisions(x, x, lg_rule(_lg_count_default(n)), epsilon)))
-    return FeasibilityReport(feasible=not violations, violations=violations)
+    return _check_gg_batch(n, (param,), epsilon)[0]
 
 
 def _build_rows(target_nodes, nodes: np.ndarray, xi: np.ndarray, lg, epsilon: float, screen=None):
@@ -202,7 +240,7 @@ def _build_rows(target_nodes, nodes: np.ndarray, xi: np.ndarray, lg, epsilon: fl
     """
     targets = np.atleast_1d(np.asarray(target_nodes, dtype=float))
     w = lg.weights
-    mapped, hit = _screen(targets, nodes, lg, epsilon) if screen is None else screen
+    mapped, hit = _screen(targets, nodes, lg.nodes, epsilon) if screen is None else screen
     if any(hit):
         i, j, k = _collisions(targets, nodes, lg, epsilon, (mapped, hit))[0]
         raise CollisionError(i, j, k, "mapped Legendre point coincides with a source node")
@@ -242,10 +280,10 @@ def _square(n: int, param: GegenbauerParam, epsilon: float, on_hit: str) -> Inte
     rule = gg_rule(n, param)
     basis = bary_weights_gg(rule)
     nodes, lg = basis.nodes, lg_rule(_lg_count_default(n))
-    mapped, hit = screen = _screen(nodes, nodes, lg, epsilon)
+    mapped, hit = screen = _screen(nodes, nodes, lg.nodes, epsilon)
     if any(hit) and on_hit == "bump":
         lg = lg_rule(lg.n + 1)
-        mapped, hit = screen = _screen(nodes, nodes, lg, epsilon)
+        mapped, hit = screen = _screen(nodes, nodes, lg.nodes, epsilon)
     if not any(hit):
         kept = (n + 1) // 2 + 1  # the rows with x_j <= 0 and, for odd n, the first x_j > 0
         rows = _build_rows(nodes[:kept], nodes, basis.xi, lg, epsilon, (mapped[:kept], hit[:kept]))

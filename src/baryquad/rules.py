@@ -6,14 +6,16 @@ first, is [[0, B], [B^T, 0]] with B lower bidiagonal and of half the size
 the singular values of B; a pair +-x shares the mass times the squared
 first component of its left singular vector, and for even n the null
 vector of B^T gives the node 0.  One SVD per n takes the blocks of every
-alpha, then one Newton polish polishes the positive nodes of each rule to
-the bits they would reach alone, and the negative nodes are their mirror
-images.  The polish runs the package's one three-term recurrence and takes
-G_{n+1}' from the last two terms.  So the rules are exactly
-symmetric: the middle node of an odd-count rule is 0.0, paired nodes are
-bitwise negatives and paired weights bitwise equal.  Every rule is checked
-on a closed-form even moment before it is cached, so a rule past the
-parameter range where it holds (alpha well above 2 at large n) raises.
+alpha, in chunks of a bounded element count, then one Newton polish
+polishes the positive nodes of each rule to the bits they would reach
+alone, and the negative nodes are their mirror images.  The polish runs the
+package's one three-term recurrence and takes G_{n+1}' from the last two
+terms.  So the rules are exactly symmetric: the middle node of an
+odd-count rule is 0.0, paired nodes are bitwise negatives and paired
+weights bitwise equal.  Every rule is checked on a closed-form even moment
+before it is cached, so a rule past the parameter range where it holds
+(alpha well above 2 at large n, or within about 1e-11 of -1/2) raises.
+The feasibility check takes its nodes from :func:`_screen_nodes` instead.
 """
 
 from __future__ import annotations
@@ -93,8 +95,20 @@ def _polish(n: int, alphas, nodes: np.ndarray) -> None:
             break
 
 
-def _gauss_rules(n: int, alphas):
-    """Nodes and weights, (len(alphas), n + 1) each: one SVD and one polish for all alpha."""
+#: element budget of one SVD: each chunk of alpha stacks (alphas x rows x cols) blocks of at
+#: most this many elements, or one alpha's block when that is more.  Every batch of the
+#: benchmark commands is one chunk (the largest, quadbench at n = 320 with 10 alpha, has 257,600)
+_BATCH_ELEMENTS = 2 ** 18
+
+
+def _chunks(n: int, alphas):
+    """Consecutive slices of ``alphas`` whose half-size blocks stay within :data:`_BATCH_ELEMENTS`."""
+    size = max(1, _BATCH_ELEMENTS // ((n // 2 + 1) * max(1, (n + 1) // 2)))
+    return [slice(start, start + size) for start in range(0, len(alphas), size)]
+
+
+def _svd(n: int, alphas, compute_uv: bool = True):
+    """numpy's SVD of the stacked half-size blocks B of every alpha: (u, s, vt), or s alone."""
     m, rows, cols = len(alphas), n // 2 + 1, (n + 1) // 2
     a = np.array(alphas)[:, None]
     k = np.arange(2.0, n + 1.0)
@@ -107,17 +121,48 @@ def _gauss_rules(n: int, alphas):
     blocks.reshape(m, -1)[:, ::cols + 1] = b[:, 0::2]
     blocks.reshape(m, -1)[:, cols::cols + 1] = b[:, 1::2]
     try:
-        u, s, _ = np.linalg.svd(blocks)
+        return np.linalg.svd(blocks, compute_uv=compute_uv)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise ConvergenceError(f"SVD failed for n={n}, alpha in {list(alphas)}: {exc}") from exc
-    first = u[:, 0] ** 2 * np.array([_total_mass(alpha) for alpha in alphas])[:, None]
-    half = 0.5 * first[:, :cols]  # the +-s pairs; the null vector of B^T (even n) is node 0
+
+
+def _symmetric_nodes(n: int, alphas, s: np.ndarray) -> np.ndarray:
+    """The nodes of each alpha from its singular values: polished positives and their mirror images."""
     positive = s[:, ::-1].copy()
-    if cols:
+    if positive.shape[1]:
         _polish(n, alphas, positive)  # G_{n+1} is odd or even: -x would polish to exactly minus x's polish
-    nodes = np.concatenate([-positive[:, ::-1], np.zeros((m, rows - cols)), positive], axis=1)
-    weights = np.concatenate([half, first[:, cols:], half[:, ::-1]], axis=1)
+    middle = np.zeros((len(alphas), n + 1 - 2 * positive.shape[1]))
+    return np.concatenate([-positive[:, ::-1], middle, positive], axis=1)
+
+
+def _gauss_rules(n: int, alphas):
+    """Nodes and weights, (len(alphas), n + 1) each: one SVD and one polish per chunk of alpha.
+
+    Each row stops polishing at its own step test, so no bit depends on the chunks.
+    """
+    cols = (n + 1) // 2
+    nodes, weights = np.empty((len(alphas), n + 1)), np.empty((len(alphas), n + 1))
+    for part in _chunks(n, alphas):
+        chunk = alphas[part]
+        u, s, _ = _svd(n, chunk)
+        first = u[:, 0] ** 2 * np.array([_total_mass(alpha) for alpha in chunk])[:, None]
+        half = 0.5 * first[:, :cols]  # the +-s pairs; the null vector of B^T (even n) is node 0
+        nodes[part] = _symmetric_nodes(n, chunk, s)
+        weights[part] = np.concatenate([half, first[:, cols:], half[:, ::-1]], axis=1)
     return nodes, weights
+
+
+def _screen_nodes(n: int, alphas) -> np.ndarray:
+    """The nodes of :func:`_gauss_rules` from a values-only SVD, (len(alphas), n + 1), uncached.
+
+    Without U the SVD costs a fraction, but the nodes may differ from the
+    rule's in the last bit (at most 1.1e-16 for n <= 1000, -0.4999999 <=
+    alpha <= 2), so they serve only a check that allows for that distance.
+    """
+    nodes = np.empty((len(alphas), n + 1))
+    for part in _chunks(n, alphas):
+        nodes[part] = _symmetric_nodes(n, alphas[part], _svd(n, alphas[part], compute_uv=False))
+    return nodes
 
 
 def _nodes_weights(n: int, alphas: tuple):

@@ -8,6 +8,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -255,6 +256,18 @@ class TestFeasibilityCommand:
                      "--out", str(out)]) == 1
         assert "UsageError" in capsys.readouterr().err and not out.exists()
 
+    def test_large_alpha_grid_memory_is_bounded(self, tmp_path):
+        # 2,001 alpha at n = 100: one SVD of every block with its vectors peaked at 130 MiB
+        out = tmp_path / "feas.csv"
+        tracemalloc.start()
+        try:
+            code = main(["feasibility", "--n-grid", "100", "--alpha-grid", "0:0.001:2", "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and len(read_csv(out)[1]) == 2001
+        assert peak < 16 * 2 ** 20
+
     def test_rule_past_its_alpha_range_exits_two(self, tmp_path, capsys):
         out = tmp_path / "feas.csv"
         assert main(["feasibility", "--n-grid", "640", "--alpha-grid", "30", "--out", str(out)]) == 2
@@ -329,6 +342,32 @@ class TestUnwritableOutput:
         err = capsys.readouterr().err
         assert "FileNotFoundError" in err and "Traceback" not in err
         assert not out.parent.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["gim", "--n", "640", "--alpha", "30"],
+        ["example", "--id", "2", "--n", "640", "--alpha", "30"],
+        ["feasibility", "--n-grid", "640", "--alpha-grid", "10"],
+        ["quadbench", "--n-grid", "640", "--alpha-grid", "10"],
+    ])
+    def test_checked_before_any_work(self, argv, tmp_path, capsys):
+        # each of these rules fails its moment check (exit 2) once it is built
+        out = tmp_path / "missing" / "x.csv"
+        assert main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"FileNotFoundError: [Errno 2] No such file or directory: '{out}'\n"
+        assert not out.parent.exists()
+
+    def test_directory_exits_one(self, tmp_path, capsys):
+        assert main(["gim", "--n", "640", "--alpha", "30", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("IsADirectoryError: ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unwritable_directory_exits_one(self, tmp_path, capsys, monkeypatch):
+        # as root every directory is writable, so the permission test is stubbed
+        monkeypatch.setattr(os, "access", lambda path, mode: mode != os.W_OK)
+        out = tmp_path / "x.csv"
+        assert main(["feasibility", "--n-grid", "640", "--alpha-grid", "10", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("PermissionError: ")
+        assert not out.exists()
 
     def test_process_exit_code(self, tmp_path):
         # through entry(), as the installed script runs

@@ -4,6 +4,7 @@ import csv
 import io
 import math
 import tracemalloc
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -11,11 +12,11 @@ from hypothesis import assume, given, reject, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
-from baryquad import (CollisionError, GegenbauerParam, IntegrationMatrix, OptimalConfig,
-                      apply_quadrature, build_basis_gim, build_gim_arbitrary, build_gim_gg,
-                      build_gim_gg_bumped, build_gim_gg_guarded, build_optimal_gim,
+from baryquad import (CollisionError, ConvergenceError, GegenbauerParam, IntegrationMatrix,
+                      OptimalConfig, apply_quadrature, build_basis_gim, build_gim_arbitrary,
+                      build_gim_gg, build_gim_gg_bumped, build_gim_gg_guarded, build_optimal_gim,
                       check_gg_condition, gg_rule, map_to_unit, lg_rule, matrix_to_csv,
-                      qth_order_gim)
+                      qth_order_gim, rules)
 from baryquad.barycentric import BarycentricBasis, _gauss_xi, bary_weights_gg, lagrange_matrix
 from baryquad.gim import _build_rows, _lg_count_default, _screen
 from baryquad.polynomials import EPS_MACH, _integration_relation, _running_integral, _terms
@@ -50,7 +51,8 @@ class TestFeasibility:
             assert report.feasible and report.violations == ()
 
     def test_epsilon_must_be_positive(self):
-        for epsilon in (0.0, -1.0, math.nan, math.inf):
+        # -1e-15 plus the margin of the values-only screen would be positive
+        for epsilon in (0.0, -1.0, -1e-15, math.nan, math.inf):
             with pytest.raises(ValueError, match="epsilon must be positive"):
                 check_gg_condition(5, GegenbauerParam(0.5), epsilon=epsilon)
             with pytest.raises(ValueError, match="epsilon must be positive"):
@@ -123,6 +125,44 @@ class TestFeasibilityMatchesDenseOracle:
             tracemalloc.stop()
         assert report.violations == ((213, 320, 160),)
         assert peak < 64 * 2 ** 20
+
+
+class TestValuesOnlyScreen:
+    # in its range the check screens values-only nodes with a margin and builds the Gauss
+    # rule only near a hit; the verdicts and violations stay those of the rule's nodes
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(0, 120), alpha=st.floats(-0.5, 2.0, exclude_min=True),
+           epsilon=st.sampled_from([EPS_MACH, 1e-12, 1e-6]))
+    def test_same_violations_as_the_dense_oracle(self, n, alpha, epsilon):
+        param = GegenbauerParam(alpha)
+        # near alpha = -1/2 a rule's end nodes can round onto +-1: the polish then divides
+        # by 1 - x^2 = 0 on its way to the ConvergenceError, which both sides must raise
+        with np.errstate(divide="ignore", invalid="ignore"):
+            try:
+                want = dense_mapped_violations(n, param, epsilon)
+            except ConvergenceError:
+                with pytest.raises(ConvergenceError):
+                    check_gg_condition(n, param, epsilon)
+                return
+            report = check_gg_condition(n, param, epsilon)
+        assert report.violations == want and report.feasible == (not want)
+
+    def test_a_clear_pair_builds_no_rule(self, monkeypatch):
+        monkeypatch.setattr(rules, "_RULES", OrderedDict())
+        assert check_gg_condition(10, GegenbauerParam(0.5)).feasible
+        assert check_gg_condition(640, GegenbauerParam(0.5)).feasible
+        assert not rules._RULES
+        # a hit is checked on the rule itself
+        assert check_gg_condition(4, GegenbauerParam(1.0)).violations == ((1, 2, 1),)
+        assert list(rules._RULES) == [(2, 0.5), (4, 1.0)]
+
+    def test_rules_outside_the_range_still_raise(self):
+        with pytest.raises(ConvergenceError, match="n=640, alpha=10.0"):
+            check_gg_condition(640, GegenbauerParam(10.0))
+        # within 1e-12 of -1/2 the rule's end nodes round onto +-1, where the polish divides by 0
+        with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(
+                ConvergenceError, match="n=640, alpha=-0.499999999999: nodes not ordered"):
+            check_gg_condition(640, GegenbauerParam(-0.5 + 1e-12))
 
 
 class TestFeasibilityScanReproducibility:
@@ -226,8 +266,8 @@ class TestReflectedSquare:
         # changes nothing and every builder reflects
         param = GegenbauerParam(alpha)
         nodes, basis, lg = _kernel_inputs(n, alpha)
-        assert not any(_screen(nodes, basis.nodes, lg, epsilon)[1])
-        assert _screen(np.array([1.0]), basis.nodes, lg, epsilon)[1] == [True]
+        assert not any(_screen(nodes, basis.nodes, lg.nodes, epsilon)[1])
+        assert _screen(np.array([1.0]), basis.nodes, lg.nodes, epsilon)[1] == [True]
         square = build_gim_gg(n, param, epsilon).entries
         for build in (build_gim_gg_guarded, build_gim_gg_bumped):
             assert np.array_equal(build(n, param, epsilon).entries, square)

@@ -9,12 +9,13 @@ from collections import OrderedDict
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import eigh_tridiagonal
 
 from baryquad import (ConvergenceError, GegenbauerParam, QuadratureRule, gg_rule, lg_rule,
                       rule_from_csv, rule_to_csv)
-from baryquad import rules
+from baryquad import gim, rules
 from baryquad.polynomials import EPS_MACH
 
 ALPHAS = [-0.4, -0.25, 0.0, 0.5, 1.0, 2.0]
@@ -264,6 +265,22 @@ class TestBatchedRules:
         assert svds == [(1, 7, 6), (2, 7, 6)]
         assert batch[1][0] is cached.nodes and batch[3][0] is batch[0][0]
 
+    def test_chunks_keep_the_bits(self, svds, monkeypatch):
+        # 240 elements per alpha at n = 30: a budget of 1000 takes 4 alpha per SVD
+        monkeypatch.setattr(rules, "_BATCH_ELEMENTS", 1000)
+        batch = rules._nodes_weights(30, GRID)
+        assert svds == [(4, 16, 15)] * 6 + [(1, 16, 15)]
+        for alpha, (nodes, weights) in zip(GRID, batch):
+            want_nodes, want_weights, _ = oracle_nodes_weights(30, alpha)
+            assert np.array_equal(nodes, want_nodes) and np.array_equal(weights, want_weights)
+        alone = [rules._screen_nodes(30, (alpha,))[0] for alpha in GRID]
+        assert np.array_equal(rules._screen_nodes(30, GRID), alone)
+
+    def test_benchmark_batches_are_one_chunk(self):
+        # quadbench at n = 320 with 10 alpha is the largest batch of the benchmark commands
+        assert len(rules._chunks(320, [0.5] * 10)) == len(rules._chunks(100, GRID)) == 1
+        assert len(rules._chunks(1000, [0.5] * 3)) == 3
+
     def test_cache_is_bounded(self, monkeypatch):
         monkeypatch.setattr(rules, "_CACHE_SIZE", 4)
         rules._nodes_weights(3, (0.0, 0.1, 0.2))
@@ -328,6 +345,40 @@ class TestMomentCheck:
         # alpha in (-1/2, 2]; near -1/2 the mass diverges
         monkeypatch.setattr(rules, "MOMENT_RTOL", rules.MOMENT_RTOL / 100.0)
         rules._nodes_weights(n, (-0.4999999, -0.49999, -0.499, -0.45, -0.2, 0.0, 0.5, 1.0, 1.55, 1.95, 2.0))
+
+
+class TestScreenNodes:
+    # the values-only nodes of the feasibility check: within an eighth of its margin of the
+    # rules' nodes (measured: at most 1.1e-16), with nothing cached
+    @pytest.mark.parametrize("n", range(101))
+    def test_near_the_rule_nodes(self, n, empty_cache):
+        grid = tuple(round(-0.45 + 0.05 * i, 12) for i in range(50)) + gim._SCREEN_ALPHAS
+        nodes = rules._screen_nodes(n, grid)
+        assert not rules._RULES
+        for x, (want, _) in zip(nodes, rules._nodes_weights(n, grid)):
+            assert np.max(np.abs(x - want)) <= gim._SCREEN_MARGIN / 8
+
+    @pytest.mark.parametrize("n", [160, 320, 640, 1000])
+    def test_near_the_rule_nodes_at_large_degree(self, n, empty_cache):
+        grid = (-0.4999999, -0.4999, -0.4, 0.5, 1.0, 2.0)
+        for x, (want, _) in zip(rules._screen_nodes(n, grid), rules._nodes_weights(n, grid)):
+            assert np.max(np.abs(x - want)) <= gim._SCREEN_MARGIN / 8
+
+
+class TestScreenedRange:
+    # a pair the check clears without a rule must have a rule that passes its checks, or a
+    # ConvergenceError would go unraised: pin the range of gim._SCREEN_ALPHAS
+    @pytest.mark.parametrize("n", [0, 1, 2, 17, 100, 400, 640, 999, 1000])
+    def test_rules_at_the_ends_hold(self, n, empty_cache):
+        assert n <= gim._SCREEN_MAX_DEGREE
+        rules._nodes_weights(n, gim._SCREEN_ALPHAS)
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(0, 1000), alpha=st.floats(*gim._SCREEN_ALPHAS))
+    def test_random_rules_inside_hold(self, n, alpha):
+        with rules._LOCK:
+            rules._RULES.pop((n, alpha), None)
+        rules._nodes_weights(n, (alpha,))
 
 
 class TestCsv:
