@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .polynomials import EPS_MACH, _check_epsilon, _frozen
+from .polynomials import EPS_MACH, _check_epsilon, _frozen, _terms
 from .rules import QuadratureRule
 
 
@@ -44,18 +45,28 @@ def _check_bases(nodes: np.ndarray, xi: np.ndarray) -> None:
         raise ValueError("barycentric weights must alternate in sign along ascending nodes")
 
 
-def _gauss_xi(nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """xi_i = (-1)^i sin(arccos(x_i)) sqrt(w_i) along the last axis: one Gauss rule per row."""
-    return (-1.0) ** np.arange(nodes.shape[-1]) * np.sin(np.arccos(nodes)) * np.sqrt(weights)
+def _gauss_xi(nodes: np.ndarray, alpha) -> np.ndarray:
+    """xi_i = (-1)^n c / G_n^(alpha+1)(x_i) along the last axis, one Gauss rule per row.
+
+    G_{n+1}' is a constant times G_n^(alpha+1), the last term of the one
+    recurrence at alpha + 1.  ``alpha`` is a float, or an (A, 1) column of
+    one parameter per row; each row's c puts its largest |xi| at 1.
+    """
+    n = nodes.shape[-1] - 1
+    (g,) = deque(_terms(n, alpha + 1.0, nodes), maxlen=1)
+    return (-1.0) ** n * np.abs(g).min(axis=-1, keepdims=True) / g
 
 
 def bary_weights_gg(rule: QuadratureRule) -> BarycentricBasis:
-    """Cancellation-free weights for Gauss nodes.
+    """Weights for Gauss nodes from the nodes alone: xi_i proportional to 1 / G_{n+1}'(x_i).
 
-    xi_i = (-1)^i sin(arccos(x_i)) sqrt(w_i); the sin-arccos form stays
-    accurate where nodes cluster near the endpoints.
+    For exact nodes and weights this is the explicit form
+    (-1)^i sin(arccos(x_i)) sqrt(w_i) (Wang, Huybrechs & Vandewalle 2014).
+    Only this one keeps the second barycentric form the degree-n
+    interpolant through the rounded nodes (Berrut & Trefethen 2004): the
+    explicit form loses digits as alpha nears -1/2 and the end nodes 1.
     """
-    return BarycentricBasis(nodes=rule.nodes, xi=_gauss_xi(rule.nodes, rule.weights))
+    return BarycentricBasis(nodes=rule.nodes, xi=_gauss_xi(rule.nodes, rule.alpha))
 
 
 def bary_eval(basis: BarycentricBasis, values, x, exact_hit_tol: float = EPS_MACH):

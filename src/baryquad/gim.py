@@ -15,11 +15,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .barycentric import bary_weights_gg, lagrange_matrix
+from .barycentric import BarycentricBasis, _gauss_xi, lagrange_matrix
 from .errors import CollisionError
 from .polynomials import (EPS_MACH, GegenbauerParam, _check_degree, _check_epsilon, _frozen,
                           _integration_relation, _norms, _terms)
-from .rules import _nodes_weights, _screen_nodes, _write_lines, gg_rule, lg_rule
+from .rules import _nodes, _write_lines, gg_rule, lg_rule
 
 INTERVAL_BIUNIT = "[-1,1]"
 INTERVAL_UNIT = "[0,1]"
@@ -140,15 +140,15 @@ def _screen(targets: np.ndarray, nodes: np.ndarray, points: np.ndarray, epsilon:
     return mapped, (nearest <= epsilon).any(axis=1).tolist()
 
 
-def _collisions(targets: np.ndarray, nodes: np.ndarray, lg, epsilon: float, screen=None):
+def _collisions(targets: np.ndarray, nodes: np.ndarray, points: np.ndarray, epsilon: float, screen=None):
     """Every (i, j, k) with |y_jk - x_i| <= epsilon, in (j, k, i) order.
 
-    ``nodes`` is shared or per row, as in :func:`_screen`.  The hits of
-    :func:`_screen`, or of ``screen``, its result for these targets, select
-    the targets; each of those takes one dense test of its mapped points
-    against its nodes.
+    ``nodes`` is shared or per row, and ``points`` are the Legendre points,
+    as in :func:`_screen`.  The hits of :func:`_screen`, or of ``screen``,
+    its result for these targets, select the targets; each of those takes
+    one dense test of its mapped points against its nodes.
     """
-    mapped, hit = _screen(targets, nodes, lg.nodes, epsilon) if screen is None else screen
+    mapped, hit = _screen(targets, nodes, points, epsilon) if screen is None else screen
     triples = []
     for j in (j for j, h in enumerate(hit) if h):
         row = nodes if nodes.ndim == 1 else nodes[j]
@@ -157,40 +157,18 @@ def _collisions(targets: np.ndarray, nodes: np.ndarray, lg, epsilon: float, scre
     return triples
 
 
-#: margin of the check on values-only nodes (rules._screen_nodes), within 1.1e-16 of the rules'
-#: nodes: a mapped point and its node move by three such distances and two ulps at most
-_SCREEN_MARGIN = 1e-14
-#: where every rule passes its own checks; outside, the check builds the rule, which may raise
-#: (above alpha = 2 at large n, and from alpha + 1/2 <= 1e-11 at n = 640)
-_SCREEN_MAX_DEGREE, _SCREEN_ALPHAS = 1000, (-0.4999999, 2.0)
-
-
 def _check_gg_batch(n: int, params, epsilon: float) -> list:
     """:func:`check_gg_condition` of every parameter of ``params`` at degree n, in order.
 
-    The values-only nodes of every alpha in range are screened at epsilon
-    plus :data:`_SCREEN_MARGIN`: no hit there is feasible.  The others, hit
-    or unordered or out of range, build their Gauss rules in one batch.
+    The nodes of every alpha come from the builders' node source in one
+    batch, and each set goes through :func:`_collisions` at epsilon, the
+    screen of the builders, against the builders' Legendre points.
     """
-    n = _check_degree(n, "degree")
     _check_epsilon(epsilon)
-    count = _lg_count_default(n)
-    reports = {}
-    low, high = _SCREEN_ALPHAS
-    inside = [p.alpha for p in params if n <= _SCREEN_MAX_DEGREE and low <= p.alpha <= high]
-    if inside:
-        points = _screen_nodes(count, (0.5,))[0]
-        for alpha, x in zip(inside, _screen_nodes(n, inside)):
-            ordered = np.all(x[1:] > x[:-1]) and x[-1] < 1.0  # symmetric, so x[0] > -1
-            if ordered and not any(_screen(x, x, points, epsilon + _SCREEN_MARGIN)[1]):
-                reports[alpha] = FeasibilityReport(feasible=True, violations=())
-    exact = tuple(p.alpha for p in params if p.alpha not in reports)
-    if exact:
-        lg = lg_rule(count)
-        for alpha, (x, _) in zip(exact, _nodes_weights(n, exact)):
-            violations = tuple(sorted(_collisions(x, x, lg, epsilon)))
-            reports[alpha] = FeasibilityReport(feasible=not violations, violations=violations)
-    return [reports[p.alpha] for p in params]
+    nodes = _nodes(n, tuple(p.alpha for p in params))
+    points = _nodes(_lg_count_default(n), (0.5,))[0]
+    violations = [tuple(sorted(_collisions(x, x, points, epsilon))) for x in nodes]
+    return [FeasibilityReport(feasible=not v, violations=v) for v in violations]
 
 
 def check_gg_condition(n: int, param: GegenbauerParam, epsilon: float = EPS_MACH) -> FeasibilityReport:
@@ -205,12 +183,10 @@ def check_gg_condition(n: int, param: GegenbauerParam, epsilon: float = EPS_MACH
     triples for n <= 100 on the paper's alpha grids.
 
     Each mapped point is searched in the sorted nodes (:func:`_screen`),
-    which takes O(n^2 log n) time and O(n^2) memory.  For n <= 1000 and
-    -0.4999999 <= alpha <= 2 a values-only SVD's nodes are screened first,
-    with a margin, and only a pair near a hit builds the Gauss rule
-    (:func:`_check_gg_batch`); elsewhere a rule that does not hold raises
-    :class:`ConvergenceError`.  Violations are (i, j, k) triples in
-    lexicographic order.
+    which takes O(n^2 log n) time and O(n^2) memory.  The nodes are the
+    builders' own (:func:`_check_gg_batch`), so a rule that does not hold
+    raises :class:`ConvergenceError` in both.  Violations are (i, j, k)
+    triples in lexicographic order.
     """
     return _check_gg_batch(n, (param,), epsilon)[0]
 
@@ -242,7 +218,7 @@ def _build_rows(target_nodes, nodes: np.ndarray, xi: np.ndarray, lg, epsilon: fl
     w = lg.weights
     mapped, hit = _screen(targets, nodes, lg.nodes, epsilon) if screen is None else screen
     if any(hit):
-        i, j, k = _collisions(targets, nodes, lg, epsilon, (mapped, hit))[0]
+        i, j, k = _collisions(targets, nodes, lg.nodes, epsilon, (mapped, hit))[0]
         raise CollisionError(i, j, k, "mapped Legendre point coincides with a source node")
     per_row = nodes.ndim == 2
     cols = nodes.shape[-1]
@@ -275,11 +251,11 @@ def _square(n: int, param: GegenbauerParam, epsilon: float, on_hit: str) -> Inte
     full-interval row (:func:`_full_interval_row`).  Otherwise "cardinal"
     integrates the table of :func:`lagrange_matrix` in the rows with a hit,
     the kernel's elsewhere, and "raise", or "bump" when its larger rule
-    collides too, raises the first hit.
+    collides too, raises the first hit.  The body reads no Gauss weight.
     """
-    rule = gg_rule(n, param)
-    basis = bary_weights_gg(rule)
-    nodes, lg = basis.nodes, lg_rule(_lg_count_default(n))
+    nodes = _nodes(n, (param.alpha,))[0]
+    basis = BarycentricBasis(nodes=nodes, xi=_gauss_xi(nodes, param.alpha))
+    lg = lg_rule(_lg_count_default(n))
     mapped, hit = screen = _screen(nodes, nodes, lg.nodes, epsilon)
     if any(hit) and on_hit == "bump":
         lg = lg_rule(lg.n + 1)
@@ -299,8 +275,8 @@ def _square(n: int, param: GegenbauerParam, epsilon: float, on_hit: str) -> Inte
             entries[j] = 0.5 * (nodes[j] + 1.0) * (lg.weights @ lagrange_matrix(basis, mapped[j], epsilon))
     else:
         _build_rows(nodes, nodes, basis.xi, lg, epsilon, screen)  # raises the first hit
-    return IntegrationMatrix(entries=entries, order=1, source_nodes=rule.nodes,
-                             target_nodes=rule.nodes, interval=INTERVAL_BIUNIT, alpha=param.alpha)
+    return IntegrationMatrix(entries=entries, order=1, source_nodes=nodes,
+                             target_nodes=nodes, interval=INTERVAL_BIUNIT, alpha=param.alpha)
 
 
 def build_gim_gg(n: int, param: GegenbauerParam, epsilon: float = EPS_MACH) -> IntegrationMatrix:
@@ -359,9 +335,9 @@ def build_gim_arbitrary(target_nodes, n: int, param: GegenbauerParam,
     """
     targets = _validated_targets(target_nodes)
     count = _lg_count(n, targets, epsilon)
-    rule = gg_rule(n, param)
-    entries = _build_rows(targets, rule.nodes, bary_weights_gg(rule).xi, lg_rule(count), epsilon)
-    return IntegrationMatrix(entries=entries, order=1, source_nodes=rule.nodes,
+    nodes = _nodes(n, (param.alpha,))[0]
+    entries = _build_rows(targets, nodes, _gauss_xi(nodes, param.alpha), lg_rule(count), epsilon)
+    return IntegrationMatrix(entries=entries, order=1, source_nodes=nodes,
                              target_nodes=targets, interval=INTERVAL_BIUNIT, alpha=param.alpha)
 
 

@@ -19,7 +19,7 @@ from .errors import CollisionError
 from .gim import (FeasibilityReport, INTERVAL_BIUNIT, IntegrationMatrix, _build_rows, _collisions,
                   _lg_count, _validated_targets)
 from .polynomials import EPS_MACH, GegenbauerParam, _check_degree, _check_epsilon, eta
-from .rules import _nodes_weights, gg_rule, lg_rule
+from .rules import _nodes, lg_rule
 
 _GRID_SAMPLES = 64
 _STEPS = np.arange(float(_GRID_SAMPLES))
@@ -127,8 +127,8 @@ def build_optimal_gim(target_nodes, config: OptimalConfig) -> IntegrationMatrix:
     :func:`baryquad.gim.build_gim_arbitrary` with its nodes repeated per
     row; otherwise one :func:`optimize_alpha` search over the distinct
     targets, or distinct ``|x_k|`` for even m, where the error factor is
-    even in the target.  The adjoint rules of the distinct parameters come
-    in one batch, their barycentric weights in one array expression, with
+    even in the target.  The adjoint nodes of the distinct parameters come
+    in one batch, their barycentric weights in one recurrence, with
     the checks of :class:`baryquad.barycentric.BarycentricBasis` applied
     row by row, and every row in one call of the row kernel on per-row
     bases.  A :class:`CollisionError` names the first collision in target
@@ -143,9 +143,8 @@ def build_optimal_gim(target_nodes, config: OptimalConfig) -> IntegrationMatrix:
         alpha_star = optimize_alpha(distinct, config)[inverse]
     index = {}  # each distinct parameter's row in the batch, in order of first appearance
     row = [index.setdefault(a_k, len(index)) for a_k in alpha_star.tolist()]
-    rules = _nodes_weights(m, tuple(index))  # the adjoint Gauss rules in one batch
-    nodes, weights = np.array([x for x, _ in rules]), np.array([w for _, w in rules])
-    xi = _gauss_xi(nodes, weights)
+    nodes = np.array(_nodes(m, tuple(index)))  # the adjoint Gauss nodes in one batch
+    xi = _gauss_xi(nodes, np.array(tuple(index))[:, None])
     _check_bases(nodes, xi)
     nodes, xi = nodes[row], xi[row]
     lg = lg_rule(_lg_count(m, targets, config.epsilon))
@@ -192,8 +191,8 @@ def check_condition_mmax(target_nodes, config: OptimalConfig) -> FeasibilityRepo
     """
     targets = _validated_targets(target_nodes)
     m, epsilon = config.m, config.epsilon
-    z = gg_rule(m, GegenbauerParam(config.alpha_a)).nodes
-    triples = _collisions(targets, z, lg_rule(_lg_count(m, targets, epsilon)), epsilon)
+    z = _nodes(m, (config.alpha_a,))[0]
+    triples = _collisions(targets, z, _nodes(_lg_count(m, targets, epsilon), (0.5,))[0], epsilon)
     # triples are (node i, target k, Legendre point s)
     violations = tuple(sorted(((i, s, k) for i, k, s in triples), key=lambda t: (t[2], t[0], t[1])))
     return FeasibilityReport(feasible=not violations, violations=violations)

@@ -5,17 +5,18 @@ first, is [[0, B], [B^T, 0]] with B lower bidiagonal and of half the size
 (Golub & Welsch 1969; Meurant & Sommariva 2014).  The positive nodes are
 the singular values of B; a pair +-x shares the mass times the squared
 first component of its left singular vector, and for even n the null
-vector of B^T gives the node 0.  One SVD per n takes the blocks of every
-alpha, in chunks of a bounded element count, then one Newton polish
-polishes the positive nodes of each rule to the bits they would reach
-alone, and the negative nodes are their mirror images.  The polish runs the
-package's one three-term recurrence and takes G_{n+1}' from the last two
-terms.  So the rules are exactly symmetric: the middle node of an
-odd-count rule is 0.0, paired nodes are bitwise negatives and paired
-weights bitwise equal.  Every rule is checked on a closed-form even moment
-before it is cached, so a rule past the parameter range where it holds
-(alpha well above 2 at large n, or within about 1e-11 of -1/2) raises.
-The feasibility check takes its nodes from :func:`_screen_nodes` instead.
+vector of B^T gives the node 0.  :func:`_nodes` is the package's one node
+source: one values-only SVD per n takes the blocks of every alpha, in
+chunks of a bounded element count, one Newton polish (the package's one
+recurrence, G_{n+1}' from its last two terms) takes the positive nodes to
+the bits they would reach alone, and the negative nodes are their mirror
+images, so each rule is exactly symmetric.  The builders and the
+feasibility check read these nodes alone.  Weights come from the left
+singular vectors of a second SVD, where a caller reads them
+(:func:`gg_rule`, :func:`lg_rule`) and for every rule outside the range
+where all rules pass their closed-form moment check, so a rule past it
+(alpha well above 2 at large n, or within about 1e-11 of -1/2) raises for
+every caller.
 """
 
 from __future__ import annotations
@@ -75,10 +76,14 @@ def _polish(n: int, alphas, nodes: np.ndarray) -> None:
     +-1 that difference cancels, to a relative error of about eps / (1 - x):
     a Newton step tolerates it, a use that needs G' itself would not.  A row
     leaves the batch at its own 4 eps step test, so it takes the steps it
-    takes alone; a lone row runs on a 1-D array with a float alpha.
+    takes alone; a lone row runs on a 1-D array with a float alpha.  A row
+    with a node on 1 leaves before it would divide by 1 - x^2 = 0.
     """
     rows = list(range(len(alphas)))
     for _ in range(_NEWTON_MAX_STEPS):
+        rows = [r for r in rows if nodes[r, -1] < 1.0]
+        if not rows:
+            break
         if len(rows) == 1:
             index = rows[0]
             alpha = alphas[index]
@@ -91,8 +96,6 @@ def _polish(n: int, alphas, nodes: np.ndarray) -> None:
         nodes[index] = x - step
         done = np.abs(step).max(axis=-1) <= 4.0 * EPS_MACH
         rows = [r for r, stop in zip(rows, done.flat) if not stop]
-        if not rows:
-            break
 
 
 #: element budget of one SVD: each chunk of alpha stacks (alphas x rows x cols) blocks of at
@@ -126,85 +129,95 @@ def _svd(n: int, alphas, compute_uv: bool = True):
         raise ConvergenceError(f"SVD failed for n={n}, alpha in {list(alphas)}: {exc}") from exc
 
 
-def _symmetric_nodes(n: int, alphas, s: np.ndarray) -> np.ndarray:
-    """The nodes of each alpha from its singular values: polished positives and their mirror images."""
-    positive = s[:, ::-1].copy()
-    if positive.shape[1]:
-        _polish(n, alphas, positive)  # G_{n+1} is odd or even: -x would polish to exactly minus x's polish
-    middle = np.zeros((len(alphas), n + 1 - 2 * positive.shape[1]))
-    return np.concatenate([-positive[:, ::-1], middle, positive], axis=1)
-
-
-def _gauss_rules(n: int, alphas):
-    """Nodes and weights, (len(alphas), n + 1) each: one SVD and one polish per chunk of alpha.
-
-    Each row stops polishing at its own step test, so no bit depends on the chunks.
-    """
-    cols = (n + 1) // 2
-    nodes, weights = np.empty((len(alphas), n + 1)), np.empty((len(alphas), n + 1))
-    for part in _chunks(n, alphas):
-        chunk = alphas[part]
-        u, s, _ = _svd(n, chunk)
-        first = u[:, 0] ** 2 * np.array([_total_mass(alpha) for alpha in chunk])[:, None]
-        half = 0.5 * first[:, :cols]  # the +-s pairs; the null vector of B^T (even n) is node 0
-        nodes[part] = _symmetric_nodes(n, chunk, s)
-        weights[part] = np.concatenate([half, first[:, cols:], half[:, ::-1]], axis=1)
-    return nodes, weights
-
-
-def _screen_nodes(n: int, alphas) -> np.ndarray:
-    """The nodes of :func:`_gauss_rules` from a values-only SVD, (len(alphas), n + 1), uncached.
-
-    Without U the SVD costs a fraction, but the nodes may differ from the
-    rule's in the last bit (at most 1.1e-16 for n <= 1000, -0.4999999 <=
-    alpha <= 2), so they serve only a check that allows for that distance.
-    """
+def _node_batch(n: int, alphas) -> np.ndarray:
+    """The nodes of each alpha, (len(alphas), n + 1): a values-only SVD and one polish per chunk."""
     nodes = np.empty((len(alphas), n + 1))
     for part in _chunks(n, alphas):
-        nodes[part] = _symmetric_nodes(n, alphas[part], _svd(n, alphas[part], compute_uv=False))
+        chunk = alphas[part]
+        # a singular value rounded onto or past 1 starts from the largest double below it
+        positive = np.minimum(_svd(n, chunk, compute_uv=False)[:, ::-1], np.nextafter(1.0, 0.0))
+        if positive.shape[1]:
+            _polish(n, chunk, positive)  # G_{n+1} is odd or even: -x would polish to exactly minus x's polish
+        middle = np.zeros((len(chunk), n + 1 - 2 * positive.shape[1]))
+        nodes[part] = np.concatenate([-positive[:, ::-1], middle, positive], axis=1)
     return nodes
 
 
-def _nodes_weights(n: int, alphas: tuple):
+def _weight_batch(n: int, alphas) -> np.ndarray:
+    """The weights of each alpha, (len(alphas), n + 1): the mass times U's first row squared, per chunk."""
+    cols = (n + 1) // 2
+    weights = np.empty((len(alphas), n + 1))
+    for part in _chunks(n, alphas):
+        chunk = alphas[part]
+        u = _svd(n, chunk)[0]
+        first = u[:, 0] ** 2 * np.array([_total_mass(alpha) for alpha in chunk])[:, None]
+        half = 0.5 * first[:, :cols]  # the +-s pairs; the null vector of B^T (even n) is node 0
+        weights[part] = np.concatenate([half, first[:, cols:], half[:, ::-1]], axis=1)
+    return weights
+
+
+#: where every rule passes its own checks (n = 0..1000 at both ends and on the 0.05 grid, and
+#: at random points); outside, the node source also takes the weights and checks them
+_NODE_ONLY_DEGREE, _NODE_ONLY_ALPHAS = 1000, (-0.4999999, 2.0)
+
+
+def _nodes_weights(n: int, alphas, weights: bool = True) -> list:
     """(nodes, weights) of the (n + 1)-point Gauss rule of each alpha, in order.
 
     Rules come from a per-(n, alpha) cache of the 512 most recently used, or
-    of the whole batch if larger, so each rule of a batch is a hit afterwards;
-    :func:`_gauss_rules` computes the missing ones together.  The first of
-    them whose nodes are not ordered in (-1, 1), whose weights are not
-    positive, or whose moment error exceeds :data:`MOMENT_RTOL` raises
-    :class:`ConvergenceError`, and none of them is cached.
+    of the whole batch if larger, so each rule of a batch is a hit afterwards.
+    The missing nodes come from one :func:`_node_batch`, and the weights,
+    None unless asked for or outside the node-only range, from one
+    :func:`_weight_batch`.  The first alpha whose nodes are not ordered in
+    (-1, 1), or else whose weights are not positive or miss the moment by
+    more than :data:`MOMENT_RTOL`, raises :class:`ConvergenceError`, and
+    nothing of the batch is cached.
     """
-    n, found = _check_degree(n, "degree"), {}
+    n, rules, new = _check_degree(n, "degree"), dict.fromkeys(alphas), {}
     with _LOCK:
-        for alpha in alphas:
+        for alpha in rules:
             if (n, alpha) in _RULES:
                 _RULES.move_to_end((n, alpha))
-                found[alpha] = _RULES[n, alpha]
-    missing = [a for a in dict.fromkeys(alphas) if a not in found]
+                rules[alpha] = _RULES[n, alpha]
+    missing = [a for a, rule in rules.items() if rule is None]
     if missing:
-        nodes, weights = _gauss_rules(n, missing)
+        nodes = _node_batch(n, missing)
+        # the nodes are symmetric, so nodes[:, -1] < 1 also bounds nodes[:, 0] > -1; NaN fails both
+        ordered = (nodes[:, 1:] > nodes[:, :-1]).all(axis=1) & (nodes[:, -1] < 1.0)
+        if not ordered.all():
+            raise ConvergenceError(f"node computation failed for n={n}, alpha={missing[ordered.argmin()]}: "
+                                   "nodes not ordered in (-1, 1)")
+        new = {a: (_frozen(x.copy()), None) for a, x in zip(missing, nodes)}  # a row view would keep the batch
+        rules.update(new)
+    low, high = _NODE_ONLY_ALPHAS
+    lacking = [a for a, (_, w) in rules.items()
+               if w is None and (weights or not (n <= _NODE_ONLY_DEGREE and low <= a <= high))]
+    if lacking:
+        nodes, w = np.array([rules[a][0] for a in lacking]), _weight_batch(n, lacking)
         j = n // 2
         exact = np.exp([math.lgamma(j + 0.5) + math.lgamma(a + 0.5) - math.lgamma(j + a + 1.0)
-                        for a in missing])
-        # the nodes are symmetric, so nodes[:, -1] < 1 also bounds nodes[:, 0] > -1
-        unordered = (nodes[:, 1:] <= nodes[:, :-1]).any(axis=1) | (nodes[:, -1] >= 1.0)
-        nonpositive = (weights <= 0.0).any(axis=1)
-        inexact = ~(abs((weights * nodes ** (2 * j)).sum(axis=1) - exact) <= MOMENT_RTOL * exact)
-        bad = unordered | nonpositive | inexact
+                        for a in lacking])
+        nonpositive = (w <= 0.0).any(axis=1)
+        inexact = ~(abs((w * nodes ** (2 * j)).sum(axis=1) - exact) <= MOMENT_RTOL * exact)
+        bad = nonpositive | inexact
         if bad.any():
             r = bad.argmax()
-            fault = ("nodes not ordered in (-1, 1)" if unordered[r] else "non-positive weight"
-                     if nonpositive[r] else f"even-moment error above {MOMENT_RTOL:g}")
-            raise ConvergenceError(f"node computation failed for n={n}, alpha={missing[r]}: {fault}")
-        keep = max(_CACHE_SIZE, len(found) + len(missing))  # the batch's rules are the newest
-        with _LOCK:
-            for alpha, x, w in zip(missing, nodes, weights):
-                rule = _frozen(x.copy()), _frozen(w.copy())  # a row view would keep the whole batch alive
-                found[alpha] = _RULES[n, alpha] = rule
-                if len(_RULES) > keep:
-                    _RULES.popitem(last=False)
-    return [found[a] for a in alphas]
+            fault = "non-positive weight" if nonpositive[r] else f"even-moment error above {MOMENT_RTOL:g}"
+            raise ConvergenceError(f"node computation failed for n={n}, alpha={lacking[r]}: {fault}")
+        for a, row in zip(lacking, w):
+            rules[a] = new[a] = rules[a][0], _frozen(row.copy())
+    keep = max(_CACHE_SIZE, len(rules))  # the batch's rules are the newest
+    with _LOCK:
+        for a, rule in new.items():
+            _RULES[n, a] = rule
+            if len(_RULES) > keep:
+                _RULES.popitem(last=False)
+    return [rules[a] for a in alphas]
+
+
+def _nodes(n: int, alphas) -> list:
+    """The nodes of the (n + 1)-point Gauss rule of each alpha, in order: the builders' one node source."""
+    return [x for x, _ in _nodes_weights(n, alphas, weights=False)]
 
 
 def gg_rule(n: int, param: GegenbauerParam) -> QuadratureRule:

@@ -26,6 +26,11 @@ def bary_weights_direct(nodes) -> BarycentricBasis:
     return BarycentricBasis(nodes=np.sort(x), xi=xi[np.argsort(x)])
 
 
+def paper_xi(rule):
+    """The paper's explicit weights for Gauss nodes, (-1)^i sin(arccos(x_i)) sqrt(w_i)."""
+    return (-1.0) ** np.arange(rule.nodes.size) * np.sin(np.arccos(rule.nodes)) * np.sqrt(rule.weights)
+
+
 class TestDirectWeights:
     def test_single_node(self):
         basis = bary_weights_direct([0.3])
@@ -59,9 +64,20 @@ class TestStableWeights:
         assert_allclose(np.abs(xi), np.abs(xi)[::-1], atol=1e-13)
 
     def test_frozen_two_point_value(self):
-        # sin(arccos(1/sqrt(3))) = sqrt(2/3) and both weights are 1
+        # G_1^(3/2)(x) = x at the nodes -+1/sqrt(3): xi = -1/x, scaled to a largest entry of 1
         xi = bary_weights_gg(gg_rule(1, GegenbauerParam(0.5))).xi
-        assert_allclose(xi, [math.sqrt(2 / 3), -math.sqrt(2 / 3)], rtol=1e-15)
+        assert xi.tolist() == [1.0, -1.0]
+
+    @pytest.mark.parametrize("alpha", [-0.4, 0.0, 0.5, 1.3, 2.0])
+    @pytest.mark.parametrize("n", [1, 2, 9, 40, 160])
+    def test_paper_formula_up_to_a_constant(self, n, alpha):
+        # at ordinary alpha the weights are the paper's explicit form up to one positive
+        # factor; the ratios stay within 3.4e-12 of their median (n = 160, alpha = -0.4),
+        # the relative error that the explicit form takes from the rule's end weights
+        rule = gg_rule(n, GegenbauerParam(alpha))
+        ratio = paper_xi(rule) / bary_weights_gg(rule).xi
+        assert_allclose(ratio, np.median(ratio), rtol=1e-11, atol=0.0)
+        assert ratio[0] > 0.0
 
 
 class TestBasisInvariants:

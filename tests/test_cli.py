@@ -15,9 +15,15 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from baryquad import cli
+from baryquad import cli, gim, optimal, rules
 from baryquad.bench import EXACT_INTEGRALS
 from baryquad.cli import _write_rows, main, parse_grid
+
+
+def _python(*args, **env):
+    """A fresh interpreter on ``args``, with the package's source on its path and ``env`` set."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"), **env}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
 
 
 def read_csv(path):
@@ -371,10 +377,8 @@ class TestUnwritableOutput:
 
     def test_process_exit_code(self, tmp_path):
         # through entry(), as the installed script runs
-        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-        done = subprocess.run([sys.executable, "-m", "baryquad", "gim", "--n", "3", "--alpha", "0.5",
-                               "--out", str(tmp_path / "missing" / "x.csv")],
-                              env=env, capture_output=True, text=True)
+        done = _python("-m", "baryquad", "gim", "--n", "3", "--alpha", "0.5",
+                       "--out", str(tmp_path / "missing" / "x.csv"))
         assert done.returncode == 1
         assert "FileNotFoundError" in done.stderr and "Traceback" not in done.stderr
 
@@ -413,6 +417,17 @@ class TestExitCodeContract:
         out = tmp_path / "missing" / "x.csv" if missing else tmp_path / "out.csv"
         assert main(argv + ["--out", str(out)]) in (0, 1, 2)
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["gim", "--n", "640", "--alpha", "-0.499999999999"],
+        ["feasibility", "--n-grid", "640", "--alpha-grid=-0.499999999999"],
+        ["example", "--id", "2", "--n", "640", "--alpha", "-0.499999999999"]])
+    def test_one_line_where_a_node_rounds_onto_one(self, argv):
+        # within 1e-12 of -1/2 an end node rounds onto 1: the error line alone, no numpy warning
+        done = _python("-m", "baryquad", *argv)
+        assert done.returncode == 2
+        assert done.stderr.splitlines() == ["ConvergenceError: node computation failed for n=640, "
+                                            "alpha=-0.499999999999: nodes not ordered in (-1, 1)"]
 
 
 def _run(parser_factory, argv, capsys):
@@ -464,6 +479,15 @@ class TestDeterminism:
             assert main(["gim", "--n", "12", "--alpha", "-0.25", "--out", str(out)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_matrix_does_not_depend_on_the_blas_thread_count(self):
+        # the square matrix reads no Gauss weight, and below n = 780 the Legendre rule's
+        # weights do not depend on the thread count either
+        script = ("import hashlib; from baryquad import GegenbauerParam, build_gim_gg; "
+                  "print(hashlib.sha256(build_gim_gg(640, GegenbauerParam(0.5)).entries).hexdigest())")
+        runs = [_python("-c", script, OPENBLAS_NUM_THREADS=threads) for threads in ("1", "2")]
+        assert [run.returncode for run in runs] == [0, 0]
+        assert runs[0].stdout == runs[1].stdout
+
 
 class TestRowWriter:
     ROWS = [("4", "1", "false"), ("10", "-0.25", "true")]
@@ -503,6 +527,52 @@ class TestReadmeCommands:
     def test_every_pinned_command_is_in_the_readme(self):
         assert sorted(README_CSV_SHA256) == sorted(
             line.partition("#")[0].strip() for line in _readme_commands() if "--out" in line)
+
+
+def _paper_xi(nodes, alpha):
+    """The paper's explicit weights (-1)^i sin(arccos x_i) sqrt(w_i) at the same nodes."""
+    n = nodes.shape[-1] - 1
+    weights = np.array([w for _, w in rules._nodes_weights(n, tuple(np.ravel(alpha).tolist()))])
+    return (-1.0) ** np.arange(n + 1) * np.sin(np.arccos(nodes)) * np.sqrt(weights.reshape(nodes.shape))
+
+
+def _numbers(path):
+    """Every number of a CSV but the column ``cd``, -log10 of the column ``mae`` beside it."""
+    values, names = [], []
+    for line in path.read_text().splitlines():
+        cells = line.split(",")
+        try:
+            float(cells[0])
+        except ValueError:
+            names = cells  # a header line
+            continue
+        for name, cell in zip(names + [""] * len(cells), cells):
+            if name != "cd" and '"' not in cell:  # the quoted interval holds a comma
+                values.append(float(cell))
+    return np.array(values)
+
+
+class TestReadmeValuesMoveByRounding:
+    # the hashes of these commands were re-pinned when the barycentric weights moved from the
+    # paper's explicit form to 1 / G_n^(alpha+1)(x_i).  With the explicit form put back at the
+    # same nodes, each value moves by at most 3.6e-16 (gim), 4.4e-16 (quadbench) and 7.6e-15
+    # (example 1, its MAE) relative to max(1, |value|)
+    @pytest.mark.parametrize("command", [c for c in README_CSV_SHA256 if "feasibility" not in c])
+    def test_values_move_within_the_tolerance(self, command, tmp_path, monkeypatch, capsys):
+        argv = shlex.split(command)[1:]
+        values = []
+        for form in ("now", "paper"):
+            (tmp_path / form).mkdir()
+            monkeypatch.chdir(tmp_path / form)
+            if form == "paper":
+                monkeypatch.setattr(gim, "_gauss_xi", _paper_xi)
+                monkeypatch.setattr(optimal, "_gauss_xi", _paper_xi)
+            assert main(argv) == 0
+            values.append(_numbers(tmp_path / form / argv[argv.index("--out") + 1]))
+        now, paper = values
+        assert now.size == paper.size > 0 and np.array_equal(np.isnan(now), np.isnan(paper))
+        moved = np.abs(now - paper)[~np.isnan(now)] / np.maximum(1.0, np.abs(now[~np.isnan(now)]))
+        assert np.max(moved) <= 1e-14
 
 
 class TestReadmeLibraryExample:

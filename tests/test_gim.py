@@ -8,14 +8,14 @@ from collections import OrderedDict
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, reject, settings, strategies as st
+from hypothesis import assume, example, given, reject, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from baryquad import (CollisionError, ConvergenceError, GegenbauerParam, IntegrationMatrix,
                       OptimalConfig, apply_quadrature, build_basis_gim, build_gim_arbitrary,
                       build_gim_gg, build_gim_gg_bumped, build_gim_gg_guarded, build_optimal_gim,
-                      check_gg_condition, gg_rule, map_to_unit, lg_rule, matrix_to_csv,
+                      check_gg_condition, gg_rule, gim, map_to_unit, lg_rule, matrix_to_csv,
                       qth_order_gim, rules)
 from baryquad.barycentric import BarycentricBasis, _gauss_xi, bary_weights_gg, lagrange_matrix
 from baryquad.gim import _build_rows, _lg_count_default, _screen
@@ -51,7 +51,6 @@ class TestFeasibility:
             assert report.feasible and report.violations == ()
 
     def test_epsilon_must_be_positive(self):
-        # -1e-15 plus the margin of the values-only screen would be positive
         for epsilon in (0.0, -1.0, -1e-15, math.nan, math.inf):
             with pytest.raises(ValueError, match="epsilon must be positive"):
                 check_gg_condition(5, GegenbauerParam(0.5), epsilon=epsilon)
@@ -128,16 +127,17 @@ class TestFeasibilityMatchesDenseOracle:
 
 
 class TestValuesOnlyScreen:
-    # in its range the check screens values-only nodes with a margin and builds the Gauss
-    # rule only near a hit; the verdicts and violations stay those of the rule's nodes
+    # the check screens the nodes of rules._nodes, the builders' own, at epsilon: it takes no
+    # weights, screens each pair once, and raises where a builder would
     @settings(max_examples=80, deadline=None)
     @given(n=st.integers(0, 120), alpha=st.floats(-0.5, 2.0, exclude_min=True),
            epsilon=st.sampled_from([EPS_MACH, 1e-12, 1e-6]))
     def test_same_violations_as_the_dense_oracle(self, n, alpha, epsilon):
         param = GegenbauerParam(alpha)
-        # near alpha = -1/2 a rule's end nodes can round onto +-1: the polish then divides
-        # by 1 - x^2 = 0 on its way to the ConvergenceError, which both sides must raise
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # at the next double above -1/2 the recurrence's k = 2 step divides by k + 2 alpha - 1,
+        # which rounds to 0, so numpy warns on the way to the ConvergenceError; nowhere else
+        mode = "ignore" if alpha == math.nextafter(-0.5, 0.0) else "warn"
+        with np.errstate(divide=mode, invalid=mode):
             try:
                 want = dense_mapped_violations(n, param, epsilon)
             except ConvergenceError:
@@ -151,18 +151,33 @@ class TestValuesOnlyScreen:
         monkeypatch.setattr(rules, "_RULES", OrderedDict())
         assert check_gg_condition(10, GegenbauerParam(0.5)).feasible
         assert check_gg_condition(640, GegenbauerParam(0.5)).feasible
-        assert not rules._RULES
-        # a hit is checked on the rule itself
         assert check_gg_condition(4, GegenbauerParam(1.0)).violations == ((1, 2, 1),)
-        assert list(rules._RULES) == [(2, 0.5), (4, 1.0)]
+        assert list(rules._RULES) == [(10, 0.5), (5, 0.5), (640, 0.5), (320, 0.5), (4, 1.0), (2, 0.5)]
+        assert all(weights is None for _, weights in rules._RULES.values())
+        nodes = build_gim_gg(10, GegenbauerParam(0.5)).source_nodes
+        assert np.shares_memory(nodes, rules._RULES[10, 0.5][0])
+
+    def test_a_hit_is_screened_once(self, monkeypatch):
+        calls = []
+
+        def counted(targets, *args):
+            calls.append(targets.size)
+            return _screen(targets, *args)
+
+        monkeypatch.setattr(gim, "_screen", counted)
+        assert check_gg_condition(640, GegenbauerParam(1.0)).violations == ((213, 320, 160),)
+        assert calls == [641]
 
     def test_rules_outside_the_range_still_raise(self):
         with pytest.raises(ConvergenceError, match="n=640, alpha=10.0"):
             check_gg_condition(640, GegenbauerParam(10.0))
-        # within 1e-12 of -1/2 the rule's end nodes round onto +-1, where the polish divides by 0
-        with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(
-                ConvergenceError, match="n=640, alpha=-0.499999999999: nodes not ordered"):
+        # within 1e-12 of -1/2 the end nodes round onto +-1
+        with pytest.raises(ConvergenceError, match="n=640, alpha=-0.499999999999: nodes not ordered"):
             check_gg_condition(640, GegenbauerParam(-0.5 + 1e-12))
+        for build in (build_gim_gg, build_gim_gg_guarded, build_gim_gg_bumped):
+            for alpha in (10.0, 30.0, -0.5 + 1e-12):
+                with pytest.raises(ConvergenceError):
+                    build(640, GegenbauerParam(alpha))
 
 
 class TestFeasibilityScanReproducibility:
@@ -742,8 +757,27 @@ class TestLargeNExactness:
         basis = worst(build_basis_gim(self.N, param))
         bary = worst(build_gim_arbitrary(x[::50], self.N, param))
         print(f"\nn = {self.N}, alpha = {alpha}: basis {basis:.2g}, barycentric rows {bary:.2g}")
-        # measured at most 6.0e-14 and 1.0e-12 (alpha = 2)
+        # measured at most 6.2e-14 and 4.2e-13 (alpha = 2)
         assert basis <= 2e-13 and bary <= 4e-12
+
+
+class TestExactnessNearMinusHalf:
+    # the barycentric weights come from the rounded nodes, so the square matrix stays exact as
+    # alpha -> -1/2; with the paper's explicit weights (-1)^i sin(arccos x_i) sqrt(w_i) it
+    # read 2.5e-11 at n = 20 and 1.7e-10 at n = 400, u = 6.  The error is that of
+    # TestLargeNExactness on every Gauss target
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1, 400), u=st.floats(2.0, 7.0))
+    @example(n=20, u=6.0)
+    @example(n=400, u=6.0)
+    def test_square_matrix_is_exact(self, n, u):
+        try:
+            matrix = build_gim_gg(n, GegenbauerParam(-0.5 + 10.0 ** -u))
+        except CollisionError:
+            reject()
+        g, want = _running_integral_table(n, 0.5, matrix.source_nodes)
+        err = np.max(np.abs(matrix.entries @ g.T - want.T) / np.max(np.abs(g), axis=1))
+        assert err <= 8 * (n + 1) * EPS_MACH
 
 
 def _oracle_rows(targets, basis, lg, epsilon, on_hit):
@@ -835,10 +869,10 @@ class TestRowKernelMatchesLagrangeOracle:
 
 def _per_row_inputs(m, count):
     """Targets in (-1, 1) and per-row bases that cycle through five adjoint rules of degree m."""
-    rules = [gg_rule(m, GegenbauerParam(a)) for a in (-0.3, 0.0, 0.5, 1.2, 2.0)]
-    nodes = np.array([rule.nodes for rule in rules])
-    xi = _gauss_xi(nodes, np.array([rule.weights for rule in rules]))
-    pick = np.arange(count) % len(rules)
+    alphas = np.array([-0.3, 0.0, 0.5, 1.2, 2.0])
+    nodes = np.array([gg_rule(m, GegenbauerParam(a)).nodes for a in alphas])
+    xi = _gauss_xi(nodes, alphas[:, None])
+    pick = np.arange(count) % alphas.size
     return np.linspace(-0.999, 0.999, count), nodes[pick], xi[pick], lg_rule(_lg_count_default(m))
 
 

@@ -297,8 +297,9 @@ class TestAdjointBasis:
         assert np.all(basis.xi[:-1] * basis.xi[1:] < 0)
 
     def test_two_point_case_matches_gauss_basis(self):
+        # 1 / G_1^(3/2)(x) = 1 / x at -+1/sqrt(3), scaled to a largest entry of 1
         basis = bary_weights_gg(gg_rule(1, GegenbauerParam(0.5)))
-        assert_allclose(basis.xi, [np.sqrt(2 / 3), -np.sqrt(2 / 3)], rtol=1e-15)
+        assert basis.xi.tolist() == [1.0, -1.0]
 
 
 class TestBuildOptimal:
@@ -344,6 +345,20 @@ class TestBuildOptimal:
             exact = [integrate_gegenbauer(x, k, legendre) for x in targets]
             err = np.max(np.abs(apply_quadrature(mat, samples) - exact))
             assert err <= 5e-13 * np.max(np.abs(samples)), k
+
+    @pytest.mark.parametrize("m, targets", [
+        (3, [-0.866, -0.695, -0.533, 0.987, 0.992]), (9, [-0.5, 0.1, 0.998])])
+    def test_exact_where_alpha_star_nears_the_boundary_strip(self, m, targets):
+        # a row each with alpha* near -0.4988 and -0.4982, where the paper's explicit weights
+        # missed G_k's integral by 2.3e-14 and 1.5e-14 (measured 6.7e-16 on both now)
+        mat = build_optimal_gim(targets, OptimalConfig(m=m))
+        assert np.min(mat.alpha) < -0.498
+        legendre = GegenbauerParam(0.5)
+        for k in range(m + 1):
+            samples = gegenbauer_eval(mat.source_nodes, k, legendre)
+            exact = [integrate_gegenbauer(x, k, legendre) for x in targets]
+            err = np.max(np.abs(apply_quadrature(mat, samples) - exact))
+            assert err <= 4 * (m + 1) * EPS_MACH * np.max(np.abs(samples)), k
 
     def test_above_mmax_equals_fixed_parameter_matrix(self):
         targets = gg_rule(7, GegenbauerParam(0.9)).nodes
@@ -636,9 +651,9 @@ class TestCollision:
         # one adjoint weight row per distinct alpha*, and every row in one kernel call
         weight_rows, kernel_bases = [], []
 
-        def counted_weights(nodes, weights):
+        def counted_weights(nodes, alpha):
             weight_rows.append(nodes.shape[0])
-            return _gauss_xi(nodes, weights)
+            return _gauss_xi(nodes, alpha)
 
         def counted_rows(targets, nodes, *args):
             kernel_bases.append(nodes.shape)

@@ -15,7 +15,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from baryquad import (ConvergenceError, GegenbauerParam, QuadratureRule, gg_rule, lg_rule,
                       rule_from_csv, rule_to_csv)
-from baryquad import gim, rules
+from baryquad import rules
 from baryquad.polynomials import EPS_MACH
 
 ALPHAS = [-0.4, -0.25, 0.0, 0.5, 1.0, 2.0]
@@ -35,16 +35,14 @@ def weighted_moment(k, alpha):
                     - math.lgamma(k / 2.0 + alpha + 1.0))
 
 
-def scalar_recurrence_with_derivative(n, alpha, x):
-    g0, d0, g1, d1 = np.ones_like(x), np.zeros_like(x), x.copy(), np.ones_like(x)
+def scalar_recurrence(n, alpha, x):
+    """G_{n-1} and G_n at x, n >= 1, one degree at a time with scalar coefficients."""
+    g0, g1 = np.ones_like(x), x.copy()
     for k in range(2, n + 1):
         c1 = 2.0 * (k + alpha - 1.0) / (k + 2.0 * alpha - 1.0)
         c2 = (k - 1.0) / (k + 2.0 * alpha - 1.0)
-        g2 = c1 * x * g1 - c2 * g0
-        d2 = c1 * (x * d1 + g1) - c2 * d0
-        g0, g1 = g1, g2
-        d0, d1 = d1, d2
-    return g1, d1
+        g0, g1 = g1, c1 * x * g1 - c2 * g0
+    return g0, g1
 
 
 def recurrence_coefficients(n, alpha):
@@ -59,11 +57,13 @@ def recurrence_coefficients(n, alpha):
 def polished(n, alpha, nodes, weights):
     """Newton polish with a float alpha and exact symmetrization, as for one rule alone.
 
-    Returns nodes, weights and the number of Newton steps taken.
+    G_{n+1}' comes from (1 - x^2) G_{n+1}' = (n + 1) (G_n - x G_{n+1}), as in the
+    package: the last step moves a node by a few ulps, which the other G' can round
+    apart.  Returns nodes, weights and the number of Newton steps taken.
     """
     for steps in range(1, 11):
-        g, d = scalar_recurrence_with_derivative(n + 1, alpha, nodes)
-        step = g / d
+        g_n, g = scalar_recurrence(n + 1, alpha, nodes)
+        step = g / ((n + 1) * (g_n - nodes * g) / (1.0 - nodes * nodes))
         nodes = nodes - step
         if np.max(np.abs(step)) <= 4.0 * EPS_MACH:
             break
@@ -75,16 +75,19 @@ def polished(n, alpha, nodes, weights):
 
 
 def oracle_nodes_weights(n, alpha):
-    """One rule alone: the SVD of its own half-size block B, then the polish.
+    """One rule alone: the values-only SVD of its own half-size block B, then the polish.
 
     T = [[0, B], [B^T, 0]] with the even-index rows first, so b_j sits at
-    B[j // 2, (j - 1) // 2].  Returns nodes, weights and the Newton steps.
+    B[j // 2, (j - 1) // 2].  The weights come from the left singular
+    vectors of a second SVD of B.  Returns nodes, weights and the Newton
+    steps.
     """
     rows, cols = n // 2 + 1, (n + 1) // 2
     block = np.zeros((rows, cols))
     for j, b in enumerate(recurrence_coefficients(n, alpha), start=1):
         block[j // 2, (j - 1) // 2] = b
-    u, s, _ = np.linalg.svd(block)
+    s = np.linalg.svd(block, compute_uv=False)
+    u = np.linalg.svd(block)[0]
     first = total_mass(alpha) * u[0] ** 2
     nodes = np.concatenate([-s, np.zeros(rows - cols), s[::-1]])
     weights = np.concatenate([first[:cols] / 2, first[cols:], first[:cols][::-1] / 2])
@@ -104,12 +107,12 @@ def empty_cache(monkeypatch):
 
 @pytest.fixture
 def svds(monkeypatch):
-    """The shapes of the stacks passed to numpy's SVD, in call order."""
+    """The shapes of the stacks passed to numpy's SVD, in call order, with whether U was asked for."""
     shapes = []
     svd = np.linalg.svd
 
     def counted(a, *args, **kwargs):
-        shapes.append(a.shape)
+        shapes.append((a.shape, kwargs.get("compute_uv", True)))
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counted)
@@ -242,39 +245,55 @@ class TestBatchedRules:
             assert np.array_equal(weights, want_weights), alpha
 
     def test_rows_stop_after_their_own_step_counts(self):
-        # at n = 24 one alpha of the grid takes a second Newton step
-        steps = {alpha: oracle_nodes_weights(24, alpha)[2] for alpha in GRID}
-        assert len(set(steps.values())) > 1
-        alphas = (min(steps, key=steps.get), max(steps, key=steps.get), 0.5)
-        for alpha, (nodes, weights) in zip(alphas, rules._nodes_weights(24, alphas)):
-            want_nodes, want_weights, _ = oracle_nodes_weights(24, alpha)
-            assert np.array_equal(nodes, want_nodes) and np.array_equal(weights, want_weights)
+        # every rule of the grid takes one Newton step from the values-only SVD's nodes; a row
+        # started 1e-7 off takes more, and each row polishes to the same bits as alone
+        alphas = (-0.4, 0.5, 2.0)
+        start = [x + 1e-7 * (alpha == 0.5) * np.sign(x)
+                 for alpha, x in ((a, oracle_nodes_weights(24, a)[0]) for a in alphas)]
+        want = [polished(24, alpha, x, np.ones(25)) for alpha, x in zip(alphas, start)]
+        assert [steps for _, _, steps in want] == [1, 3, 1]
+        batch = np.array([x[13:] for x in start])
+        rules._polish(24, alphas, batch)
+        for alpha, x, row, (nodes, _, _) in zip(alphas, start, batch, want):
+            alone = x[None, 13:].copy()
+            rules._polish(24, (alpha,), alone)
+            assert np.array_equal(row, alone[0]) and np.array_equal(row, nodes[13:])
 
     def test_batch_fills_the_cache_of_gg_rule(self, svds):
+        # the nodes from a values-only SVD, the weights from a second one with U
         batch = rules._nodes_weights(30, GRID)
-        assert svds == [(len(GRID), 16, 15)]
+        assert svds == [((len(GRID), 16, 15), False), ((len(GRID), 16, 15), True)]
         for alpha, (nodes, weights) in zip(GRID, batch):
             rule = gg_rule(30, GegenbauerParam(alpha))
             assert rule.nodes is nodes and rule.weights is weights
         assert lg_rule(30).nodes is batch[GRID.index(0.5)][0]
-        assert svds == [(len(GRID), 16, 15)]
+        assert rules._nodes(30, GRID)[3] is batch[3][0]
+        assert len(svds) == 2
 
     def test_batch_computes_only_the_missing_rules(self, svds):
         cached = gg_rule(12, GegenbauerParam(1.0))
         batch = rules._nodes_weights(12, (0.0, 1.0, 2.0, 0.0))
-        assert svds == [(1, 7, 6), (2, 7, 6)]
+        assert svds == [((1, 7, 6), False), ((1, 7, 6), True), ((2, 7, 6), False), ((2, 7, 6), True)]
         assert batch[1][0] is cached.nodes and batch[3][0] is batch[0][0]
+
+    def test_weights_are_added_to_cached_nodes(self, svds):
+        nodes = rules._nodes(12, (0.0, 1.0))
+        assert svds == [((2, 7, 6), False)]
+        assert [w for (n, _), (_, w) in rules._RULES.items() if n == 12] == [None, None]
+        batch = rules._nodes_weights(12, (1.0, 2.0))
+        assert svds[1:] == [((1, 7, 6), False), ((2, 7, 6), True)]
+        assert batch[0][0] is nodes[1] and gg_rule(12, GegenbauerParam(1.0)).weights is batch[0][1]
+        assert rules._RULES[12, 0.0][1] is None
 
     def test_chunks_keep_the_bits(self, svds, monkeypatch):
         # 240 elements per alpha at n = 30: a budget of 1000 takes 4 alpha per SVD
         monkeypatch.setattr(rules, "_BATCH_ELEMENTS", 1000)
         batch = rules._nodes_weights(30, GRID)
-        assert svds == [(4, 16, 15)] * 6 + [(1, 16, 15)]
+        chunks = [(4, 16, 15)] * 6 + [(1, 16, 15)]
+        assert svds == [(shape, False) for shape in chunks] + [(shape, True) for shape in chunks]
         for alpha, (nodes, weights) in zip(GRID, batch):
             want_nodes, want_weights, _ = oracle_nodes_weights(30, alpha)
             assert np.array_equal(nodes, want_nodes) and np.array_equal(weights, want_weights)
-        alone = [rules._screen_nodes(30, (alpha,))[0] for alpha in GRID]
-        assert np.array_equal(rules._screen_nodes(30, GRID), alone)
 
     def test_benchmark_batches_are_one_chunk(self):
         # quadbench at n = 320 with 10 alpha is the largest batch of the benchmark commands
@@ -334,6 +353,8 @@ class TestMomentCheck:
         # weights near +-1 have lost every digit
         with pytest.raises(ConvergenceError, match="n=640, alpha=30.0: even-moment error"):
             gg_rule(640, GegenbauerParam(30.0))
+        with pytest.raises(ConvergenceError, match="n=640, alpha=30.0: even-moment error"):
+            rules._nodes(640, (30.0,))
 
     def test_the_first_failing_alpha_names_itself_and_nothing_is_cached(self):
         with pytest.raises(ConvergenceError, match="alpha=10.0"):
@@ -347,38 +368,106 @@ class TestMomentCheck:
         rules._nodes_weights(n, (-0.4999999, -0.49999, -0.499, -0.45, -0.2, 0.0, 0.5, 1.0, 1.55, 1.95, 2.0))
 
 
+@pytest.mark.usefixtures("empty_cache")
 class TestScreenNodes:
-    # the values-only nodes of the feasibility check: within an eighth of its margin of the
-    # rules' nodes (measured: at most 1.1e-16), with nothing cached
+    # the nodes that the feasibility check screens are the node source's, rules._nodes: the
+    # values-only SVD's nodes, which the builders, gg_rule and lg_rule share; inside the
+    # node-only range nothing takes U
     @pytest.mark.parametrize("n", range(101))
-    def test_near_the_rule_nodes(self, n, empty_cache):
-        grid = tuple(round(-0.45 + 0.05 * i, 12) for i in range(50)) + gim._SCREEN_ALPHAS
-        nodes = rules._screen_nodes(n, grid)
-        assert not rules._RULES
+    def test_near_the_rule_nodes(self, n, svds):
+        grid = tuple(round(-0.45 + 0.05 * i, 12) for i in range(50)) + rules._NODE_ONLY_ALPHAS
+        nodes = rules._nodes(n, grid)
+        assert {compute_uv for _, compute_uv in svds} == {False}
+        assert all(w is None for _, w in rules._RULES.values())
         for x, (want, _) in zip(nodes, rules._nodes_weights(n, grid)):
-            assert np.max(np.abs(x - want)) <= gim._SCREEN_MARGIN / 8
+            assert x is want
 
     @pytest.mark.parametrize("n", [160, 320, 640, 1000])
-    def test_near_the_rule_nodes_at_large_degree(self, n, empty_cache):
+    def test_near_the_rule_nodes_at_large_degree(self, n, svds):
         grid = (-0.4999999, -0.4999, -0.4, 0.5, 1.0, 2.0)
-        for x, (want, _) in zip(rules._screen_nodes(n, grid), rules._nodes_weights(n, grid)):
-            assert np.max(np.abs(x - want)) <= gim._SCREEN_MARGIN / 8
+        nodes = rules._nodes(n, grid)
+        assert {compute_uv for _, compute_uv in svds} == {False}
+        for alpha, x in zip(grid, nodes):
+            assert np.array_equal(x, oracle_nodes_weights(n, alpha)[0]), alpha
+
+    def test_outside_the_range_the_weights_are_checked(self, svds):
+        # (30, 50) holds, so its weights are cached with its nodes; (640, 10) fails its
+        # moment check, so its nodes raise as its rule does
+        nodes = rules._nodes(30, (0.5, 50.0))
+        assert svds == [((2, 16, 15), False), ((1, 16, 15), True)]
+        assert rules._RULES[30, 0.5][1] is None and gg_rule(30, GegenbauerParam(50.0)).nodes is nodes[1]
+        assert len(svds) == 2
+        with pytest.raises(ConvergenceError, match="n=640, alpha=10.0: even-moment error"):
+            rules._nodes(640, (1.0, 10.0))
+        with pytest.raises(ConvergenceError, match="n=1001, alpha=0.5: even-moment error"), \
+                pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rules, "MOMENT_RTOL", 0.0)  # past the degree bound every rule is checked
+            rules._nodes(1001, (0.5,))
+        assert list(rules._RULES) == [(30, 0.5), (30, 50.0)]
 
 
 class TestScreenedRange:
-    # a pair the check clears without a rule must have a rule that passes its checks, or a
-    # ConvergenceError would go unraised: pin the range of gim._SCREEN_ALPHAS
+    # inside the range the node source skips the weights' checks, so every rule there must
+    # pass them, or a ConvergenceError would go unraised: pin rules._NODE_ONLY_ALPHAS
     @pytest.mark.parametrize("n", [0, 1, 2, 17, 100, 400, 640, 999, 1000])
     def test_rules_at_the_ends_hold(self, n, empty_cache):
-        assert n <= gim._SCREEN_MAX_DEGREE
-        rules._nodes_weights(n, gim._SCREEN_ALPHAS)
+        assert n <= rules._NODE_ONLY_DEGREE
+        rules._nodes_weights(n, rules._NODE_ONLY_ALPHAS)
 
     @settings(max_examples=20, deadline=None)
-    @given(n=st.integers(0, 1000), alpha=st.floats(*gim._SCREEN_ALPHAS))
+    @given(n=st.integers(0, 1000), alpha=st.floats(*rules._NODE_ONLY_ALPHAS))
     def test_random_rules_inside_hold(self, n, alpha):
         with rules._LOCK:
             rules._RULES.pop((n, alpha), None)
         rules._nodes_weights(n, (alpha,))
+
+
+class TestNodeOnOne:
+    # within about 1e-11 of -1/2 an end node rounds onto 1: the polish stops that row before
+    # it divides by 1 - x^2 = 0, so the order check raises with no numpy warning (the test
+    # configuration turns a RuntimeWarning into an error)
+    @pytest.mark.parametrize("n", [640, 1000])
+    def test_raises_without_a_warning(self, n, empty_cache):
+        with pytest.raises(ConvergenceError, match=f"n={n}, alpha=-0.499999999999: nodes not ordered"):
+            rules._nodes(n, (0.5, -0.5 + 1e-12))
+        assert not rules._RULES
+
+    @pytest.mark.parametrize("n, alpha", [(320, -0.5 + 1e-11), (640, -0.5 + 1e-10)])
+    def test_a_singular_value_on_one_starts_below_it(self, n, alpha, empty_cache):
+        # the largest singular value rounds onto 1 (n = 320) or past it (n = 640), but the
+        # zero lies below 1: the polish starts from the largest double below 1.  So close to
+        # 1 its G' cancels, and the end node lands within two ulps of the zero (measured 0.75
+        # and 1.4; the nodes from the SVD with vectors read 1.2 and 0.6)
+        assert rules._svd(n, [alpha], compute_uv=False).max() >= 1.0
+        x = rules._nodes(n, (alpha,))[0][-1]
+        with mpmath.workdps(40):
+            a = mpmath.mpf(alpha)
+
+            def g(t):  # G_{n+1}(t), the recurrence in 40 digits
+                g0, g1 = mpmath.mpf(1), t
+                for k in range(2, n + 2):
+                    g0, g1 = g1, (2 * (k + a - 1) * t * g1 - (k - 1) * g0) / (k + 2 * a - 1)
+                return g1
+
+            zero = mpmath.findroot(g, (mpmath.mpf(x) - mpmath.mpf(1e-13), mpmath.mpf(1)), solver="illinois")
+            assert x < 1.0 and abs(x - zero) <= 2 * mpmath.mpf(2.0) ** -53
+
+    @pytest.mark.parametrize("n", [1, 2, 10])
+    def test_nodes_that_are_not_numbers_raise(self, n, empty_cache):
+        # at the next double above -1/2 the recurrence divides by 0 and the polish gives NaN
+        alpha = math.nextafter(-0.5, 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(
+                ConvergenceError, match="nodes not ordered"):
+            rules._nodes(n, (alpha,))
+        assert not rules._RULES
+
+    def test_other_rows_of_the_batch_keep_their_bits(self, empty_cache):
+        nodes = np.array([[0.25, 1.0], [0.25, 0.5]])
+        rules._polish(3, (-0.5 + 1e-12, 0.5), nodes)
+        assert nodes[0].tolist() == [0.25, 1.0]
+        want = np.array([[0.25, 0.5]])
+        rules._polish(3, (0.5,), want)
+        assert np.array_equal(nodes[1], want[0])
 
 
 class TestCsv:
