@@ -51,11 +51,12 @@ def make_integrand(spec: str):
             raise ValueError(f"unknown name {name!r} in integrand expression")
 
     def f(x):
-        return eval(code, {"__builtins__": {}}, {**_EXPR_NAMESPACE, "x": x})
+        value = eval(code, {"__builtins__": {}}, {**_EXPR_NAMESPACE, "x": x})
+        return np.broadcast_to(value, np.shape(x))  # an expression without x, such as pi, is constant
 
     try:
         float(f(0.25))  # fail fast on malformed expressions
-    except (TypeError, ArithmeticError) as exc:
+    except (TypeError, ValueError, ArithmeticError) as exc:
         raise ValueError(f"integrand expression {spec!r} fails at x = 0.25: {exc}") from None
     return f
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import os
 import re
 import sys
@@ -178,68 +179,53 @@ def cmd_example(args) -> int:
     return 0
 
 
-_COMMANDS = ("gim", "quadbench", "feasibility", "example")
-
-
-def build_parser(command=None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or of ``command`` alone.
-
-    Without the other subcommands the parser still names all of them in
-    its usage line, so a command line that starts with ``command`` prints
-    and returns the same as with the full parser.
-    """
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on the first call and shared, unchanged, by every later one."""
     parser = _Parser(prog="baryquad",
                      description="Stable barycentric Gegenbauer integration matrices and quadratures")
-    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    names = _COMMANDS if command is None else (command,)
+    sub = parser.add_subparsers(dest="command", required=True)
 
-    if "gim" in names:
-        p = sub.add_parser("gim", help="build an integration matrix and write CSV")
-        p.add_argument("--n", type=int, required=True, help="degree (matrix has n+1 source nodes)")
-        p.add_argument("--alpha", type=float, required=True, help="family parameter, > -1/2")
-        p.add_argument("--variant", choices=["plain", "guarded", "bumped", "basis"], default="plain")
-        p.add_argument("--q", type=int, default=1, help="integration order")
-        p.add_argument("--epsilon", type=float, default=EPS_MACH, help="collision tolerance")
-        p.add_argument("--out", default=None, help="output CSV path (default: stdout)")
-        p.set_defaults(func=cmd_gim)
+    p = sub.add_parser("gim", help="build an integration matrix and write CSV")
+    p.add_argument("--n", type=int, required=True, help="degree (matrix has n+1 source nodes)")
+    p.add_argument("--alpha", type=float, required=True, help="family parameter, > -1/2")
+    p.add_argument("--variant", choices=["plain", "guarded", "bumped", "basis"], default="plain")
+    p.add_argument("--q", type=int, default=1, help="integration order")
+    p.add_argument("--epsilon", type=float, default=EPS_MACH, help="collision tolerance")
+    p.add_argument("--out", default=None, help="output CSV path (default: stdout)")
+    p.set_defaults(func=cmd_gim)
 
-    if "quadbench" in names:
-        p = sub.add_parser("quadbench", help="benchmark quadrature errors against exact integrals "
-                           "(f1, f2, f3) or adaptive quadrature (expressions)")
-        p.add_argument("--f", default="f2",
-                       help="f1 (x^20), f2 (exp(-x^2)), f3 (Runge) or an expression in x")
-        p.add_argument("--n-grid", default="20,80")
-        p.add_argument("--alpha-grid", default="-0.25:0.25:2")
-        p.add_argument("--time", action="store_true", help="report elapsed wall time on stderr")
-        p.add_argument("--out", default=None)
-        p.set_defaults(func=cmd_quadbench)
+    p = sub.add_parser("quadbench", help="benchmark quadrature errors against exact integrals "
+                       "(f1, f2, f3) or adaptive quadrature (expressions)")
+    p.add_argument("--f", default="f2",
+                   help="f1 (x^20), f2 (exp(-x^2)), f3 (Runge) or an expression in x")
+    p.add_argument("--n-grid", default="20,80")
+    p.add_argument("--alpha-grid", default="-0.25:0.25:2")
+    p.add_argument("--time", action="store_true", help="report elapsed wall time on stderr")
+    p.add_argument("--out", default=None)
+    p.set_defaults(func=cmd_quadbench)
 
-    if "feasibility" in names:
-        p = sub.add_parser("feasibility", help="scan the square-matrix sufficient condition")
-        p.add_argument("--n-grid", default="1:1:100")
-        p.add_argument("--alpha-grid", default="-0.4:0.1:2")
-        p.add_argument("--epsilon", type=float, default=EPS_MACH)
-        p.add_argument("--out", default=None)
-        p.set_defaults(func=cmd_feasibility)
+    p = sub.add_parser("feasibility", help="scan the square-matrix sufficient condition")
+    p.add_argument("--n-grid", default="1:1:100")
+    p.add_argument("--alpha-grid", default="-0.4:0.1:2")
+    p.add_argument("--epsilon", type=float, default=EPS_MACH)
+    p.add_argument("--out", default=None)
+    p.set_defaults(func=cmd_feasibility)
 
-    if "example" in names:
-        p = sub.add_parser("example", help="run a benchmark collocation problem")
-        p.add_argument("--id", type=int, required=True, help="1 (linear) or 2 (nonlinear)")
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--m", type=int, default=None, help="source expansion degree (example 1)")
-        p.add_argument("--alpha", type=float, required=True)
-        p.add_argument("--out", default=None, help="solution CSV path")
-        p.set_defaults(func=cmd_example)
+    p = sub.add_parser("example", help="run a benchmark collocation problem")
+    p.add_argument("--id", type=int, required=True, help="1 (linear) or 2 (nonlinear)")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--m", type=int, default=None, help="source expansion degree (example 1)")
+    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--out", default=None, help="solution CSV path")
+    p.set_defaults(func=cmd_example)
     return parser
 
 
 def main(argv=None) -> int:
     argv = _attach_grid_values(sys.argv[1:] if argv is None else argv)
-    # a command line that starts with a command needs only that command's parser
-    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
     try:

@@ -116,16 +116,17 @@ def _svd(n: int, alphas, compute_uv: bool = True):
     a = np.array(alphas)[:, None]
     k = np.arange(2.0, n + 1.0)
     b = np.empty((m, n))  # beta_j, then b_j = sqrt(beta_j), at b[:, j - 1]
-    b[:, :1] = 1.0 / (2.0 * (a + 1.0))  # no entry at n = 0, a 1 x 1 matrix
-    b[:, 1:] = k * (k + 2.0 * a - 1.0) / (4.0 * (k + a) * (k + a - 1.0))
-    np.sqrt(b, out=b)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed beta fails below, or its nodes do
+        b[:, :1] = 1.0 / (2.0 * (a + 1.0))  # no entry at n = 0, a 1 x 1 matrix
+        b[:, 1:] = k * (k + 2.0 * a - 1.0) / (4.0 * (k + a) * (k + a - 1.0))
+        np.sqrt(b, out=b)
     # B[r, r] = b_{2r+1} and B[r, r-1] = b_{2r}: two diagonals of stride cols + 1 in a flat block
     blocks = np.zeros((m, rows, cols))
     blocks.reshape(m, -1)[:, ::cols + 1] = b[:, 0::2]
     blocks.reshape(m, -1)[:, cols::cols + 1] = b[:, 1::2]
     try:
         return np.linalg.svd(blocks, compute_uv=compute_uv)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+    except np.linalg.LinAlgError as exc:  # NaN blocks, from a beta that overflowed
         raise ConvergenceError(f"SVD failed for n={n}, alpha in {list(alphas)}: {exc}") from exc
 
 
@@ -137,7 +138,10 @@ def _node_batch(n: int, alphas) -> np.ndarray:
         # a singular value rounded onto or past 1 starts from the largest double below it
         positive = np.minimum(_svd(n, chunk, compute_uv=False)[:, ::-1], np.nextafter(1.0, 0.0))
         if positive.shape[1]:
-            _polish(n, chunk, positive)  # G_{n+1} is odd or even: -x would polish to exactly minus x's polish
+            # at the next double above -1/2 the recurrence's k = 2 step divides by 0, and past
+            # alpha = 1e154 beta overflows: their NaN rows fail the order check without a warning
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                _polish(n, chunk, positive)  # G_{n+1} is odd or even: -x would polish to exactly minus x's polish
         middle = np.zeros((len(chunk), n + 1 - 2 * positive.shape[1]))
         nodes[part] = np.concatenate([-positive[:, ::-1], middle, positive], axis=1)
     return nodes

@@ -20,10 +20,13 @@ from baryquad.bench import EXACT_INTEGRALS
 from baryquad.cli import _write_rows, main, parse_grid
 
 
-def _python(*args, **env):
-    """A fresh interpreter on ``args``, with the package's source on its path and ``env`` set."""
+def _python(*args, text=True, **env):
+    """A fresh interpreter on ``args``, with the package's source on its path and ``env`` set.
+
+    Its output is text with line ends translated, or bytes where ``text`` is false.
+    """
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"), **env}
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=text)
 
 
 def read_csv(path):
@@ -173,6 +176,16 @@ class TestQuadbenchCommand:
         out = tmp_path / "bench.csv"
         assert main(["quadbench", "--f", "exp(-x**2)", "--n-grid", "8",
                      "--alpha-grid", "0.5", "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("expression", ["1", "pi", "exp(0)"])
+    def test_constant_expression(self, expression, tmp_path):
+        # an expression without x evaluates to one number, which quadbench takes at every node
+        out = tmp_path / "bench.csv"
+        assert main(["quadbench", "--f", expression, "--n-grid", "4,10", "--alpha-grid", "0.5",
+                     "--out", str(out)]) == 0
+        rows = read_csv(out)[1]
+        assert len(rows) == 5 + 11
+        assert max(float(r[3]) for r in rows) <= 1e-14
 
     def test_bad_expression_exits_one(self, capsys):
         assert main(["quadbench", "--f", "__import__('os')", "--n-grid", "8",
@@ -429,19 +442,44 @@ class TestExitCodeContract:
         assert done.stderr.splitlines() == ["ConvergenceError: node computation failed for n=640, "
                                             "alpha=-0.499999999999: nodes not ordered in (-1, 1)"]
 
+    @pytest.mark.parametrize("argv", [
+        # the next double above -1/2: the recurrence's k = 2 step divides by 0
+        ["gim", "--n", "10", "--alpha=-0.49999999999999994"],
+        ["feasibility", "--n-grid", "10", "--alpha-grid=-0.49999999999999994"],
+        ["example", "--id", "1", "--n", "10", "--m", "14", "--alpha=-0.49999999999999994"],
+        # beta of the Jacobi matrix overflows: NaN nodes, or an SVD that does not converge
+        ["gim", "--n", "40", "--alpha", "1e160"],
+        ["gim", "--n", "3", "--alpha", "1e308"],
+        ["feasibility", "--n-grid", "3", "--alpha-grid", "1e308"],
+        ["example", "--id", "2", "--n", "3", "--alpha", "1e308"]],
+        ids=lambda argv: " ".join(argv))
+    def test_one_line_at_either_end_of_alpha(self, argv):
+        done = _python("-m", "baryquad", *argv)
+        assert done.returncode == 2
+        assert re.fullmatch(r"ConvergenceError: (node computation|SVD) failed for n=\d+, alpha[^\n]*\n",
+                            done.stderr)
 
-def _run(parser_factory, argv, capsys):
-    """stdout, stderr and exit code of ``main`` with the parser built by ``parser_factory``."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "build_parser", parser_factory)
-        code = main(argv)
+
+def _fresh(argv):
+    """stdout, stderr and exit code of ``argv`` in a fresh interpreter, which builds its own parser."""
+    done = _python("-m", "baryquad", *argv, text=False)  # keep the CSV rows' CR LF ends
+    return done.stdout.decode(), done.stderr.decode(), done.returncode
+
+
+def _reused(argv, capsys):
+    """stdout, stderr and exit code of ``main(argv)`` in this process, on the parser it shares."""
+    code = main(argv)
     out, err = capsys.readouterr()
     return out, err, code
 
 
 class TestLazyParser:
-    # main builds only the subparser that argv names; everything it prints and returns
-    # must equal the parse by the parser of all four commands
+    # main builds the parser of all four commands on its first call, not at import, and every
+    # later call parses with it: a call must print and return what it does in a fresh interpreter
+    @pytest.fixture(autouse=True)
+    def _fixed_help_width(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help at the terminal's width
+
     @pytest.mark.parametrize("argv", [
         ["--help"], [], ["bogus"], ["gim", "--help"], ["quadbench", "--help"],
         ["feasibility", "--help"], ["example", "--help"],
@@ -451,18 +489,49 @@ class TestLazyParser:
         ["example", "--id", "2", "--n", "4", "--alpha", "0.5"],
     ], ids=lambda argv: " ".join(argv) or "no arguments")
     def test_same_output_as_the_full_parser(self, argv, capsys):
-        full = cli.build_parser
-        lazy = _run(full, argv, capsys)
-        assert lazy == _run(lambda command=None: full(), argv, capsys)
+        # the parser has just parsed other options of other commands
+        _reused(["example", "--id", "1", "--n", "4", "--m", "3", "--alpha", "0.25"], capsys)
+        _reused(["gim", "--n", "3", "--alpha", "2", "--variant", "basis", "--q", "2"], capsys)
+        reused = _reused(argv, capsys)
+        assert reused == _fresh(argv)
         if argv[-1:] == ["zzz"]:
-            assert "{gim,quadbench,feasibility,example}" in lazy[1]
-            assert "unrecognized arguments: zzz" in lazy[1] and lazy[2] == 1
+            assert "{gim,quadbench,feasibility,example}" in reused[1]
+            assert "unrecognized arguments: zzz" in reused[1] and reused[2] == 1
 
-    def test_only_the_named_subparser_is_built(self):
-        sub = next(a for a in cli.build_parser("example")._actions if a.dest == "command")
-        assert list(sub.choices) == ["example"]
-        sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
-        assert list(sub.choices) == ["gim", "quadbench", "feasibility", "example"]
+    @pytest.mark.parametrize("calls", [
+        # a --m left over from example 1 would make example 2 exit 1
+        [["example", "--id", "1", "--n", "10", "--m", "14", "--alpha", "0.5"],
+         ["example", "--id", "2", "--n", "9", "--alpha", "0.5"]],
+        [["gim", "--n", "4", "--alpha", "0.5", "--variant", "basis"], ["gim", "--n", "4", "--alpha", "0.5"]],
+        [["feasibility", "--n-grid", "4", "--alpha-grid", "0.5", "--epsilon", "0"],
+         ["feasibility", "--n-grid", "1:1:4", "--alpha-grid", "0.5,1"]],
+    ], ids=["example 1 then 2", "basis then plain", "usage error then valid"])
+    def test_reused_parser_leaks_no_state(self, calls, capsys):
+        reused = [_reused(argv, capsys) for argv in calls]
+        assert reused == [_fresh(argv) for argv in calls]
+        assert [code for _, _, code in reused] == ([1, 0] if "--epsilon" in calls[0] else [0, 0])
+
+    def test_the_parser_is_built_once(self, monkeypatch, capsys):
+        built = []
+
+        class Counted(cli._Parser):
+            def __init__(self, **kwargs):
+                built.append(kwargs["prog"])
+                super().__init__(**kwargs)
+
+        monkeypatch.setattr(cli, "_Parser", Counted)
+        cli.build_parser.cache_clear()
+        try:
+            codes = [main(argv) for argv in (["gim", "--n", "3", "--alpha", "0.5"], ["bogus"],
+                                             ["feasibility", "--n-grid", "4", "--alpha-grid", "1"],
+                                             ["example", "--id", "2", "--n", "4", "--alpha", "0.5"])]
+        finally:
+            cli.build_parser.cache_clear()  # the next call builds a parser of the real class
+        capsys.readouterr()
+        assert codes == [0, 1, 0, 0]
+        # one top-level parser and each subparser once, all at the first call
+        assert built == ["baryquad", "baryquad gim", "baryquad quadbench", "baryquad feasibility",
+                         "baryquad example"]
 
 
 class TestDeterminism:
