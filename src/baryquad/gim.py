@@ -108,25 +108,24 @@ def _validated_targets(target_nodes) -> np.ndarray:
 _BLOCK_ELEMENTS = 4096
 
 
-def _screen(targets: np.ndarray, nodes: np.ndarray, points: np.ndarray, epsilon: float):
-    """Legendre ``points`` mapped onto [-1, x_j] per target x_j, and the targets with a hit.
+def _collisions(targets: np.ndarray, nodes: np.ndarray, points: np.ndarray, epsilon: float):
+    """The one collision test: Legendre ``points`` mapped onto [-1, x_j] per target x_j, and every hit.
 
     ``nodes`` is 1-D, shared by every target, or (targets, cols), row j the
     nodes of target j.  A point with |y_jk - x_i| <= epsilon is a hit.
-    Rounded differences are monotone in x_i, so the smallest |y_jk - x_i|
-    lies at one of the two nodes next to y_jk in sorted order; those
-    decide, for all targets at once, which targets have a hit.  Shared
-    nodes are searched with :func:`numpy.searchsorted`; for per-row nodes
-    the same left index is the count of the row's nodes below the point,
-    taken in blocks of targets within the kernel's element budget.
-    Returns ``(mapped, hit)``, ``hit`` a list of one bool per target.
+    Shared nodes are searched with :func:`numpy.searchsorted`: rounded
+    differences are monotone in x_i, so the smallest |y_jk - x_i| lies at
+    one of the two nodes next to y_jk.  Per-row nodes take the smallest
+    |y_jk - x_i| directly, in blocks of targets within the kernel's element
+    budget.  Only the targets with a hit take a dense test of their points
+    against their nodes.  Returns the (targets, points) mapped points and
+    the hits as (i, j, k) triples in (j, k, i) order.
     """
     _check_epsilon(epsilon)
     mapped = 0.5 * ((targets[:, None] + 1.0) * points + targets[:, None] - 1.0)
-    # x_below < y <= x_above, so both differences are |y - x| without abs
-    inf = np.full(nodes.shape[:-1] + (1,), np.inf)
-    padded = np.concatenate((-inf, nodes, inf), axis=-1)
     if nodes.ndim == 1:
+        # x_below < y <= x_above, so both differences are |y - x| without abs
+        padded = np.concatenate(([-np.inf], nodes, [np.inf]))
         above = np.searchsorted(nodes, mapped) + 1
         nearest = np.minimum(mapped - padded[above - 1], padded[above] - mapped)
     else:
@@ -134,27 +133,13 @@ def _screen(targets: np.ndarray, nodes: np.ndarray, points: np.ndarray, epsilon:
         size = max(1, _BLOCK_ELEMENTS // (points.size * nodes.shape[1]))
         for start in range(0, targets.size, size):
             b = slice(start, start + size)
-            above = (nodes[b, None, :] < mapped[b, :, None]).sum(axis=2) + 1
-            np.minimum(mapped[b] - np.take_along_axis(padded[b], above - 1, axis=1),
-                       np.take_along_axis(padded[b], above, axis=1) - mapped[b], out=nearest[b])
-    return mapped, (nearest <= epsilon).any(axis=1).tolist()
-
-
-def _collisions(targets: np.ndarray, nodes: np.ndarray, points: np.ndarray, epsilon: float, screen=None):
-    """Every (i, j, k) with |y_jk - x_i| <= epsilon, in (j, k, i) order.
-
-    ``nodes`` is shared or per row, and ``points`` are the Legendre points,
-    as in :func:`_screen`.  The hits of :func:`_screen`, or of ``screen``,
-    its result for these targets, select the targets; each of those takes
-    one dense test of its mapped points against its nodes.
-    """
-    mapped, hit = _screen(targets, nodes, points, epsilon) if screen is None else screen
+            nearest[b] = np.abs(mapped[b, :, None] - nodes[b, None, :]).min(axis=2)
     triples = []
-    for j in (j for j, h in enumerate(hit) if h):
+    for j in np.flatnonzero((nearest <= epsilon).any(axis=1)).tolist():
         row = nodes if nodes.ndim == 1 else nodes[j]
         k, i = np.nonzero(np.abs(mapped[j, :, None] - row) <= epsilon)  # in (k, i) order
         triples += zip(i.tolist(), [j] * k.size, k.tolist())
-    return triples
+    return mapped, triples
 
 
 def _check_gg_batch(n: int, params, epsilon: float) -> list:
@@ -167,7 +152,7 @@ def _check_gg_batch(n: int, params, epsilon: float) -> list:
     _check_epsilon(epsilon)
     nodes = _nodes(n, tuple(p.alpha for p in params))
     points = _nodes(_lg_count_default(n), (0.5,))[0]
-    violations = [tuple(sorted(_collisions(x, x, points, epsilon))) for x in nodes]
+    violations = [tuple(sorted(_collisions(x, x, points, epsilon)[1])) for x in nodes]
     return [FeasibilityReport(feasible=not v, violations=v) for v in violations]
 
 
@@ -182,7 +167,7 @@ def check_gg_condition(n: int, param: GegenbauerParam, epsilon: float = EPS_MACH
     mapped point's; at the default epsilon and at 1e-12 both flag the same
     triples for n <= 100 on the paper's alpha grids.
 
-    Each mapped point is searched in the sorted nodes (:func:`_screen`),
+    Each mapped point is searched in the sorted nodes (:func:`_collisions`),
     which takes O(n^2 log n) time and O(n^2) memory.  The nodes are the
     builders' own (:func:`_check_gg_batch`), so a rule that does not hold
     raises :class:`ConvergenceError` in both.  Violations are (i, j, k)
@@ -191,14 +176,15 @@ def check_gg_condition(n: int, param: GegenbauerParam, epsilon: float = EPS_MACH
     return _check_gg_batch(n, (param,), epsilon)[0]
 
 
-def _build_rows(target_nodes, nodes: np.ndarray, xi: np.ndarray, lg, epsilon: float, screen=None):
+def _build_rows(targets: np.ndarray, mapped: np.ndarray, nodes: np.ndarray, xi: np.ndarray, w: np.ndarray):
     """The one row kernel: integrate the interpolant over [-1, x_j] for each target x_j.
 
+    ``mapped`` holds the Legendre points mapped onto [-1, x_j], row j, as
+    :func:`_collisions` returns them, and ``w`` their Legendre weights.
     ``nodes`` and their barycentric weights ``xi`` are 1-D, shared by every
     target, or (targets, cols), row j the basis of target j, as in the
-    optimal matrices.  With y_j the Legendre points mapped onto [-1, x_j],
-    mu = xi / (y_j - x) and c = w / (mu 1), the barycentric cardinal
-    functions give
+    optimal matrices.  With y_j the mapped points, mu = xi / (y_j - x) and
+    c = w / (mu 1), the barycentric cardinal functions give
 
         row_j = (x_j + 1) / 2 * c^T mu,
 
@@ -210,16 +196,9 @@ def _build_rows(target_nodes, nodes: np.ndarray, xi: np.ndarray, lg, epsilon: fl
     from about n = 90 on for square matrices), in one reused buffer, so
     memory stays O(p (n + T)) for p Legendre points and T targets.
 
-    Hits are found by :func:`_screen`, or taken from ``screen``, its result
-    for these targets.  The first hit in (j, k, i) order is raised as a
-    :class:`CollisionError` (i, j, k) before any row is built.
+    The kernel only integrates: each builder screens the mapped points
+    with :func:`_collisions` first and decides what a hit means.
     """
-    targets = np.atleast_1d(np.asarray(target_nodes, dtype=float))
-    w = lg.weights
-    mapped, hit = _screen(targets, nodes, lg.nodes, epsilon) if screen is None else screen
-    if any(hit):
-        i, j, k = _collisions(targets, nodes, lg.nodes, epsilon, (mapped, hit))[0]
-        raise CollisionError(i, j, k, "mapped Legendre point coincides with a source node")
     per_row = nodes.ndim == 2
     cols = nodes.shape[-1]
     size = max(1, _BLOCK_ELEMENTS // (w.size * cols))
@@ -256,25 +235,24 @@ def _square(n: int, param: GegenbauerParam, epsilon: float, on_hit: str) -> Inte
     nodes = _nodes(n, (param.alpha,))[0]
     basis = BarycentricBasis(nodes=nodes, xi=_gauss_xi(nodes, param.alpha))
     lg = lg_rule(_lg_count_default(n))
-    mapped, hit = screen = _screen(nodes, nodes, lg.nodes, epsilon)
-    if any(hit) and on_hit == "bump":
+    mapped, hits = _collisions(nodes, nodes, lg.nodes, epsilon)
+    if hits and on_hit == "bump":
         lg = lg_rule(lg.n + 1)
-        mapped, hit = screen = _screen(nodes, nodes, lg.nodes, epsilon)
-    if not any(hit):
+        mapped, hits = _collisions(nodes, nodes, lg.nodes, epsilon)
+    if hits and on_hit != "cardinal":
+        raise CollisionError(*hits[0], "mapped Legendre point coincides with a source node")
+    entries = np.empty((n + 1, n + 1))
+    if not hits:
         kept = (n + 1) // 2 + 1  # the rows with x_j <= 0 and, for odd n, the first x_j > 0
-        rows = _build_rows(nodes[:kept], nodes, basis.xi, lg, epsilon, (mapped[:kept], hit[:kept]))
-        entries = np.empty((n + 1, n + 1))
+        rows = _build_rows(nodes[:kept], mapped[:kept], nodes, basis.xi, lg.weights)
         entries[:kept] = rows
         entries[kept:] = _full_interval_row(rows) - rows[:n + 1 - kept][::-1, ::-1]
-    elif on_hit == "cardinal":
-        free = np.flatnonzero(np.logical_not(hit))
-        entries = np.empty((n + 1, n + 1))
-        entries[free] = _build_rows(nodes[free], nodes, basis.xi, lg, epsilon,
-                                    (mapped[free], [False] * free.size))
-        for j in np.flatnonzero(hit):
-            entries[j] = 0.5 * (nodes[j] + 1.0) * (lg.weights @ lagrange_matrix(basis, mapped[j], epsilon))
     else:
-        _build_rows(nodes, nodes, basis.xi, lg, epsilon, screen)  # raises the first hit
+        hit = np.unique([j for _, j, _ in hits])
+        free = np.setdiff1d(np.arange(n + 1), hit)
+        entries[free] = _build_rows(nodes[free], mapped[free], nodes, basis.xi, lg.weights)
+        for j in hit:
+            entries[j] = 0.5 * (nodes[j] + 1.0) * (lg.weights @ lagrange_matrix(basis, mapped[j], epsilon))
     return IntegrationMatrix(entries=entries, order=1, source_nodes=nodes,
                              target_nodes=nodes, interval=INTERVAL_BIUNIT, alpha=param.alpha)
 
@@ -334,9 +312,12 @@ def build_gim_arbitrary(target_nodes, n: int, param: GegenbauerParam,
     the target 1 is the quadrature row for the full interval.
     """
     targets = _validated_targets(target_nodes)
-    count = _lg_count(n, targets, epsilon)
     nodes = _nodes(n, (param.alpha,))[0]
-    entries = _build_rows(targets, nodes, _gauss_xi(nodes, param.alpha), lg_rule(count), epsilon)
+    lg = lg_rule(_lg_count(n, targets, epsilon))
+    mapped, hits = _collisions(targets, nodes, lg.nodes, epsilon)
+    if hits:
+        raise CollisionError(*hits[0], "mapped Legendre point coincides with a source node")
+    entries = _build_rows(targets, mapped, nodes, _gauss_xi(nodes, param.alpha), lg.weights)
     return IntegrationMatrix(entries=entries, order=1, source_nodes=nodes,
                              target_nodes=targets, interval=INTERVAL_BIUNIT, alpha=param.alpha)
 

@@ -148,11 +148,10 @@ def build_optimal_gim(target_nodes, config: OptimalConfig) -> IntegrationMatrix:
     _check_bases(nodes, xi)
     nodes, xi = nodes[row], xi[row]
     lg = lg_rule(_lg_count(m, targets, config.epsilon))
-    try:
-        entries = _build_rows(targets, nodes, xi, lg, config.epsilon)
-    except CollisionError as err:
-        detail = "mapped Legendre point coincides with an adjoint node"
-        raise CollisionError(err.i, err.j, err.k, detail) from None
+    mapped, hits = _collisions(targets, nodes, lg.nodes, config.epsilon)
+    if hits:
+        raise CollisionError(*hits[0], "mapped Legendre point coincides with an adjoint node")
+    entries = _build_rows(targets, mapped, nodes, xi, lg.weights)
     return IntegrationMatrix(entries=entries, order=1, source_nodes=nodes,
                              target_nodes=targets, interval=INTERVAL_BIUNIT, alpha=alpha_star)
 
@@ -192,7 +191,7 @@ def check_condition_mmax(target_nodes, config: OptimalConfig) -> FeasibilityRepo
     targets = _validated_targets(target_nodes)
     m, epsilon = config.m, config.epsilon
     z = _nodes(m, (config.alpha_a,))[0]
-    triples = _collisions(targets, z, _nodes(_lg_count(m, targets, epsilon), (0.5,))[0], epsilon)
+    triples = _collisions(targets, z, _nodes(_lg_count(m, targets, epsilon), (0.5,))[0], epsilon)[1]
     # triples are (node i, target k, Legendre point s)
     violations = tuple(sorted(((i, s, k) for i, k, s in triples), key=lambda t: (t[2], t[0], t[1])))
     return FeasibilityReport(feasible=not violations, violations=violations)

@@ -34,11 +34,13 @@ def _check_epsilon(epsilon: float) -> None:
 def _check_degree(value, name: str, positive: bool = False) -> int:
     """The package's one test of a degree: a non-negative integer (3.0 passes), returned as an int.
 
-    ``positive`` also refuses 0, for an integration order.
+    ``positive``, for an integration order q, also refuses 0 and a q whose (q - 1)! is not a double.
     """
     if not (math.isfinite(value) and value >= (1 if positive else 0) and int(value) == value):
         kind = "positive" if positive else "non-negative"
         raise ValueError(f"{name} must be a {kind} integer, got {value}")
+    if positive and math.lgamma(value) > math.log(np.finfo(float).max):  # from q = 172 on
+        raise ValueError(f"{name} must be at most 171, got {value}")
     return int(value)
 
 

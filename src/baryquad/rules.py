@@ -173,9 +173,10 @@ def _nodes_weights(n: int, alphas, weights: bool = True) -> list:
     The missing nodes come from one :func:`_node_batch`, and the weights,
     None unless asked for or outside the node-only range, from one
     :func:`_weight_batch`.  The first alpha whose nodes are not ordered in
-    (-1, 1), or else whose weights are not positive or miss the moment by
-    more than :data:`MOMENT_RTOL`, raises :class:`ConvergenceError`, and
-    nothing of the batch is cached.
+    (-1, 1), or else whose moment lgamma cannot give to :data:`MOMENT_RTOL`
+    (from about alpha = 1.2e5), or whose weights are not positive or miss
+    the moment by more, raises :class:`ConvergenceError`, and nothing of the
+    batch is cached.
     """
     n, rules, new = _check_degree(n, "degree"), dict.fromkeys(alphas), {}
     with _LOCK:
@@ -197,8 +198,13 @@ def _nodes_weights(n: int, alphas, weights: bool = True) -> list:
     lacking = [a for a, (_, w) in rules.items()
                if w is None and (weights or not (n <= _NODE_ONLY_DEGREE and low <= a <= high))]
     if lacking:
-        nodes, w = np.array([rules[a][0] for a in lacking]), _weight_batch(n, lacking)
         j = n // 2
+        # lgamma(x) errs by about eps x ln x, so past the tolerance no moment (the mass, at n <= 1) is known
+        vague = [a for a in lacking if EPS_MACH * (j + a + 1.0) * math.log(j + a + 1.0) > MOMENT_RTOL]
+        if vague:
+            raise ConvergenceError(f"node computation failed for n={n}, alpha={vague[0]}: "
+                                   f"even-moment error above {MOMENT_RTOL:g}")
+        nodes, w = np.array([rules[a][0] for a in lacking]), _weight_batch(n, lacking)
         exact = np.exp([math.lgamma(j + 0.5) + math.lgamma(a + 0.5) - math.lgamma(j + a + 1.0)
                         for a in lacking])
         nonpositive = (w <= 0.0).any(axis=1)

@@ -115,6 +115,8 @@ class TestGimCommand:
         (["--n", "640", "--alpha", "30", "--epsilon", "-1"], "epsilon must be positive and finite"),
         (["--n", "640", "--alpha", "30", "--q", "0"], "order must be a positive integer, got 0"),
         (["--n", "4", "--alpha", "1", "--q", "0"], "order must be a positive integer, got 0"),
+        # from q = 172 on, (q - 1)! is past the largest double
+        (["--n", "640", "--alpha", "30", "--q", "172"], "order must be at most 171, got 172"),
     ])
     def test_options_are_checked_before_the_build(self, argv, message, tmp_path, capsys):
         out = tmp_path / "m.csv"
@@ -451,13 +453,32 @@ class TestExitCodeContract:
         ["gim", "--n", "40", "--alpha", "1e160"],
         ["gim", "--n", "3", "--alpha", "1e308"],
         ["feasibility", "--n-grid", "3", "--alpha-grid", "1e308"],
-        ["example", "--id", "2", "--n", "3", "--alpha", "1e308"]],
+        ["example", "--id", "2", "--n", "3", "--alpha", "1e308"],
+        # at n <= 1 the moment checked is the mass: lgamma overflows from alpha = 2.5e305, and
+        # from about 1.2e5 its rounding passes the tolerance, so the weights are not known
+        ["gim", "--n", "0", "--alpha", "1e308"],
+        ["gim", "--n", "1", "--alpha", "3e305"],
+        ["feasibility", "--n-grid", "0", "--alpha-grid", "3e305"],
+        ["example", "--id", "2", "--n", "0", "--alpha", "3e305"],
+        ["gim", "--n", "1", "--alpha", "1e50"],
+        ["example", "--id", "2", "--n", "1", "--alpha", "1e50"],
+        ["example", "--id", "1", "--n", "1", "--m", "14", "--alpha", "1e160"],
+        ["quadbench", "--n-grid", "1", "--alpha-grid", "1e50"],
+        ["gim", "--n", "0", "--alpha", "1e50", "--variant", "basis"]],
         ids=lambda argv: " ".join(argv))
     def test_one_line_at_either_end_of_alpha(self, argv):
         done = _python("-m", "baryquad", *argv)
         assert done.returncode == 2
         assert re.fullmatch(r"ConvergenceError: (node computation|SVD) failed for n=\d+, alpha[^\n]*\n",
                             done.stderr)
+
+    @pytest.mark.parametrize("argv", [
+        ["gim", "--n", "4", "--alpha", "0.5", "--q", "172"],
+        ["gim", "--n", "4", "--alpha", "0.5", "--variant", "basis", "--q", "300"]])
+    def test_one_line_for_an_order_past_the_factorials_of_doubles(self, argv):
+        done = _python("-m", "baryquad", *argv)
+        assert done.returncode == 1 and done.stdout == ""
+        assert done.stderr == f"UsageError: order must be at most 171, got {argv[-1]}\n"
 
 
 def _fresh(argv):

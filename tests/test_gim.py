@@ -16,9 +16,9 @@ from baryquad import (CollisionError, ConvergenceError, GegenbauerParam, Integra
                       OptimalConfig, apply_quadrature, build_basis_gim, build_gim_arbitrary,
                       build_gim_gg, build_gim_gg_bumped, build_gim_gg_guarded, build_optimal_gim,
                       check_gg_condition, gg_rule, gim, map_to_unit, lg_rule, matrix_to_csv,
-                      qth_order_gim, rules)
+                      optimal, qth_order_gim, rules)
 from baryquad.barycentric import BarycentricBasis, _gauss_xi, bary_weights_gg, lagrange_matrix
-from baryquad.gim import _build_rows, _lg_count_default, _screen
+from baryquad.gim import _build_rows, _collisions, _lg_count_default
 from baryquad.polynomials import EPS_MACH, _integration_relation, _running_integral, _terms
 
 
@@ -126,6 +126,20 @@ class TestFeasibilityMatchesDenseOracle:
         assert peak < 64 * 2 ** 20
 
 
+@pytest.fixture
+def screens(monkeypatch):
+    """The target count of each _collisions call that the builders and the check make."""
+    calls = []
+
+    def counted(targets, *args):
+        calls.append(targets.size)
+        return _collisions(targets, *args)
+
+    monkeypatch.setattr(gim, "_collisions", counted)
+    monkeypatch.setattr(optimal, "_collisions", counted)
+    return calls
+
+
 class TestValuesOnlyScreen:
     # the check screens the nodes of rules._nodes, the builders' own, at epsilon: it takes no
     # weights, screens each pair once, and raises where a builder would
@@ -153,16 +167,59 @@ class TestValuesOnlyScreen:
         nodes = build_gim_gg(10, GegenbauerParam(0.5)).source_nodes
         assert np.shares_memory(nodes, rules._RULES[10, 0.5][0])
 
-    def test_a_hit_is_screened_once(self, monkeypatch):
-        calls = []
-
-        def counted(targets, *args):
-            calls.append(targets.size)
-            return _screen(targets, *args)
-
-        monkeypatch.setattr(gim, "_screen", counted)
+    def test_a_hit_is_screened_once(self, screens):
         assert check_gg_condition(640, GegenbauerParam(1.0)).violations == ((213, 320, 160),)
-        assert calls == [641]
+        assert screens == [641]
+
+    @pytest.mark.parametrize("build, n, alpha, count", [
+        (build_gim_gg, 16, 1.0, 1), (build_gim_gg, 10, 0.5, 1),
+        (build_gim_gg_guarded, 16, 1.0, 1), (build_gim_gg_guarded, 10, 0.5, 1),
+        # the bumped builder screens its larger rule only after a hit
+        (build_gim_gg_bumped, 16, 1.0, 2), (build_gim_gg_bumped, 10, 0.5, 1)])
+    def test_each_square_builder_screens_once_per_rule(self, build, n, alpha, count, screens):
+        try:
+            build(n, GegenbauerParam(alpha))
+        except CollisionError:
+            assert build is build_gim_gg
+        assert screens == [n + 1] * count
+
+    def test_the_other_builders_screen_once(self, screens):
+        targets = np.linspace(-0.9, 1.0, 7)
+        build_gim_arbitrary(targets, 10, GegenbauerParam(0.5))
+        build_optimal_gim(targets, OptimalConfig(m=10))
+        with pytest.raises(CollisionError):
+            build_gim_arbitrary(gg_rule(4, GegenbauerParam(1.0)).nodes, 4, GegenbauerParam(1.0))
+        assert screens == [7, 7, 5]
+
+    @pytest.mark.parametrize("case", ["plain", "bumped", "arbitrary", "optimal"])
+    def test_a_collision_error_carries_the_first_triple(self, case):
+        # each builder raises the first hit of its one screen, with its own message
+        detail = "mapped Legendre point coincides with a source node"
+        if case in ("plain", "bumped"):
+            # at epsilon = 0.01 the bumped builder's larger rule collides too
+            n, epsilon = 4, 1e-2
+            nodes = gg_rule(n, GegenbauerParam(1.0)).nodes
+            build = build_gim_gg if case == "plain" else build_gim_gg_bumped
+            count = _lg_count_default(n) + (case == "bumped")
+            first = _collisions(nodes, nodes, lg_rule(count).nodes, epsilon)[1][0]
+            call = lambda: build(n, GegenbauerParam(1.0), epsilon)
+        elif case == "arbitrary":
+            targets = np.array([-0.3, 0.25, 0.7])
+            nodes = gg_rule(6, GegenbauerParam(0.5)).nodes
+            first = _collisions(targets, nodes, lg_rule(_lg_count_default(6)).nodes, 2e-2)[1][0]
+            call = lambda: build_gim_arbitrary(targets, 6, GegenbauerParam(0.5), 2e-2)
+        else:
+            detail = "mapped Legendre point coincides with an adjoint node"
+            # above m_max every row takes the adjoint rule of alpha_a = 0 at m = 21
+            targets = np.array([0.3, -0.9548796876054403])
+            nodes = np.tile(gg_rule(21, GegenbauerParam(0.0)).nodes, (2, 1))
+            first = _collisions(targets, nodes, lg_rule(_lg_count_default(21)).nodes, EPS_MACH)[1][0]
+            assert first == (0, 1, 1)
+            call = lambda: build_optimal_gim(targets, OptimalConfig(m=21))
+        with pytest.raises(CollisionError) as err:
+            call()
+        assert (err.value.i, err.value.j, err.value.k) == first
+        assert str(err.value) == "node collision at (i={}, j={}, k={}): {}".format(*first, detail)
 
     def test_rules_outside_the_range_still_raise(self):
         with pytest.raises(ConvergenceError, match="n=640, alpha=10.0"):
@@ -260,13 +317,13 @@ class TestReflectedSquare:
         lg = lg_rule(_lg_count_default(n) + 1)
         kept = (n + 1) // 2 + 1
         expected = np.empty((n + 1, n + 1))
-        expected[:kept] = _build_rows(nodes[:kept], basis.nodes, basis.xi, lg, epsilon)
+        expected[:kept] = _screened_rows(nodes[:kept], basis.nodes, basis.xi, lg, epsilon)
         total = expected[n // 2] + expected[(n + 1) // 2, ::-1]
         for j in range(kept, n + 1):
             expected[j] = total - expected[n - j, ::-1]
         bumped = build_gim_gg_bumped(n, GegenbauerParam(alpha), epsilon).entries
         assert np.array_equal(bumped, expected)
-        every_row = _build_rows(nodes, basis.nodes, basis.xi, lg, epsilon)
+        every_row = _screened_rows(nodes, basis.nodes, basis.xi, lg, epsilon)
         assert np.max(np.abs(bumped - every_row)) <= REFLECTION_ATOL
 
     @pytest.mark.parametrize("n, alpha, epsilon", [(9, -0.27, 2e-4), (17, -0.11, 1e-5),
@@ -277,13 +334,13 @@ class TestReflectedSquare:
         # changes nothing and every builder reflects
         param = GegenbauerParam(alpha)
         nodes, basis, lg = _kernel_inputs(n, alpha)
-        assert not any(_screen(nodes, basis.nodes, lg.nodes, epsilon)[1])
-        assert _screen(np.array([1.0]), basis.nodes, lg.nodes, epsilon)[1] == [True]
+        assert _collisions(nodes, basis.nodes, lg.nodes, epsilon)[1] == []
+        assert {j for _, j, _ in _collisions(np.array([1.0]), basis.nodes, lg.nodes, epsilon)[1]} == {0}
         square = build_gim_gg(n, param, epsilon).entries
         for build in (build_gim_gg_guarded, build_gim_gg_bumped):
             assert np.array_equal(build(n, param, epsilon).entries, square)
         assert np.array_equal(build_gim_gg(n, param).entries, square)
-        full = _build_rows(nodes, basis.nodes, basis.xi, lg, EPS_MACH)
+        full = _screened_rows(nodes, basis.nodes, basis.xi, lg, EPS_MACH)
         assert np.max(np.abs(square - full)) <= REFLECTION_ATOL
 
     @settings(max_examples=40, deadline=None)
@@ -467,6 +524,19 @@ class TestArbitraryTargets:
 
 
 class TestHigherOrder:
+    def test_orders_up_to_171_keep_their_bits(self):
+        # (q - 1)! is a double up to q = 171, where the entries reach 1.7e-316; from q = 172
+        # on it is not, and the order is refused instead of overflowing
+        m = build_gim_gg(4, GegenbauerParam(0.5))
+        diff = m.target_nodes[:, None] - m.source_nodes
+        for q in (2, 3, 24, 170, 171):
+            want = diff ** (q - 1) / math.factorial(q - 1) * m.entries
+            assert np.array_equal(qth_order_gim(m, q).entries, want), q
+        assert np.all(np.isfinite(qth_order_gim(m, 171).entries))
+        for q in (172, 300):
+            with pytest.raises(ValueError, match=f"order must be at most 171, got {q}"):
+                qth_order_gim(m, q)
+
     def test_first_order_is_identity_transform(self):
         m = build_gim_gg(6, GegenbauerParam(0.5))
         assert qth_order_gim(m, 1) is m
@@ -795,6 +865,15 @@ def _oracle_rows(targets, basis, lg, epsilon, on_hit):
     return rows
 
 
+def _screened_rows(targets, nodes, xi, lg, epsilon):
+    """The row kernel behind the builders' screen: the first hit of _collisions raises, as in a builder."""
+    targets = np.array(targets, dtype=float, ndmin=1)
+    mapped, hits = _collisions(targets, nodes, lg.nodes, epsilon)
+    if hits:
+        raise CollisionError(*hits[0], "mapped Legendre point coincides with a source node")
+    return _build_rows(targets, mapped, nodes, xi, lg.weights)
+
+
 def _kernel_inputs(n, alpha, stride=1):
     rule = gg_rule(n, GegenbauerParam(alpha))
     return rule.nodes[::stride], bary_weights_gg(rule), lg_rule(_lg_count_default(n))
@@ -815,7 +894,7 @@ def _guarded_oracle(n, alpha, epsilon):
         if hit[j]:
             rows[j] = _oracle_rows([x_j], basis, lg, epsilon, "cardinal")[0]
         else:
-            rows[j] = _build_rows([x_j], basis.nodes, basis.xi, lg, epsilon)[0]
+            rows[j] = _screened_rows([x_j], basis.nodes, basis.xi, lg, epsilon)[0]
     return rows, hit
 
 
@@ -825,7 +904,7 @@ class TestRowKernelMatchesLagrangeOracle:
         for n, stride in ((1, 1), (2, 1), (7, 1), (40, 1), (160, 1), (640, 16)):
             targets, basis, lg = _kernel_inputs(n, alpha, stride)
             targets = np.concatenate([[-1.0], targets])
-            got = _build_rows(targets, basis.nodes, basis.xi, lg, EPS_MACH)
+            got = _screened_rows(targets, basis.nodes, basis.xi, lg, EPS_MACH)
             want = _oracle_rows(targets, basis, lg, EPS_MACH, "raise")
             assert np.max(np.abs(got - want)) <= 1e-15
 
@@ -834,7 +913,7 @@ class TestRowKernelMatchesLagrangeOracle:
         assert not check_gg_condition(n, GegenbauerParam(alpha)).feasible
         targets, basis, lg = _kernel_inputs(n, alpha)
         with pytest.raises(CollisionError) as got:
-            _build_rows(targets, basis.nodes, basis.xi, lg, EPS_MACH)
+            _screened_rows(targets, basis.nodes, basis.xi, lg, EPS_MACH)
         with pytest.raises(CollisionError) as want:
             _oracle_rows(targets, basis, lg, EPS_MACH, "raise")
         assert (got.value.i, got.value.j, got.value.k) == (want.value.i, want.value.j, want.value.k)
@@ -852,7 +931,7 @@ class TestRowKernelMatchesLagrangeOracle:
         # several hits per target, and points within epsilon of two nodes
         targets, basis, lg = _kernel_inputs(30, 0.3)
         with pytest.raises(CollisionError) as got:
-            _build_rows(targets, basis.nodes, basis.xi, lg, epsilon)
+            _screened_rows(targets, basis.nodes, basis.xi, lg, epsilon)
         with pytest.raises(CollisionError) as want:
             _oracle_rows(targets, basis, lg, epsilon, "raise")
         assert (got.value.i, got.value.j, got.value.k) == (want.value.i, want.value.j, want.value.k)
@@ -880,7 +959,7 @@ class TestPerRowBases:
         targets, nodes, xi, lg = _per_row_inputs(20, 5000)
         tracemalloc.start()
         try:
-            rows = _build_rows(targets, nodes, xi, lg, EPS_MACH)
+            rows = _screened_rows(targets, nodes, xi, lg, EPS_MACH)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -889,9 +968,9 @@ class TestPerRowBases:
 
     def test_rows_equal_shared_basis_rows(self):
         targets, nodes, xi, lg = _per_row_inputs(14, 300)
-        rows = _build_rows(targets, nodes, xi, lg, EPS_MACH)
+        rows = _screened_rows(targets, nodes, xi, lg, EPS_MACH)
         for j in range(0, targets.size, 7):
-            alone = _build_rows(targets[j:j + 1], nodes[j], xi[j], lg, EPS_MACH)
+            alone = _screened_rows(targets[j:j + 1], nodes[j], xi[j], lg, EPS_MACH)
             assert np.array_equal(rows[j], alone[0]), j
 
     @pytest.mark.parametrize("epsilon", [1e-3, 2e-2])
@@ -906,7 +985,7 @@ class TestPerRowBases:
             except CollisionError as err:
                 oracle.append((j, err.k, err.i))
         with pytest.raises(CollisionError) as got:
-            _build_rows(targets, nodes, xi, lg, epsilon)
+            _screened_rows(targets, nodes, xi, lg, epsilon)
         assert (got.value.j, got.value.k, got.value.i) == min(oracle)
 
 

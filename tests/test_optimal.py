@@ -18,7 +18,7 @@ from baryquad import (CollisionError, GegenbauerParam, IntegrationMatrix, Optima
                       optimize_alpha, qth_order_gim)
 from baryquad import optimal, rules
 from baryquad.barycentric import _gauss_xi
-from baryquad.gim import _build_rows, _lg_count
+from baryquad.gim import _build_rows, _collisions, _lg_count
 from baryquad.optimal import BOUNDARY_MARGIN, _ALPHA_TOL, _GRID_SAMPLES
 from baryquad.polynomials import EPS_MACH, gegenbauer_eval
 
@@ -92,13 +92,21 @@ def grouped_optimal_gim(targets, config):
         basis = bary_weights_gg(gg_rule(m, GegenbauerParam(a_k)))
         adjoint_nodes[ks] = basis.nodes
         try:
-            entries[ks] = _build_rows(targets[ks], basis.nodes, basis.xi, lg, config.epsilon)
+            entries[ks] = _screened_rows(targets[ks], basis.nodes, basis.xi, lg, config.epsilon)
         except CollisionError as err:
             collisions.append((ks[err.j], err.i, err.k))
     if collisions:
         j, i, k = min(collisions)
         raise CollisionError(i, j, k, "mapped Legendre point coincides with an adjoint node")
     return entries, adjoint_nodes, alpha_star
+
+
+def _screened_rows(targets, nodes, xi, lg, epsilon):
+    """The row kernel behind the builders' screen: the first hit of _collisions raises, as in a builder."""
+    mapped, hits = _collisions(targets, nodes, lg.nodes, epsilon)
+    if hits:
+        raise CollisionError(*hits[0])
+    return _build_rows(targets, mapped, nodes, xi, lg.weights)
 
 
 class TestConfig:
@@ -655,9 +663,9 @@ class TestCollision:
             weight_rows.append(nodes.shape[0])
             return _gauss_xi(nodes, alpha)
 
-        def counted_rows(targets, nodes, *args):
+        def counted_rows(targets, mapped, nodes, *args):
             kernel_bases.append(nodes.shape)
-            return _build_rows(targets, nodes, *args)
+            return _build_rows(targets, mapped, nodes, *args)
 
         monkeypatch.setattr(optimal, "_gauss_xi", counted_weights)
         monkeypatch.setattr(optimal, "_build_rows", counted_rows)

@@ -2,6 +2,7 @@
 
 import io
 import math
+import re
 import sys
 import threading
 from collections import OrderedDict
@@ -369,6 +370,20 @@ class TestMomentCheck:
         with pytest.raises(ConvergenceError, match="SVD failed"):
             rules._nodes_weights(3, (0.5, 1e308))  # one chunk: its other rule is not cached either
         assert not rules._RULES
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_an_alpha_past_what_lgamma_resolves_raises(self, n):
+        # the moment and, in the weights, the mass come from lgamma, which errs by about x ln x
+        # ulps: from about alpha = 1.2e5 that passes the tolerance (the mass at alpha = 1e8 is
+        # off by 2.4e-7), and from 2.5e305 lgamma overflows.  At n <= 1 the moment checked is
+        # the mass itself, so only this bound stops those alphas
+        with mpmath.workdps(30):
+            mass = float(mpmath.beta(0.5, mpmath.mpf(1e5) + 0.5))
+        assert abs(gg_rule(n, GegenbauerParam(1e5)).weights.sum() - mass) <= rules.MOMENT_RTOL * mass
+        for alpha in (1.2e5, 1e8, 1e50) + ((3e305,) if n <= 1 else ()):
+            with pytest.raises(ConvergenceError, match=re.escape(f"n={n}, alpha={alpha}: even-moment error")):
+                gg_rule(n, GegenbauerParam(alpha))
+        assert list(rules._RULES) == [(n, 1e5)]
 
     @pytest.mark.parametrize("n", [1, 2, 17, 100, 400, 640, 1000])
     def test_margin_in_the_tested_domain(self, n, monkeypatch):
