@@ -10,7 +10,11 @@ of degree <= n exactly up to rounding.
 
 from __future__ import annotations
 
+import contextvars
+import functools
 import math
+import os
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -102,10 +106,19 @@ def _validated_targets(target_nodes) -> np.ndarray:
     return targets
 
 
-#: element budget of one block of targets in the row kernel and the per-row screen: each
-#: block's (targets x Legendre points x nodes) temporaries hold at most this many elements,
-#: or one target's when that is more
-_BLOCK_ELEMENTS = 4096
+#: element budget of each block of the per-row screen, and of the row kernel's blocks together:
+#: a kernel call runs one thread per this many (targets x Legendre points x nodes) elements of
+#: work, up to _WORKERS, and its threads' blocks split the budget in whole targets, one at least
+_BLOCK_ELEMENTS = 2 ** 15
+#: a row kernel block may still take up to 16 targets within this many elements (1 MiB): each
+#: block's numpy calls hand the interpreter lock between threads, so a block must carry
+#: enough work, and a larger one leaves the cache (on a 2-vCPU VM, two threads ran the
+#: square kernel 0.8x as fast as one at n = 80 with 5 targets per block; with 16 they break
+#: even there and run 1.6x as fast at n = 160)
+_BLOCK_LIMIT = 2 ** 17
+
+#: the CPUs this process may run on, read once: the row kernel's threads, the caller's included
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _collisions(targets: np.ndarray, nodes: np.ndarray, points: np.ndarray, epsilon: float):
@@ -133,7 +146,8 @@ def _collisions(targets: np.ndarray, nodes: np.ndarray, points: np.ndarray, epsi
         size = max(1, _BLOCK_ELEMENTS // (points.size * nodes.shape[1]))
         for start in range(0, targets.size, size):
             b = slice(start, start + size)
-            nearest[b] = np.abs(mapped[b, :, None] - nodes[b, None, :]).min(axis=2)
+            gaps = np.subtract(mapped[b, :, None], nodes[b, None, :])
+            nearest[b] = np.abs(gaps, out=gaps).min(axis=2)
     triples = []
     for j in np.flatnonzero((nearest <= epsilon).any(axis=1)).tolist():
         row = nodes if nodes.ndim == 1 else nodes[j]
@@ -176,6 +190,17 @@ def check_gg_condition(n: int, param: GegenbauerParam, epsilon: float = EPS_MACH
     return _check_gg_batch(n, (param,), epsilon)[0]
 
 
+@functools.cache
+def _helpers():
+    """The row kernel's pool of up to CPUs - 1 helper threads, made when a call first asks for one."""
+    from concurrent.futures import ThreadPoolExecutor  # about 5 ms to import, so not at start-up
+    return ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="baryquad-rows")
+
+
+if hasattr(os, "register_at_fork"):  # a forked child has none of its parent's threads
+    os.register_at_fork(after_in_child=_helpers.cache_clear)
+
+
 def _build_rows(targets: np.ndarray, mapped: np.ndarray, nodes: np.ndarray, xi: np.ndarray, w: np.ndarray):
     """The one row kernel: integrate the interpolant over [-1, x_j] for each target x_j.
 
@@ -191,26 +216,59 @@ def _build_rows(targets: np.ndarray, mapped: np.ndarray, nodes: np.ndarray, xi: 
     one division, one row sum and one vector-matrix product per target.
     The row sum is numpy's pairwise sum, as in :func:`lagrange_matrix`:
     the terms alternate in sign, and a BLAS dot loses up to a digit there
-    at large alpha.  The targets are taken in blocks whose p x cols
-    temporaries stay within :data:`_BLOCK_ELEMENTS` (one target per block
-    from about n = 90 on for square matrices), in one reused buffer, so
-    memory stays O(p (n + T)) for p Legendre points and T targets.
+    at large alpha.
+
+    Each row is its own sum, so the targets go in blocks to the calling
+    thread and to up to :data:`_WORKERS` - 1 helpers (:func:`_helpers`),
+    each taking the next block until none is left, and a row has the same
+    bits for any thread count and block split.  A call with W times
+    :data:`_BLOCK_ELEMENTS` p x cols elements of work, for p Legendre
+    points, runs on W threads (at most :data:`_WORKERS`, at least one),
+    whose blocks share that budget in whole targets; a block also takes up
+    to 16 targets within :data:`_BLOCK_LIMIT` elements (16 for square
+    matrices up to n = 127, one from n = 362 on).  So memory stays
+    O(p (n + T)) for T targets, plus at most one block of
+    :data:`_BLOCK_LIMIT` elements, or one target's, per thread.  A helper
+    runs in a copy of the caller's context, so it keeps the caller's
+    ``np.errstate`` (a context variable from numpy 2 on), and its exception
+    reaches the caller.  The caller cancels the helpers that have not
+    started when it runs out of blocks, so a busy pool never delays a call.
 
     The kernel only integrates: each builder screens the mapped points
     with :func:`_collisions` first and decides what a hit means.
     """
-    per_row = nodes.ndim == 2
-    cols = nodes.shape[-1]
-    size = max(1, _BLOCK_ELEMENTS // (w.size * cols))
-    rows = np.empty((targets.size, cols))
-    buffer = np.empty((min(size, targets.size), w.size, cols))
-    for start in range(0, targets.size, size):
-        stop = min(start + size, targets.size)
-        b, mu = slice(start, stop), buffer[:stop - start]
-        np.subtract(mapped[b, :, None], nodes[b, None] if per_row else nodes, out=mu)
-        np.divide(xi[b, None] if per_row else xi, mu, out=mu)
-        c = w / mu.sum(axis=2)
-        rows[b] = (0.5 * (targets[b] + 1.0))[:, None] * (c[:, None, :] @ mu)[:, 0]
+    per_row, cols = nodes.ndim == 2, nodes.shape[-1]
+    per_target = w.size * cols
+    workers = max(1, min(_WORKERS, targets.size * per_target // _BLOCK_ELEMENTS))
+    size = max(1, min(16, _BLOCK_LIMIT // per_target), _BLOCK_ELEMENTS // (workers * per_target))
+    blocks = range(0, targets.size, size)
+    starts, lock = iter(blocks), threading.Lock()
+    rows, factor = np.empty((targets.size, cols)), 0.5 * (targets + 1.0)
+
+    def work():
+        mu = np.empty((min(size, targets.size), w.size, cols))
+        sums = np.empty(mu.shape[:2])  # the row sums, then c in place
+        while True:
+            with lock:
+                start = next(starts, None)
+            if start is None:
+                return
+            b = slice(start, start + size)
+            m, c = mu[:targets.size - start], sums[:targets.size - start]
+            np.subtract(mapped[b, :, None], nodes[b, None] if per_row else nodes, out=m)
+            np.divide(xi[b, None] if per_row else xi, m, out=m)
+            np.divide(w, m.sum(axis=2, out=c), out=c)
+            np.matmul(c[:, None], m, out=rows[b, None])
+            np.multiply(rows[b], factor[b, None], out=rows[b])
+
+    helpers = [_helpers().submit(contextvars.copy_context().run, work)
+               for _ in range(min(workers, len(blocks)) - 1)]
+    try:
+        work()
+    finally:
+        for helper in helpers:
+            if not helper.cancel():
+                helper.result()  # a helper that started: wait for its last block, raise its error
     return rows
 
 

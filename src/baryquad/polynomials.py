@@ -36,8 +36,12 @@ def _check_degree(value, name: str, positive: bool = False) -> int:
 
     ``positive``, for an integration order q, also refuses 0 and a q whose (q - 1)! is not a double.
     """
-    if not (math.isfinite(value) and value >= (1 if positive else 0) and int(value) == value):
-        kind = "positive" if positive else "non-negative"
+    kind = "positive" if positive else "non-negative"
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int past the largest double, which has no float
+        raise ValueError(f"{name} must be a {kind} integer below 2^1024") from None
+    if not (finite and value >= (1 if positive else 0) and int(value) == value):
         raise ValueError(f"{name} must be a {kind} integer, got {value}")
     if positive and math.lgamma(value) > math.log(np.finfo(float).max):  # from q = 172 on
         raise ValueError(f"{name} must be at most 171, got {value}")

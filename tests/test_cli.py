@@ -20,13 +20,15 @@ from baryquad.bench import EXACT_INTEGRALS
 from baryquad.cli import _write_rows, main, parse_grid
 
 
-def _python(*args, text=True, **env):
+def _python(*args, text=True, preexec_fn=None, **env):
     """A fresh interpreter on ``args``, with the package's source on its path and ``env`` set.
 
-    Its output is text with line ends translated, or bytes where ``text`` is false.
+    Its output is text with line ends translated, or bytes where ``text`` is false;
+    ``preexec_fn`` runs in the child before the interpreter starts.
     """
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"), **env}
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=text)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=text,
+                          preexec_fn=preexec_fn)
 
 
 def read_csv(path):
@@ -480,6 +482,16 @@ class TestExitCodeContract:
         assert done.returncode == 1 and done.stdout == ""
         assert done.stderr == f"UsageError: order must be at most 171, got {argv[-1]}\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        (["gim", "--n", "4", "--alpha", "0.5", "--q", str(10 ** 400)], "order must be a positive"),
+        (["gim", "--n", str(10 ** 400), "--alpha", "0.5"], "degree must be a non-negative"),
+        (["example", "--id", "1", "--n", "4", "--m", str(10 ** 400), "--alpha", "0.5"],
+         "m must be a non-negative")], ids=["q", "n", "m"])
+    def test_one_line_for_a_degree_past_the_doubles(self, argv, message):
+        done = _python("-m", "baryquad", *argv)
+        assert done.returncode == 1 and done.stdout == ""
+        assert done.stderr == f"UsageError: {message} integer below 2^1024\n"
+
 
 def _fresh(argv):
     """stdout, stderr and exit code of ``argv`` in a fresh interpreter, which builds its own parser."""
@@ -577,6 +589,28 @@ class TestDeterminism:
         runs = [_python("-c", script, OPENBLAS_NUM_THREADS=threads) for threads in ("1", "2")]
         assert [run.returncode for run in runs] == [0, 0]
         assert runs[0].stdout == runs[1].stdout
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+    def test_outputs_do_not_depend_on_the_cpu_count(self):
+        # the row kernel runs on every CPU the process may use; pinned to one, it runs on one
+        script = ("import hashlib; from baryquad import GegenbauerParam, build_gim_gg, gim; "
+                  "print(gim._WORKERS, hashlib.sha256(build_gim_gg(640, GegenbauerParam(0.5)).entries)"
+                  ".hexdigest())")
+        cpu = min(os.sched_getaffinity(0))
+        pin = lambda: os.sched_setaffinity(0, {cpu})  # noqa: E731
+        runs = [_python("-c", script, preexec_fn=preexec) for preexec in (pin, None)]
+        assert [run.returncode for run in runs] == [0, 0]
+        assert runs[0].stdout.split()[0] == "1"
+        assert runs[0].stdout.split()[1:] == runs[1].stdout.split()[1:]
+        outputs = [_python("-m", "baryquad", "gim", "--n", "400", "--alpha", "0.5", text=False,
+                           preexec_fn=preexec) for preexec in (pin, None)]
+        assert [run.returncode for run in outputs] == [0, 0]
+        assert outputs[0].stdout == outputs[1].stdout and len(outputs[0].stdout) > 400 * 401 * 20
+
+    def test_import_leaves_the_thread_pool_module_out(self):
+        # the row kernel imports concurrent.futures on its first call with two blocks
+        done = _python("-c", "import sys, baryquad.cli; print('concurrent.futures' in sys.modules)")
+        assert done.returncode == 0 and done.stdout == "False\n"
 
 
 class TestRowWriter:

@@ -1,10 +1,15 @@
 """Tests for integration-matrix construction and application."""
 
+import contextlib
 import csv
 import io
 import math
+import sys
+import threading
 import tracemalloc
+import warnings
 from collections import OrderedDict
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -15,7 +20,7 @@ from scipy.integrate import quad
 from baryquad import (CollisionError, ConvergenceError, GegenbauerParam, IntegrationMatrix,
                       OptimalConfig, apply_quadrature, build_basis_gim, build_gim_arbitrary,
                       build_gim_gg, build_gim_gg_bumped, build_gim_gg_guarded, build_optimal_gim,
-                      check_gg_condition, gg_rule, gim, map_to_unit, lg_rule, matrix_to_csv,
+                      check_gg_condition, cli, gg_rule, gim, map_to_unit, lg_rule, matrix_to_csv,
                       optimal, qth_order_gim, rules)
 from baryquad.barycentric import BarycentricBasis, _gauss_xi, bary_weights_gg, lagrange_matrix
 from baryquad.gim import _build_rows, _collisions, _lg_count_default
@@ -951,18 +956,32 @@ def _per_row_inputs(m, count):
     return np.linspace(-0.999, 0.999, count), nodes[pick], xi[pick], lg_rule(_lg_count_default(m))
 
 
+def _per_row_peak():
+    """The screened per-row rows of 5,000 targets at m = 20, and the peak memory they took."""
+    targets, nodes, xi, lg = _per_row_inputs(20, 5000)
+    tracemalloc.start()
+    try:
+        rows = _screened_rows(targets, nodes, xi, lg, EPS_MACH)
+        return rows, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestPerRowBases:
     def test_memory_is_blocked(self):
         # 5,000 targets at m = 20: the rows take 0.8 MiB and the mapped points and their
         # gaps 0.84 MiB; one (targets x points x nodes) temporary would take 8.8 MiB
-        # (1.1 MiB as booleans); the measured peak is 1.8 MiB
-        targets, nodes, xi, lg = _per_row_inputs(20, 5000)
-        tracemalloc.start()
-        try:
-            rows = _screened_rows(targets, nodes, xi, lg, EPS_MACH)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        # (1.1 MiB as booleans); the measured peak is 1.7 MiB on one CPU, 1.8 MiB on two
+        rows, peak = _per_row_peak()
+        assert rows.shape == (5000, 21)
+        assert peak < 2.5 * 2 ** 20
+
+    @pytest.mark.parametrize("workers", [1, 2, 4, 8])
+    def test_memory_is_blocked_on_any_worker_count(self, kernel_threads, workers):
+        # the threads share one block budget, so the bound holds on any machine (measured
+        # peaks 1.7, 1.8, 2.1 and 2.0 MiB)
+        kernel_threads(workers)
+        rows, peak = _per_row_peak()
         assert rows.shape == (5000, 21)
         assert peak < 2.5 * 2 ** 20
 
@@ -987,6 +1006,195 @@ class TestPerRowBases:
         with pytest.raises(CollisionError) as got:
             _screened_rows(targets, nodes, xi, lg, epsilon)
         assert (got.value.j, got.value.k, got.value.i) == min(oracle)
+
+
+class _EagerPool:
+    """A pool whose helper runs each task to its end, in a thread of its own, before submit returns."""
+
+    def __init__(self):
+        self.threads = []
+
+    def submit(self, task, *args):
+        future = Future()
+
+        def run():
+            self.threads.append(threading.get_ident())
+            try:
+                future.set_result(task(*args))
+            except BaseException as err:
+                future.set_exception(err)
+
+        thread = threading.Thread(target=run)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        return future
+
+
+class _IdlePool:
+    """A pool whose tasks never start, as a busy pool's or one lost across fork."""
+
+    def __init__(self):
+        self.futures = []
+
+    def submit(self, task, *args):
+        self.futures.append(Future())
+        return self.futures[-1]
+
+
+@pytest.fixture
+def kernel_threads(monkeypatch):
+    """Force the row kernel's worker count, its block budget and its pool of helpers.
+
+    ``force(workers, pool=None, elements=None, limit=None)`` sets them; with
+    no pool, the helpers are a real pool of workers - 1 threads, shut down
+    after the test.
+    """
+    made = []
+
+    def force(workers, pool=None, elements=None, limit=None):
+        if pool is None:
+            pool = ThreadPoolExecutor(max(workers - 1, 1))
+            made.append(pool)
+        monkeypatch.setattr(gim, "_WORKERS", workers)
+        monkeypatch.setattr(gim, "_helpers", lambda: pool)
+        monkeypatch.setattr(gim, "_BLOCK_ELEMENTS", elements or gim._BLOCK_ELEMENTS)
+        monkeypatch.setattr(gim, "_BLOCK_LIMIT", limit or gim._BLOCK_LIMIT)
+        return pool
+
+    yield force
+    for pool in made:
+        pool.shutdown()
+
+
+#: row sets that go through the kernel: square (plain, guarded with hits, bumped), arbitrary
+#: and per-row, the last both through the kernel alone and through the optimal builder
+KERNEL_CASES = {
+    "square": lambda: build_gim_gg(160, GegenbauerParam(0.3)).entries,
+    "guarded": lambda: build_gim_gg_guarded(160, GegenbauerParam(1.0)).entries,
+    "bumped": lambda: build_gim_gg_bumped(52, GegenbauerParam(1.0)).entries,
+    "arbitrary": lambda: build_gim_arbitrary(np.linspace(-1.0, 1.0, 777), 40, GegenbauerParam(0.5)).entries,
+    "per-row": lambda: _screened_rows(*_per_row_inputs(14, 600), EPS_MACH),
+    "optimal": lambda: build_optimal_gim(np.linspace(-0.99, 0.99, 300), OptimalConfig(m=14)).entries,
+}
+
+#: block budgets (elements, limit): the default, one target per block, and larger shared blocks
+BLOCK_SPLITS = {"default": (None, None), "one-target": (1, 1), "large": (2 ** 17, None)}
+
+
+def _kernel_args(n=80, alpha=0.3):
+    """The square kernel's arguments for every Gauss target of (n, alpha)."""
+    nodes, basis, lg = _kernel_inputs(n, alpha)
+    mapped = _collisions(nodes, nodes, lg.nodes, EPS_MACH)[0]
+    return nodes, mapped, nodes, basis.xi, lg.weights
+
+
+def _logged_blocks(mapped):
+    """``mapped`` as a view that logs the targets of each block read from it, and the thread, in a list."""
+    log = []
+
+    class Recorded(np.ndarray):
+        def __getitem__(self, key):
+            log.append((key[0], threading.get_ident()))
+            return super().__getitem__(key)
+
+    return mapped.view(Recorded), log
+
+
+def _rows_read(log, count):
+    """The targets of every logged block, in order, each as often as it was read."""
+    return sorted(j for block, _ in log for j in range(count)[block])
+
+
+class TestThreadedRowKernel:
+    @pytest.mark.parametrize("split", sorted(BLOCK_SPLITS))
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+    def test_rows_keep_the_one_worker_bits(self, kernel_threads, case, workers, split):
+        kernel_threads(1)
+        want = KERNEL_CASES[case]()
+        kernel_threads(workers, None, *BLOCK_SPLITS[split])
+        assert np.array_equal(KERNEL_CASES[case](), want)
+
+    @pytest.mark.parametrize("eager", [False, True])
+    @pytest.mark.parametrize("split", sorted(BLOCK_SPLITS))
+    def test_every_block_is_computed_once(self, kernel_threads, split, eager):
+        pool = kernel_threads(3, _EagerPool() if eager else None, *BLOCK_SPLITS[split])
+        targets, mapped, nodes, xi, w = _kernel_args()
+        recorded, log = _logged_blocks(mapped)
+        rows = _build_rows(targets, recorded, nodes, xi, w)
+        assert _rows_read(log, targets.size) == list(range(targets.size)) and len(log) > 1
+        if eager:  # the first helper took every block
+            assert {thread for _, thread in log} == {pool.threads[0]}
+        kernel_threads(1)
+        assert np.array_equal(rows, _build_rows(targets, mapped, nodes, xi, w))
+
+    def test_no_block_is_lost_or_repeated_under_fast_switching(self, kernel_threads):
+        # more threads than CPUs, a thread switch every microsecond, one target per block
+        targets, mapped, nodes, xi, w = _kernel_args()
+        kernel_threads(8, None, 1, 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                recorded, log = _logged_blocks(mapped)
+                _build_rows(targets, recorded, nodes, xi, w)
+                assert _rows_read(log, targets.size) == list(range(targets.size))
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("eager", [False, True])
+    def test_a_block_error_reaches_the_caller(self, kernel_threads, eager):
+        class Failing(np.ndarray):
+            def __getitem__(self, key):
+                if key[0].start == 4:
+                    raise KeyError("block at target 4")
+                return super().__getitem__(key)
+
+        kernel_threads(3, _EagerPool() if eager else None, 1, 1)
+        targets, mapped, nodes, xi, w = _kernel_args()
+        with pytest.raises(KeyError, match="block at target 4"):
+            _build_rows(targets, mapped.view(Failing), nodes, xi, w)
+
+    @pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
+                        reason="numpy 1 keeps np.errstate per thread, not per context")
+    def test_helpers_keep_the_callers_errstate(self, kernel_threads):
+        # a mapped point on a node divides by zero in every block, and 0 * inf is invalid;
+        # the eager pool's helper computes every block
+        targets, mapped, nodes, xi, w = _kernel_args()
+        mapped = mapped.copy()
+        mapped[:, 0] = nodes[0]
+        pool = kernel_threads(2, _EagerPool(), 1, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(divide="ignore", invalid="ignore"):
+                rows = _build_rows(targets, mapped, nodes, xi, w)
+            assert np.isnan(rows[:, 0]).all() and len(pool.threads) == 1
+            with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
+                _build_rows(targets, mapped, nodes, xi, w)
+
+    @pytest.mark.parametrize("workers", [2, 8])
+    def test_helpers_that_never_start_do_not_stall(self, kernel_threads, workers):
+        targets, mapped, nodes, xi, w = _kernel_args(160)
+        kernel_threads(1)
+        want = _build_rows(targets, mapped, nodes, xi, w)
+        pool = kernel_threads(workers, _IdlePool())
+        assert np.array_equal(_build_rows(targets, mapped, nodes, xi, w), want)
+        assert len(pool.futures) == workers - 1 and all(f.cancelled() for f in pool.futures)
+
+    def test_one_block_starts_no_helper(self, kernel_threads):
+        # the solve workload's commands: every kernel call is one block on any CPU count,
+        # while example 2 at n = 80 asks for helpers
+        pool = kernel_threads(8, _IdlePool())
+        for argv in (["example", "--id", "1", "--n", "10", "--m", "14", "--alpha", "0.5"],
+                     ["example", "--id", "1", "--n", "16", "--m", "15", "--alpha", "0.5"],
+                     ["example", "--id", "2", "--n", "9", "--alpha", "0.5"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv) == 0
+        assert pool.futures == []
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["example", "--id", "2", "--n", "80", "--alpha", "0.5"]) == 0
+        assert pool.futures
 
 
 def _csv_oracle(matrix, alpha_text, tail=()):

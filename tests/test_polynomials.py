@@ -9,10 +9,10 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
-from baryquad import (EPS_MACH, GegenbauerParam, OptimalConfig, build_basis_gim,
+from baryquad import (EPS_MACH, GegenbauerParam, OptimalConfig, build_basis_gim, build_gim_gg,
                       build_gim_gg_guarded, discrete_gegenbauer_transform, error_bound, eta,
                       gegenbauer_eval, gegenbauer_norm_leading, gg_rule, integrate_gegenbauer,
-                      optimize_alpha)
+                      optimize_alpha, qth_order_gim)
 from baryquad import gim, polynomials
 from baryquad.optimal import _ALPHA_TOL
 from baryquad.polynomials import _norms, _terms
@@ -44,6 +44,18 @@ class TestParamInvariants:
                 make()
         assert gegenbauer_eval(0.3, 3.0, param) == gegenbauer_eval(0.3, 3, param)
         assert gegenbauer_norm_leading(3.0, param) == gegenbauer_norm_leading(3, param)
+
+    def test_an_integer_past_the_doubles_is_refused(self):
+        # math.isfinite cannot convert it, so the check says what it wants instead of overflowing
+        for value in (10 ** 400, -10 ** 400):
+            with pytest.raises(ValueError, match=r"^degree must be a non-negative integer below 2\^1024$"):
+                polynomials._check_degree(value, "degree")
+        with pytest.raises(ValueError, match=r"^m must be a non-negative integer below 2\^1024$"):
+            OptimalConfig(m=10 ** 400)
+        with pytest.raises(ValueError, match=r"^order must be a positive integer below 2\^1024$"):
+            qth_order_gim(build_gim_gg(4, GegenbauerParam(0.5)), 10 ** 400)
+        valid = [0, 3.0, 2 ** 80, 1e300, 2 ** 1023]
+        assert [polynomials._check_degree(v, "degree") for v in valid] == [0, 3, 2 ** 80, int(1e300), 2 ** 1023]
 
 
 class TestEval:
