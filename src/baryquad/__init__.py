@@ -9,9 +9,9 @@ and collocation solvers that use them on two benchmark problems.
 
 from .barycentric import BarycentricBasis, bary_eval, bary_weights_gg
 from .errors import CollisionError, ConvergenceError
-from .gim import (FeasibilityReport, IntegrationMatrix, apply_quadrature, build_basis_gim,
-                  build_gim_arbitrary, build_gim_gg, build_gim_gg_bumped, build_gim_gg_guarded,
-                  check_gg_condition, map_to_unit, matrix_to_csv, qth_order_gim)
+from .gim import (SQUARE_VARIANTS, FeasibilityReport, IntegrationMatrix, apply_quadrature,
+                  build_basis_gim, build_gim_arbitrary, build_gim_gg, check_gg_condition,
+                  map_to_unit, matrix_to_csv, qth_order_gim)
 from .optimal import (OptimalConfig, build_optimal_gim, build_optimal_gim_symmetric,
                       check_condition_mmax, optimize_alpha)
 from .polynomials import (EPS_MACH, GegenbauerParam, NormAndLeading, discrete_gegenbauer_transform,
@@ -26,11 +26,10 @@ __version__ = "0.1.0"
 __all__ = [
     "BarycentricBasis", "CollisionError", "CollocationSolution", "ConvergenceError",
     "EPS_MACH", "FeasibilityReport", "GegenbauerParam", "IntegrationMatrix",
-    "NormAndLeading", "OptimalConfig", "QuadratureRule",
+    "NormAndLeading", "OptimalConfig", "QuadratureRule", "SQUARE_VARIANTS",
     "apply_quadrature", "bary_eval", "bary_weights_gg",
-    "build_basis_gim", "build_gim_arbitrary", "build_gim_gg", "build_gim_gg_bumped",
-    "build_gim_gg_guarded", "build_optimal_gim", "build_optimal_gim_symmetric",
-    "check_condition_mmax", "check_gg_condition", "condition_number_2",
+    "build_basis_gim", "build_gim_arbitrary", "build_gim_gg", "build_optimal_gim",
+    "build_optimal_gim_symmetric", "check_condition_mmax", "check_gg_condition", "condition_number_2",
     "discrete_gegenbauer_transform", "error_bound", "eta", "gegenbauer_eval",
     "gegenbauer_norm_leading", "gg_rule", "integrate_gegenbauer", "lg_rule", "map_to_unit",
     "matrix_to_csv", "newton_solve", "optimize_alpha", "qth_order_gim",

@@ -25,8 +25,8 @@ import numpy as np
 
 from .bench import run_benchmark
 from .errors import CollisionError, ConvergenceError
-from .gim import (_check_gg_batch, build_basis_gim, build_gim_gg, build_gim_gg_bumped,
-                  build_gim_gg_guarded, matrix_to_csv, qth_order_gim)
+from .gim import (SQUARE_VARIANTS, _check_gg_batch, build_basis_gim, build_gim_gg, matrix_to_csv,
+                  qth_order_gim)
 from .polynomials import EPS_MACH, GegenbauerParam, _check_degree, _check_epsilon
 from .rules import _nodes_weights, _write_lines
 from .solvers import solve_example1, solve_example2, solution_to_csv
@@ -36,12 +36,6 @@ INFEASIBLE = 2
 _GRID_OPTIONS = ("--n-grid", "--alpha-grid")
 #: most points of one start:step:stop range, checked before any value is built
 _MAX_RANGE_POINTS = 10 ** 6
-
-_VARIANTS = {
-    "plain": build_gim_gg,
-    "guarded": build_gim_gg_guarded,
-    "bumped": build_gim_gg_bumped,
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -121,7 +115,7 @@ def cmd_gim(args) -> int:
     if args.variant == "basis":
         matrix = build_basis_gim(args.n, param)
     else:
-        matrix = _VARIANTS[args.variant](args.n, param, args.epsilon)
+        matrix = build_gim_gg(args.n, param, args.epsilon, args.variant)
     matrix = qth_order_gim(matrix, args.q)
     matrix_to_csv(matrix, sys.stdout if args.out is None else args.out)
     return 0
@@ -189,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gim", help="build an integration matrix and write CSV")
     p.add_argument("--n", type=int, required=True, help="degree (matrix has n+1 source nodes)")
     p.add_argument("--alpha", type=float, required=True, help="family parameter, > -1/2")
-    p.add_argument("--variant", choices=["plain", "guarded", "bumped", "basis"], default="plain")
+    p.add_argument("--variant", choices=[*SQUARE_VARIANTS, "basis"], default="plain")
     p.add_argument("--q", type=int, default=1, help="integration order")
     p.add_argument("--epsilon", type=float, default=EPS_MACH, help="collision tolerance")
     p.add_argument("--out", default=None, help="output CSV path (default: stdout)")

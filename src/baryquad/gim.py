@@ -278,26 +278,46 @@ def _full_interval_row(rows: np.ndarray) -> np.ndarray:
     return rows[n // 2] + rows[(n + 1) // 2, ::-1]
 
 
-def _square(n: int, param: GegenbauerParam, epsilon: float, on_hit: str) -> IntegrationMatrix:
-    """The one square-matrix body, after one screen of the n + 1 Gauss targets.
+#: the square matrix's collision policies, in the words of ``gim --variant``
+SQUARE_VARIANTS = ("plain", "guarded", "bumped")
 
-    On a hit, ``on_hit`` "bump" takes the Legendre rule with one more point
-    and screens again.  With no hit the rows with x_j <= 0, and for odd n
-    the first with x_j > 0, go through the row kernel and the others follow
-    from the node symmetry, Q[j, i] = E_i - Q[n-j, n-i] with E the
-    full-interval row (:func:`_full_interval_row`).  Otherwise "cardinal"
-    integrates the table of :func:`lagrange_matrix` in the rows with a hit,
-    the kernel's elsewhere, and "raise", or "bump" when its larger rule
-    collides too, raises the first hit.  The body reads no Gauss weight.
+
+def build_gim_gg(n: int, param: GegenbauerParam, epsilon: float = EPS_MACH,
+                 variant: str = "plain") -> IntegrationMatrix:
+    """First-order square matrix on the n+1 Gauss nodes of the family.
+
+    The n + 1 Gauss targets are screened once.  With no hit, only the rows
+    with x_j <= 0, and for odd n the first with x_j > 0, go through the row
+    kernel; the others follow by reflection, Q[j, i] = E_i - Q[n-j, n-i]
+    with E the full-interval row, which moves entries at the rounding level
+    against building every row (at most 9.4e-14 for n <= 641,
+    -0.4 <= alpha <= 2; the worst case is n = 639, alpha = 2).  ``variant``,
+    one of :data:`SQUARE_VARIANTS`, says what a hit means: "plain" raises
+    it; "guarded" integrates the cardinal table of :func:`lagrange_matrix`,
+    where a hit point takes its node's sample, in the rows with a hit;
+    "bumped" takes the Legendre rule with one more point, which also
+    integrates the degree-n interpolant exactly, and builds as "plain"
+    does.  On the feasible set the three return the same bits, and none
+    reads a Gauss weight.
+
+    Raises
+    ------
+    ValueError
+        For a variant not in :data:`SQUARE_VARIANTS`, before any rule is built.
+    CollisionError
+        At a hit, a mapped Legendre point within ``epsilon`` of a source
+        node: for "plain", and for "bumped" when its larger rule has one too.
     """
+    if variant not in SQUARE_VARIANTS:
+        raise ValueError(f"variant must be one of {', '.join(SQUARE_VARIANTS)}, got {variant!r}")
     nodes = _nodes(n, (param.alpha,))[0]
     basis = BarycentricBasis(nodes=nodes, xi=_gauss_xi(nodes, param.alpha))
     lg = lg_rule(_lg_count_default(n))
     mapped, hits = _collisions(nodes, nodes, lg.nodes, epsilon)
-    if hits and on_hit == "bump":
+    if hits and variant == "bumped":
         lg = lg_rule(lg.n + 1)
         mapped, hits = _collisions(nodes, nodes, lg.nodes, epsilon)
-    if hits and on_hit != "cardinal":
+    if hits and variant != "guarded":
         raise CollisionError(*hits[0], "mapped Legendre point coincides with a source node")
     entries = np.empty((n + 1, n + 1))
     if not hits:
@@ -313,51 +333,6 @@ def _square(n: int, param: GegenbauerParam, epsilon: float, on_hit: str) -> Inte
             entries[j] = 0.5 * (nodes[j] + 1.0) * (lg.weights @ lagrange_matrix(basis, mapped[j], epsilon))
     return IntegrationMatrix(entries=entries, order=1, source_nodes=nodes,
                              target_nodes=nodes, interval=INTERVAL_BIUNIT, alpha=param.alpha)
-
-
-def build_gim_gg(n: int, param: GegenbauerParam, epsilon: float = EPS_MACH) -> IntegrationMatrix:
-    """First-order square matrix on the n+1 Gauss nodes of the family.
-
-    When no mapped Legendre point hits a node, only the rows up to the
-    middle row or middle pair go through the row kernel; the others follow
-    by reflection, Q[j, i] = E_i - Q[n-j, n-i] with E the full-interval
-    row, which moves entries at the rounding level against building every
-    row (at most 9.4e-14 for n <= 641, -0.4 <= alpha <= 2; the worst case
-    is n = 639, alpha = 2).  The guarded and bumped builders handle a hit
-    as they describe; on the feasible set the three builders return the
-    same bits.
-
-    Raises
-    ------
-    CollisionError
-        If a mapped Legendre point lands within ``epsilon`` of a source
-        node (the infeasible case); the guarded or bumped builders handle
-        those parameter pairs.
-    """
-    return _square(n, param, epsilon, "raise")
-
-
-def build_gim_gg_guarded(n: int, param: GegenbauerParam, epsilon: float = EPS_MACH) -> IntegrationMatrix:
-    """Square matrix whose rows with a hit integrate the cardinal table of :func:`lagrange_matrix`.
-
-    Identical to :func:`build_gim_gg` on the feasible set; at a collision
-    the hit point's unit row gives the sample itself as the interpolant
-    value, which preserves polynomial exactness instead of overflowing.
-    """
-    return _square(n, param, epsilon, "cardinal")
-
-
-def build_gim_gg_bumped(n: int, param: GegenbauerParam, epsilon: float = EPS_MACH) -> IntegrationMatrix:
-    """Square matrix built with one extra Legendre point where the plain one collides.
-
-    The interpolant has degree <= n, so both Legendre counts integrate it
-    exactly and the result equals :func:`build_gim_gg` whenever the latter
-    exists; the enlarged rule merely moves the evaluation points off the
-    colliding configuration.  The rebuild is the plain body with that rule,
-    reflection included, and it raises :class:`CollisionError` only if the
-    enlarged rule collides too.
-    """
-    return _square(n, param, epsilon, "bump")
 
 
 def build_gim_arbitrary(target_nodes, n: int, param: GegenbauerParam,

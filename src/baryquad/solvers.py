@@ -26,9 +26,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError
-from .gim import _full_interval_row, apply_quadrature, build_gim_gg_bumped, map_to_unit, qth_order_gim
+from .gim import _full_interval_row, apply_quadrature, build_gim_gg, map_to_unit, qth_order_gim
 from .optimal import OptimalConfig, build_optimal_gim
-from .polynomials import EPS_MACH, GegenbauerParam, _frozen
+from .polynomials import GegenbauerParam, _frozen
 from .rules import _write_lines
 
 _SQRT2 = math.sqrt(2.0)
@@ -70,12 +70,9 @@ def condition_number_2(matrix) -> float:
     return float(np.linalg.cond(a))
 
 
-def newton_solve(residual, x0, tol: float = 1e-12, max_iter: int = 100,
-                 jacobian=None) -> np.ndarray:
-    """Damped Newton iteration.
+def newton_solve(residual, x0, tol: float = 1e-12, max_iter: int = 100, *, jacobian) -> np.ndarray:
+    """Damped Newton iteration with the Jacobian ``jacobian(x)`` of ``residual``.
 
-    The Jacobian is ``jacobian(x)`` when given, otherwise a forward
-    finite difference of ``residual`` (n + 1 residual calls per iteration).
     The step is halved (up to 30 times) while it fails to reduce the
     max-norm of the residual.  Convergence means the residual max-norm is
     at or below ``tol``.
@@ -90,16 +87,6 @@ def newton_solve(residual, x0, tol: float = 1e-12, max_iter: int = 100,
     x = np.array(x0, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise ValueError("initial guess must be a non-empty vector")
-
-    def fd_jacobian(xc, rc):
-        jac = np.empty((rc.size, xc.size))
-        for i in range(xc.size):
-            h = math.sqrt(EPS_MACH) * max(1.0, abs(xc[i]))
-            xp = xc.copy()
-            xp[i] += h
-            jac[:, i] = (residual(xp) - rc) / h
-        return jac
-
     r = np.asarray(residual(x), dtype=float)
     if r.shape != x.shape:
         raise ValueError("residual dimension must match the unknown dimension")
@@ -107,7 +94,7 @@ def newton_solve(residual, x0, tol: float = 1e-12, max_iter: int = 100,
         rnorm = np.max(np.abs(r))
         if rnorm <= tol:
             return x
-        jac = jacobian(x) if jacobian is not None else fd_jacobian(x, r)
+        jac = jacobian(x)
         try:
             step = np.linalg.solve(jac, -r)
         except np.linalg.LinAlgError as exc:
@@ -131,7 +118,7 @@ def newton_solve(residual, x0, tol: float = 1e-12, max_iter: int = 100,
 
 def _unit_interval_operators(n: int, param: GegenbauerParam):
     """Gauss nodes, then on [0, 1] the nodes, bumped square matrix (any alpha) and endpoint row E / 2."""
-    biunit = build_gim_gg_bumped(n, param)
+    biunit = build_gim_gg(n, param, variant="bumped")
     square = map_to_unit(biunit)
     endpoint = _full_interval_row(biunit.entries) / 2.0
     return biunit.target_nodes, square.target_nodes, square, endpoint

@@ -11,10 +11,9 @@ import pytest
 from scipy.integrate import IntegrationWarning, quad
 
 from baryquad import (CollisionError, GegenbauerParam, OptimalConfig, apply_quadrature,
-                      build_basis_gim, build_gim_arbitrary, build_gim_gg, build_gim_gg_bumped,
-                      build_gim_gg_guarded, build_optimal_gim, build_optimal_gim_symmetric,
-                      check_gg_condition, gg_rule, map_to_unit, qth_order_gim,
-                      solve_example1, solve_example2)
+                      build_basis_gim, build_gim_arbitrary, build_gim_gg, build_optimal_gim,
+                      build_optimal_gim_symmetric, check_gg_condition, gg_rule, map_to_unit,
+                      qth_order_gim, solve_example1, solve_example2)
 
 pytestmark = pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 
@@ -52,8 +51,8 @@ def test_polynomial_exactness_suite():
                 matrices.append(build_gim_gg(n, param))
             except CollisionError:
                 skipped.append(("plain", n, alpha))
-            matrices.append(build_gim_gg_guarded(n, param))
-            matrices.append(build_gim_gg_bumped(n, param))
+            matrices.append(build_gim_gg(n, param, variant="guarded"))
+            matrices.append(build_gim_gg(n, param, variant="bumped"))
             matrices.append(build_basis_gim(n, param))
             for m in matrices:
                 samples = m.source_nodes[None, :] ** powers[:, None]
@@ -76,7 +75,7 @@ def test_oracle_equivalence_basis_vs_barycentric():
             if check_gg_condition(n, param).feasible:
                 bary = build_gim_gg(n, param)
             else:
-                bary = build_gim_gg_bumped(n, param)
+                bary = build_gim_gg(n, param, variant="bumped")
             worst = max(worst, float(np.max(np.abs(basis.entries - bary.entries))))
     runtime = time.perf_counter() - start
     ok = worst <= 1e-12
@@ -123,8 +122,8 @@ def test_error_parity_runge():
 def test_feasibility_reproduction():
     start = time.perf_counter()
     report = check_gg_condition(4, GegenbauerParam(1.0))
-    bumped = build_gim_gg_bumped(4, GegenbauerParam(1.0))
-    guarded = build_gim_gg_guarded(4, GegenbauerParam(1.0))
+    bumped = build_gim_gg(4, GegenbauerParam(1.0), variant="bumped")
+    guarded = build_gim_gg(4, GegenbauerParam(1.0), variant="guarded")
     x = bumped.target_nodes
     constructors_ok = (np.max(np.abs(apply_quadrature(bumped, np.ones(5)) - (x + 1))) <= 1e-13
                        and np.max(np.abs(apply_quadrature(guarded, np.ones(5)) - (x + 1))) <= 1e-13)

@@ -17,11 +17,11 @@ from hypothesis import assume, example, given, reject, settings, strategies as s
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
-from baryquad import (CollisionError, ConvergenceError, GegenbauerParam, IntegrationMatrix,
-                      OptimalConfig, apply_quadrature, build_basis_gim, build_gim_arbitrary,
-                      build_gim_gg, build_gim_gg_bumped, build_gim_gg_guarded, build_optimal_gim,
-                      check_gg_condition, cli, gg_rule, gim, map_to_unit, lg_rule, matrix_to_csv,
-                      optimal, qth_order_gim, rules)
+from baryquad import (SQUARE_VARIANTS, CollisionError, ConvergenceError, GegenbauerParam,
+                      IntegrationMatrix, OptimalConfig, apply_quadrature, build_basis_gim,
+                      build_gim_arbitrary, build_gim_gg, build_optimal_gim, check_gg_condition,
+                      cli, gg_rule, gim, map_to_unit, lg_rule, matrix_to_csv, optimal, qth_order_gim,
+                      rules)
 from baryquad.barycentric import BarycentricBasis, _gauss_xi, bary_weights_gg, lagrange_matrix
 from baryquad.gim import _build_rows, _collisions, _lg_count_default
 from baryquad.polynomials import EPS_MACH, _integration_relation, _running_integral, _terms
@@ -176,16 +176,16 @@ class TestValuesOnlyScreen:
         assert check_gg_condition(640, GegenbauerParam(1.0)).violations == ((213, 320, 160),)
         assert screens == [641]
 
-    @pytest.mark.parametrize("build, n, alpha, count", [
-        (build_gim_gg, 16, 1.0, 1), (build_gim_gg, 10, 0.5, 1),
-        (build_gim_gg_guarded, 16, 1.0, 1), (build_gim_gg_guarded, 10, 0.5, 1),
-        # the bumped builder screens its larger rule only after a hit
-        (build_gim_gg_bumped, 16, 1.0, 2), (build_gim_gg_bumped, 10, 0.5, 1)])
-    def test_each_square_builder_screens_once_per_rule(self, build, n, alpha, count, screens):
+    @pytest.mark.parametrize("variant, n, alpha, count", [
+        ("plain", 16, 1.0, 1), ("plain", 10, 0.5, 1),
+        ("guarded", 16, 1.0, 1), ("guarded", 10, 0.5, 1),
+        # the bumped variant screens its larger rule only after a hit
+        ("bumped", 16, 1.0, 2), ("bumped", 10, 0.5, 1)])
+    def test_each_square_builder_screens_once_per_rule(self, variant, n, alpha, count, screens):
         try:
-            build(n, GegenbauerParam(alpha))
+            build_gim_gg(n, GegenbauerParam(alpha), variant=variant)
         except CollisionError:
-            assert build is build_gim_gg
+            assert variant == "plain"
         assert screens == [n + 1] * count
 
     def test_the_other_builders_screen_once(self, screens):
@@ -201,13 +201,12 @@ class TestValuesOnlyScreen:
         # each builder raises the first hit of its one screen, with its own message
         detail = "mapped Legendre point coincides with a source node"
         if case in ("plain", "bumped"):
-            # at epsilon = 0.01 the bumped builder's larger rule collides too
+            # at epsilon = 0.01 the bumped variant's larger rule collides too
             n, epsilon = 4, 1e-2
             nodes = gg_rule(n, GegenbauerParam(1.0)).nodes
-            build = build_gim_gg if case == "plain" else build_gim_gg_bumped
             count = _lg_count_default(n) + (case == "bumped")
             first = _collisions(nodes, nodes, lg_rule(count).nodes, epsilon)[1][0]
-            call = lambda: build(n, GegenbauerParam(1.0), epsilon)
+            call = lambda: build_gim_gg(n, GegenbauerParam(1.0), epsilon, case)
         elif case == "arbitrary":
             targets = np.array([-0.3, 0.25, 0.7])
             nodes = gg_rule(6, GegenbauerParam(0.5)).nodes
@@ -232,10 +231,10 @@ class TestValuesOnlyScreen:
         # within 1e-12 of -1/2 the end nodes round onto +-1
         with pytest.raises(ConvergenceError, match="n=640, alpha=-0.499999999999: nodes not ordered"):
             check_gg_condition(640, GegenbauerParam(-0.5 + 1e-12))
-        for build in (build_gim_gg, build_gim_gg_guarded, build_gim_gg_bumped):
+        for variant in SQUARE_VARIANTS:
             for alpha in (10.0, 30.0, -0.5 + 1e-12):
                 with pytest.raises(ConvergenceError):
-                    build(640, GegenbauerParam(alpha))
+                    build_gim_gg(640, GegenbauerParam(alpha), variant=variant)
 
 
 class TestFeasibilityScanReproducibility:
@@ -295,9 +294,9 @@ class TestReflectedSquare:
         square = build_gim_gg(n, param)
         full = build_gim_arbitrary(gg_rule(n, param).nodes, n, param)
         assert np.max(np.abs(square.entries - full.entries)) <= REFLECTION_ATOL
-        # on the feasible set the three square builders return the same bits
-        assert np.array_equal(build_gim_gg_guarded(n, param).entries, square.entries)
-        assert np.array_equal(build_gim_gg_bumped(n, param).entries, square.entries)
+        # on the feasible set the three square variants return the same bits
+        assert np.array_equal(build_gim_gg(n, param, variant="guarded").entries, square.entries)
+        assert np.array_equal(build_gim_gg(n, param, variant="bumped").entries, square.entries)
 
     @pytest.mark.parametrize("n, alpha, epsilon, triple", [
         (4, 1.0, EPS_MACH, (1, 2, 1)), (16, 1.0, EPS_MACH, (5, 8, 4)),
@@ -311,12 +310,12 @@ class TestReflectedSquare:
             build_gim_gg(n, param, epsilon)
         assert (err.value.i, err.value.j, err.value.k) == triple
         guarded, _ = _guarded_oracle(n, alpha, epsilon)
-        assert np.array_equal(build_gim_gg_guarded(n, param, epsilon).entries, guarded)
+        assert np.array_equal(build_gim_gg(n, param, epsilon, variant="guarded").entries, guarded)
 
     @pytest.mark.parametrize("n, alpha, epsilon", [(4, 1.0, EPS_MACH), (16, 1.0, EPS_MACH),
                                                    (160, 1.0, EPS_MACH), (8, 2.0, 1e-4)])
     def test_infeasible_pairs_bump_then_reflect(self, n, alpha, epsilon):
-        # the bumped builder is the plain body with n // 2 + 2 Legendre points: the kernel
+        # the bumped variant is the plain body with n // 2 + 2 Legendre points: the kernel
         # builds the rows j <= (n + 1) // 2 and the others follow by reflection
         nodes, basis, _ = _kernel_inputs(n, alpha)
         lg = lg_rule(_lg_count_default(n) + 1)
@@ -326,7 +325,7 @@ class TestReflectedSquare:
         total = expected[n // 2] + expected[(n + 1) // 2, ::-1]
         for j in range(kept, n + 1):
             expected[j] = total - expected[n - j, ::-1]
-        bumped = build_gim_gg_bumped(n, GegenbauerParam(alpha), epsilon).entries
+        bumped = build_gim_gg(n, GegenbauerParam(alpha), epsilon, variant="bumped").entries
         assert np.array_equal(bumped, expected)
         every_row = _screened_rows(nodes, basis.nodes, basis.xi, lg, epsilon)
         assert np.max(np.abs(bumped - every_row)) <= REFLECTION_ATOL
@@ -342,8 +341,8 @@ class TestReflectedSquare:
         assert _collisions(nodes, basis.nodes, lg.nodes, epsilon)[1] == []
         assert {j for _, j, _ in _collisions(np.array([1.0]), basis.nodes, lg.nodes, epsilon)[1]} == {0}
         square = build_gim_gg(n, param, epsilon).entries
-        for build in (build_gim_gg_guarded, build_gim_gg_bumped):
-            assert np.array_equal(build(n, param, epsilon).entries, square)
+        for variant in ("guarded", "bumped"):
+            assert np.array_equal(build_gim_gg(n, param, epsilon, variant).entries, square)
         assert np.array_equal(build_gim_gg(n, param).entries, square)
         full = _screened_rows(nodes, basis.nodes, basis.xi, lg, EPS_MACH)
         assert np.max(np.abs(square - full)) <= REFLECTION_ATOL
@@ -367,21 +366,21 @@ class TestReflectedSquare:
 class TestGuardedAndBumped:
     def test_guarded_equals_plain_when_feasible(self):
         plain = build_gim_gg(10, GegenbauerParam(0.0))
-        guarded = build_gim_gg_guarded(10, GegenbauerParam(0.0))
+        guarded = build_gim_gg(10, GegenbauerParam(0.0), variant="guarded")
         assert_allclose(guarded.entries, plain.entries, atol=1e-14)
 
     def test_guarded_succeeds_on_infeasible_pair(self):
-        m = build_gim_gg_guarded(4, GegenbauerParam(1.0))
+        m = build_gim_gg(4, GegenbauerParam(1.0), variant="guarded")
         x = m.target_nodes
         assert_allclose(apply_quadrature(m, np.ones(5)), x + 1.0, atol=1e-13)
 
     def test_bumped_equals_plain_when_feasible(self):
         plain = build_gim_gg(10, GegenbauerParam(0.5))
-        bumped = build_gim_gg_bumped(10, GegenbauerParam(0.5))
+        bumped = build_gim_gg(10, GegenbauerParam(0.5), variant="bumped")
         assert_allclose(bumped.entries, plain.entries, atol=1e-13)
 
     def test_bumped_succeeds_on_infeasible_pair(self):
-        m = build_gim_gg_bumped(4, GegenbauerParam(1.0))
+        m = build_gim_gg(4, GegenbauerParam(1.0), variant="bumped")
         x = m.target_nodes
         for p in range(5):
             assert_allclose(apply_quadrature(m, x ** p),
@@ -396,7 +395,7 @@ class TestGuardedAndBumped:
         mapped = 0.5 * ((targets[:, None] + 1.0) * lg.nodes + targets[:, None] - 1.0)
         double = (np.abs(mapped[:, :, None] - basis.nodes) <= epsilon).sum(axis=2) >= 2
         assert double.any() == (epsilon == 2e-2)
-        m = build_gim_gg_guarded(30, param, epsilon=epsilon)
+        m = build_gim_gg(30, param, epsilon=epsilon, variant="guarded")
         assert_allclose(m.entries.sum(axis=1), m.target_nodes + 1.0, rtol=0.0, atol=1e-13)
 
     def test_double_hit_takes_nearest_node_lower_on_tie(self):
@@ -411,7 +410,7 @@ class TestGuardedAndBumped:
     def test_guarded_rows_integrate_legendre_polynomials(self, n):
         # independent of lagrange_matrix: the integral of P_p over [-1, x] is
         # (P_{p+1}(x) - P_{p-1}(x)) / (2p + 1), with P_{-1} = -1; measured at most 5.5e-15
-        m = build_gim_gg_guarded(n, GegenbauerParam(1.0))
+        m = build_gim_gg(n, GegenbauerParam(1.0), variant="guarded")
         x, p = m.target_nodes, np.arange(n + 1)
         assert not check_gg_condition(n, GegenbauerParam(1.0)).feasible
         up = np.polynomial.legendre.legvander(x, n + 1)
@@ -421,12 +420,35 @@ class TestGuardedAndBumped:
         assert np.max(np.abs(got - exact)) <= 1e-14
 
     def test_guarded_matches_bumped_polynomials_at_collision(self):
-        guarded = build_gim_gg_guarded(4, GegenbauerParam(1.0))
-        bumped = build_gim_gg_bumped(4, GegenbauerParam(1.0))
+        guarded = build_gim_gg(4, GegenbauerParam(1.0), variant="guarded")
+        bumped = build_gim_gg(4, GegenbauerParam(1.0), variant="bumped")
         x = guarded.target_nodes
         for p in range(5):
             assert_allclose(apply_quadrature(guarded, x ** p),
                             apply_quadrature(bumped, x ** p), atol=1e-13)
+
+
+class TestSquareVariants:
+    """One vocabulary: the square builder's variants are the words of ``gim --variant``."""
+
+    @pytest.mark.parametrize("variant", ["raise", "bump", "basis", ""])
+    def test_an_unknown_variant_is_refused_before_any_rule(self, monkeypatch, variant):
+        monkeypatch.setattr(rules, "_RULES", OrderedDict())
+        with pytest.raises(ValueError, match="^variant must be one of plain, guarded, bumped, got "):
+            build_gim_gg(4, GegenbauerParam(0.5), variant=variant)
+        assert not rules._RULES
+
+    def test_the_cli_offers_the_variants_and_basis(self):
+        commands = next(action for action in cli.build_parser()._actions if action.dest == "command")
+        variant = next(action for action in commands.choices["gim"]._actions if action.dest == "variant")
+        assert SQUARE_VARIANTS == ("plain", "guarded", "bumped")
+        assert list(variant.choices) == [*SQUARE_VARIANTS, "basis"]
+
+    def test_the_one_policy_builders_are_gone(self):
+        with pytest.raises(ImportError):
+            from baryquad import build_gim_gg_guarded  # noqa: F401
+        with pytest.raises(ImportError):
+            from baryquad import build_gim_gg_bumped  # noqa: F401
 
 
 class TestEndpointRow:
@@ -563,7 +585,7 @@ class TestHigherOrder:
         # relative to max |G_k| at the nodes; over every n <= 100 at 44 alpha in [-0.45, 2]
         # the error was at most 2.03 (n + 1) eps (largest 2.0e-14, at n = 95)
         try:
-            m = qth_order_gim(build_gim_gg_bumped(n, GegenbauerParam(alpha)), 2)
+            m = qth_order_gim(build_gim_gg(n, GegenbauerParam(alpha), variant="bumped"), 2)
         except CollisionError:
             reject()
         g, _ = _running_integral_table(n, 0.5, m.target_nodes)
@@ -632,7 +654,7 @@ class TestUnitIntervalExactness:
             arbitrary = build_gim_arbitrary(targets, n, param)
         except CollisionError:
             reject()
-        for first in (build_gim_gg_bumped(n, param), arbitrary):
+        for first in (build_gim_gg(n, param, variant="bumped"), arbitrary):
             unit = map_to_unit(qth_order_gim(first, q))
             assert unit_interval_error(unit, q) <= 8 * (n + 1) * EPS_MACH
 
@@ -715,10 +737,10 @@ class TestRecordArrays:
         with pytest.raises(ValueError, match="read-only"):
             mat.entries[0, 0] = 2.0
 
-    @pytest.mark.parametrize("build", [build_gim_gg, build_gim_gg_guarded, build_gim_gg_bumped,
-                                       build_basis_gim])
-    def test_built_matrices_are_read_only(self, build):
-        mat = build(6, GegenbauerParam(0.5))
+    @pytest.mark.parametrize("variant", [*SQUARE_VARIANTS, "basis"])
+    def test_built_matrices_are_read_only(self, variant):
+        param = GegenbauerParam(0.5)
+        mat = build_basis_gim(6, param) if variant == "basis" else build_gim_gg(6, param, variant=variant)
         for array in (mat.entries, mat.source_nodes, mat.target_nodes):
             assert not array.flags.writeable
 
@@ -734,7 +756,7 @@ class TestBasisForm:
     def test_equals_barycentric_form(self, alpha):
         for n in (1, 6, 17, 30):
             if not check_gg_condition(n, GegenbauerParam(alpha)).feasible:
-                bary = build_gim_gg_bumped(n, GegenbauerParam(alpha))
+                bary = build_gim_gg(n, GegenbauerParam(alpha), variant="bumped")
             else:
                 bary = build_gim_gg(n, GegenbauerParam(alpha))
             basis = build_basis_gim(n, GegenbauerParam(alpha))
@@ -924,7 +946,7 @@ class TestRowKernelMatchesLagrangeOracle:
         assert (got.value.i, got.value.j, got.value.k) == (want.value.i, want.value.j, want.value.k)
         # guarded rows: the cardinal oracle's bits at a hit, the kernel's elsewhere, and
         # every row on the targets around the first collision near the oracle
-        guarded = build_gim_gg_guarded(n, GegenbauerParam(alpha)).entries
+        guarded = build_gim_gg(n, GegenbauerParam(alpha), variant="guarded").entries
         want_rows, hit = _guarded_oracle(n, alpha, EPS_MACH)
         assert hit[got.value.j] and np.array_equal(guarded, want_rows)
         window = slice(max(got.value.j - 8, 0), got.value.j + 8)
@@ -940,7 +962,7 @@ class TestRowKernelMatchesLagrangeOracle:
         with pytest.raises(CollisionError) as want:
             _oracle_rows(targets, basis, lg, epsilon, "raise")
         assert (got.value.i, got.value.j, got.value.k) == (want.value.i, want.value.j, want.value.k)
-        guarded = build_gim_gg_guarded(30, GegenbauerParam(0.3), epsilon).entries
+        guarded = build_gim_gg(30, GegenbauerParam(0.3), epsilon, variant="guarded").entries
         want_rows, hit = _guarded_oracle(30, 0.3, epsilon)
         assert hit.sum() > 1 and np.array_equal(guarded, want_rows)
         oracle = _oracle_rows(targets, basis, lg, epsilon, "cardinal")
@@ -1071,8 +1093,8 @@ def kernel_threads(monkeypatch):
 #: and per-row, the last both through the kernel alone and through the optimal builder
 KERNEL_CASES = {
     "square": lambda: build_gim_gg(160, GegenbauerParam(0.3)).entries,
-    "guarded": lambda: build_gim_gg_guarded(160, GegenbauerParam(1.0)).entries,
-    "bumped": lambda: build_gim_gg_bumped(52, GegenbauerParam(1.0)).entries,
+    "guarded": lambda: build_gim_gg(160, GegenbauerParam(1.0), variant="guarded").entries,
+    "bumped": lambda: build_gim_gg(52, GegenbauerParam(1.0), variant="bumped").entries,
     "arbitrary": lambda: build_gim_arbitrary(np.linspace(-1.0, 1.0, 777), 40, GegenbauerParam(0.5)).entries,
     "per-row": lambda: _screened_rows(*_per_row_inputs(14, 600), EPS_MACH),
     "optimal": lambda: build_optimal_gim(np.linspace(-0.99, 0.99, 300), OptimalConfig(m=14)).entries,

@@ -1,16 +1,37 @@
 """Tier-1 guards for what the benchmark in ``perfbench/`` relies on.
 
-Both tests read ``perfbench/`` files and change none of them.
+The tests read ``perfbench/`` files and change none of them.
 """
 
 import importlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from baryquad.cli import main
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+#: install perfbench's tracer, run each command of argv[2] (JSON) through the CLI, and print
+#: the number of gim.build_gim_gg spans of each command
+_COUNT_SQUARE_SPANS = """
+import importlib.util, json, sys
+import baryquad.cli
+spec = importlib.util.spec_from_file_location("perfbench_spans", sys.argv[1])
+spans = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(spans)
+tracer = spans.Tracer()
+spans.install(tracer)
+counts = []
+for command, argv in enumerate(json.loads(sys.argv[2])):
+    tracer.command = command
+    assert baryquad.cli.main(argv) == 0, argv
+    counts.append(sum(span[0] == "gim.build_gim_gg" and span[4] == command for span in tracer.spans))
+print(json.dumps(counts))
+"""
 
 
 def test_every_traced_name_resolves():
@@ -21,6 +42,22 @@ def test_every_traced_name_resolves():
         module_name, attr = qualified.split(".")
         module = importlib.import_module("baryquad." + module_name)
         assert callable(getattr(module, attr, None)), qualified
+
+
+def test_every_square_build_is_one_traced_span(tmp_path):
+    # each command builds one square matrix, the solvers' bumped one included; a fresh
+    # interpreter keeps the tracer's rebinding out of the other tests
+    out = str(tmp_path / "out.csv")
+    commands = [["example", "--id", "2", "--n", "9", "--alpha", "0.5"],
+                ["example", "--id", "1", "--n", "10", "--m", "14", "--alpha", "0.7"],
+                ["gim", "--n", "4", "--alpha", "1", "--variant", "bumped", "--out", out],
+                ["gim", "--n", "4", "--alpha", "1", "--variant", "guarded", "--out", out],
+                ["quadbench", "--f", "f3", "--n-grid", "10", "--alpha-grid", "0.5", "--out", out]]
+    env = {**os.environ, "PYTHONPATH": str(PERFBENCH.parent / "src")}
+    run = subprocess.run([sys.executable, "-c", _COUNT_SQUARE_SPANS, str(PERFBENCH / "spans.py"),
+                          json.dumps(commands)], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout.splitlines()[-1]) == [1] * len(commands)
 
 
 def test_feasibility_flags_on_the_default_grid_match_the_reference(tmp_path):

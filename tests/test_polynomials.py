@@ -10,9 +10,9 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from baryquad import (EPS_MACH, GegenbauerParam, OptimalConfig, build_basis_gim, build_gim_gg,
-                      build_gim_gg_guarded, discrete_gegenbauer_transform, error_bound, eta,
-                      gegenbauer_eval, gegenbauer_norm_leading, gg_rule, integrate_gegenbauer,
-                      optimize_alpha, qth_order_gim)
+                      discrete_gegenbauer_transform, error_bound, eta, gegenbauer_eval,
+                      gegenbauer_norm_leading, gg_rule, integrate_gegenbauer, optimize_alpha,
+                      qth_order_gim)
 from baryquad import gim, polynomials
 from baryquad.optimal import _ALPHA_TOL
 from baryquad.polynomials import _norms, _terms
@@ -413,7 +413,7 @@ class TestErrorBound:
         # f = sin wx + cos wx, |f^(n+1)| <= sqrt(2) w^(n+1), on the guarded square matrix;
         # a sweep of n = 1..40, 50 alpha and these w found observed/bound at most 0.46
         param = GegenbauerParam(alpha)
-        matrix = build_gim_gg_guarded(n, param)
+        matrix = build_gim_gg(n, param, variant="guarded")
         x = matrix.target_nodes
         samples = np.sin(omega * matrix.source_nodes) + np.cos(omega * matrix.source_nodes)
         exact = (np.sin(omega * x) - np.cos(omega * x) + math.sin(omega) + math.cos(omega)) / omega

@@ -18,20 +18,20 @@ from baryquad.solvers import _example2_system, _unit_interval_operators
 class TestNewton:
     def test_linear_residual_one_step(self):
         c = np.array([1.0, -2.0, 0.5])
-        x = newton_solve(lambda v: v - c, np.zeros(3))
+        x = newton_solve(lambda v: v - c, np.zeros(3), jacobian=lambda v: np.eye(3))
         assert_allclose(x, c, atol=1e-14)
 
     def test_scalar_quadratic(self):
-        x = newton_solve(lambda v: v ** 2 - 4.0, np.array([3.0]))
+        x = newton_solve(lambda v: v ** 2 - 4.0, np.array([3.0]), jacobian=lambda v: np.diag(2.0 * v))
         assert abs(x[0] - 2.0) <= 1e-12
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
-            newton_solve(lambda v: v, np.array([]))
+            newton_solve(lambda v: v, np.array([]), jacobian=lambda v: np.eye(v.size))
 
     def test_residual_of_wrong_shape_rejected(self):
         with pytest.raises(ValueError, match="residual dimension must match"):
-            newton_solve(lambda v: np.ones(3), np.zeros(2))
+            newton_solve(lambda v: np.ones(3), np.zeros(2), jacobian=lambda v: np.zeros((3, 2)))
 
     def test_singular_jacobian_reported(self):
         with pytest.raises(ConvergenceError, match=r"singular Jacobian \(residual max-norm 1\.000e\+00\)"):
@@ -44,33 +44,28 @@ class TestNewton:
         assert np.array_equal(x, c)
 
     def test_non_convergence_reported(self):
-        # e^v: every Newton step is -1 (to rounding) and is accepted at once, and
-        # divides the residual by e, so 5 iterations from 0 leave it at e^-5
+        # e^v: every Newton step is -1 and is accepted at once, and divides the
+        # residual by e, so 5 iterations from 0 leave it at e^-5
         with pytest.raises(ConvergenceError,
                            match=r"no convergence in 5 iterations \(residual max-norm 6\.738e-03\)"):
-            newton_solve(np.exp, np.array([0.0]), max_iter=5)
+            newton_solve(np.exp, np.array([0.0]), max_iter=5, jacobian=lambda v: np.diag(np.exp(v)))
 
     def test_exhausted_line_search_raises(self):
-        # |v| + 1 is smallest at v = 0, where no step decreases it; the
-        # finite-difference Jacobian there is 1, so the Newton step is -1
+        # |v| + 1 is smallest at v = 0, where no step decreases it; its
+        # right derivative there is 1, so the Newton step is -1
         with pytest.raises(ConvergenceError, match=r"no decrease \(residual max-norm 1\.000e\+00\)"):
-            newton_solve(lambda v: np.abs(v) + 1.0, np.array([0.0]))
+            newton_solve(lambda v: np.abs(v) + 1.0, np.array([0.0]),
+                         jacobian=lambda v: np.diag(np.where(v < 0.0, -1.0, 1.0)))
 
     def test_accepted_step_reuses_line_search_residual(self):
         # the loop as it was when the residual was evaluated again at the
         # accepted point; same iterates, one more evaluation per iteration
-        def reference(residual, x):
+        def reference(residual, jacobian, x):
             r = residual(x)
             iterations = 0
             while np.max(np.abs(r)) > 1e-12:
                 rnorm = np.max(np.abs(r))
-                jac = np.empty((r.size, x.size))
-                for i in range(x.size):
-                    h = math.sqrt(np.finfo(float).eps) * max(1.0, abs(x[i]))
-                    xp = x.copy()
-                    xp[i] += h
-                    jac[:, i] = (residual(xp) - r) / h
-                step = np.linalg.solve(jac, -r)
+                step = np.linalg.solve(jacobian(x), -r)
                 lam = 1.0
                 while np.max(np.abs(residual(x + lam * step))) >= rnorm:
                     lam *= 0.5
@@ -86,18 +81,21 @@ class TestNewton:
             residual.calls = 0
             return residual
 
-        for fn, x0 in ((lambda v: np.arctan(v), [20.0]),
-                       (lambda v: np.array([v[0] ** 3 + v[1] - 1.0, v[1] ** 3 - v[0] + 1.0]), [2.0, -3.0])):
+        for fn, jacobian, x0 in (
+                (lambda v: np.arctan(v), lambda v: np.diag(1.0 / (1.0 + v * v)), [20.0]),
+                (lambda v: np.array([v[0] ** 3 + v[1] - 1.0, v[1] ** 3 - v[0] + 1.0]),
+                 lambda v: np.array([[3.0 * v[0] ** 2, 1.0], [-1.0, 3.0 * v[1] ** 2]]), [2.0, -3.0])):
             old, new = counted(fn), counted(fn)
-            want, iterations = reference(old, np.array(x0))
-            got = newton_solve(new, np.array(x0))
+            want, iterations = reference(old, jacobian, np.array(x0))
+            got = newton_solve(new, np.array(x0), jacobian=jacobian)
             assert iterations > 1
             assert np.array_equal(got, want)
             assert new.calls == old.calls - iterations
 
     def test_damping_handles_overshoot(self):
         # steep residual where the full step overshoots from far away
-        x = newton_solve(lambda v: np.arctan(v), np.array([20.0]))
+        x = newton_solve(lambda v: np.arctan(v), np.array([20.0]),
+                         jacobian=lambda v: np.diag(1.0 / (1.0 + v * v)))
         assert abs(x[0]) <= 1e-12
 
 
@@ -188,8 +186,8 @@ class TestEndpointRow:
 
 
 class TestInfeasiblePairs:
-    """The solvers build their square matrix with the bumped builder, so they
-    solve at the pairs where the plain builder refuses."""
+    """The solvers build their square matrix with the bumped variant, so they
+    solve at the pairs where the plain one refuses."""
 
     def test_example1_at_sixteen_and_one(self):
         param = GegenbauerParam(1.0)
