@@ -28,7 +28,7 @@ from .errors import CollisionError, ConvergenceError
 from .gim import (SQUARE_VARIANTS, _check_gg_batch, build_basis_gim, build_gim_gg, matrix_to_csv,
                   qth_order_gim)
 from .polynomials import EPS_MACH, GegenbauerParam, _check_degree, _check_epsilon
-from .rules import _nodes_weights, _write_lines
+from .rules import _write_lines
 from .solvers import solve_example1, solve_example2, solution_to_csv
 
 USAGE_ERROR = 1
@@ -123,19 +123,9 @@ def cmd_gim(args) -> int:
 
 def cmd_quadbench(args) -> int:
     degrees, params = _grid(args)
-    alphas = tuple(p.alpha for p in params)
-
-    def points():
-        # each degree's Gauss rules in one batch just before its points: the rule cache
-        # holds 512 rules, so a batch of every degree up front would evict them on a large grid
-        for n in degrees:
-            _nodes_weights(n, alphas)
-            for param in params:
-                yield n, param
-
     start = time.perf_counter()
     rows = [(str(n), f"{alpha:.17g}", str(j), f"{eb:.17g}", f"{es:.17g}")
-            for n, alpha, j, eb, es in run_benchmark(args.f, points())]
+            for n, alpha, j, eb, es in run_benchmark(args.f, degrees, params)]
     elapsed = time.perf_counter() - start
     _write_rows(args.out, "n,alpha,node_index,err_bary,err_basis", rows)
     if args.time:

@@ -1,6 +1,7 @@
 """Tests for the quadrature benchmark: its exact oracle, its integrands and its import footprint."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,9 +10,11 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
-from baryquad import GegenbauerParam, gg_rule
-from baryquad.bench import EXACT_INTEGRALS, INTEGRANDS, make_integrand, reference_integrals
+from baryquad import (CollisionError, GegenbauerParam, apply_quadrature, build_basis_gim, build_gim_gg,
+                      gg_rule, rules)
+from baryquad.bench import EXACT_INTEGRALS, make_integrand, reference_integrals, run_benchmark
 from baryquad.cli import main
 
 REPO = Path(__file__).resolve().parents[1]
@@ -75,7 +78,7 @@ class TestExactIntegrals:
     def test_match_adaptive_oracle_at_gauss_nodes(self, name, n, alpha):
         x = gg_rule(n, GegenbauerParam(alpha)).nodes
         exact = EXACT_INTEGRALS[name](x)
-        np.testing.assert_allclose(exact, reference_integrals(INTEGRANDS[name], x),
+        np.testing.assert_allclose(exact, reference_integrals(make_integrand(name), x),
                                    rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("alpha", [-0.25, 0.5, 2.0])
@@ -91,12 +94,59 @@ class TestExactIntegrals:
         assert EXACT_INTEGRALS[name](np.array([-1.0]))[0] == 0.0
 
 
+# f1-f3 as lambdas, and below the grid loop as it stood in the CLI before run_benchmark took
+# the grid: the references that the compiled names and the folded loop keep bit for bit
+_OLD_LAMBDAS = {"f1": lambda x: x ** 20, "f2": lambda x: np.exp(-x ** 2),
+                "f3": lambda x: 1.0 / (1.0 + 25.0 * x ** 2)}
+
+
 class TestMakeIntegrand:
     @pytest.mark.parametrize("expression", ["x**", "[x]", "x/0"])
     def test_malformed_expression_raises_value_error(self, expression):
         # a syntax error, a list value, and a division by zero at the x = 0.25 probe
         with pytest.raises(ValueError, match="integrand expression"):
             make_integrand(expression)
+
+    @pytest.mark.parametrize("name", sorted(_OLD_LAMBDAS))
+    def test_named_integrand_equals_its_old_lambda_bitwise(self, name):
+        x = np.random.default_rng(7).uniform(-1.0, 1.0, 1000)
+        assert np.array_equal(make_integrand(name)(x), _OLD_LAMBDAS[name](x))
+
+
+def _old_rows(integrand, degrees, params):
+    f = _OLD_LAMBDAS.get(integrand) or make_integrand(integrand)
+    exact = EXACT_INTEGRALS.get(integrand)
+    for n in degrees:
+        rules._nodes_weights(n, tuple(p.alpha for p in params))
+        for param in params:
+            try:
+                bary = build_gim_gg(n, param)
+            except CollisionError:
+                yield (n, param.alpha, -1, math.nan, math.nan)
+                continue
+            basis = build_basis_gim(n, param)
+            samples = f(bary.source_nodes)
+            targets = bary.target_nodes
+            if exact:
+                ref = exact(targets)
+            else:
+                ref = np.array([quad(f, -1.0, float(t), epsabs=1e-14, epsrel=1e-14, limit=500)[0]
+                                for t in targets])
+            err_bary = np.abs(apply_quadrature(bary, samples) - ref)
+            err_basis = np.abs(apply_quadrature(basis, samples) - ref)
+            for j in range(len(ref)):
+                yield (n, param.alpha, j, float(err_bary[j]), float(err_basis[j]))
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("integrand", ["f1", "f2", "f3", "exp(-x**2)", "sin(3*x)+x**3", "abs(x)", "pi"])
+def test_run_benchmark_rows_equal_the_old_loop(integrand):
+    # (4, 1) collides: its NaN row is compared too, so the comparison is by repr
+    degrees, params = [4, 11, 24], [GegenbauerParam(a) for a in (-0.25, 0.5, 1.0, 2.0)]
+    want = list(_old_rows(integrand, degrees, params))
+    got = list(run_benchmark(integrand, degrees, params))
+    assert len(got) == 1 + 3 * 5 + 4 * 12 + 4 * 25
+    assert repr(got) == repr(want)
 
 
 class TestBenchmarkSpec:

@@ -212,6 +212,19 @@ class TestQuadbenchCommand:
         header, rows = read_csv(out)
         assert not all(math.isfinite(float(r[3])) for r in rows)
 
+    @pytest.mark.parametrize("expression", ["x**0.5", "1/(x-0.3)", "sqrt(x)", "log(x)", "exp(1000*x)"])
+    def test_non_finite_integrand_warns_once_and_exits_zero(self, expression):
+        # negative bases, a pole, a logarithm of negatives and an overflow: no traceback from
+        # scipy's quad and no numpy warning per evaluation, but one line for the whole run
+        done = _python("-m", "baryquad", "quadbench", "--f", expression, "--n-grid", "4,20",
+                       "--alpha-grid", "0.5")
+        assert done.returncode == 0
+        assert re.fullmatch(rf"<integrand>:1: RuntimeWarning: .*{re.escape(repr(expression))} "
+                            r"is not finite at x = -?\d\.\d+(e-?\d+)?\n", done.stderr)
+        rows = [line.split(",") for line in done.stdout.splitlines()[1:]]
+        assert len(rows) == 5 + 21
+        assert not all(math.isfinite(float(r[3])) and math.isfinite(float(r[4])) for r in rows)
+
     def test_non_integer_degree_exits_one(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"
         assert main(["quadbench", "--n-grid", "3.7", "--alpha-grid", "0.5",
@@ -405,7 +418,8 @@ _DEGREES = st.one_of(st.integers(0, 40).map(str),
 _ALPHAS = st.one_of(st.floats(-0.45, 2.0).map(repr), st.sampled_from(["-0.5", "-1", "nan", "inf", "x"]))
 _ORDERS = st.sampled_from(["-2", "0", "1", "2", "x"])
 _EPSILONS = st.sampled_from(["1e-3", "0", "-1", "nan", "inf"])
-_INTEGRANDS = st.sampled_from(["f1", "f2", "f3", "exp(x)", "x**", "[x]", "x/0", "y"])
+_INTEGRANDS = st.sampled_from(["f1", "f2", "f3", "exp(x)", "x**", "[x]", "x/0", "y",
+                               "x**0.5", "1/(x-0.3)", "sqrt(x)"])
 
 
 @st.composite
@@ -428,6 +442,9 @@ def _command_lines(draw):
 
 
 class TestExitCodeContract:
+    # the one warning line of an integrand that is not finite somewhere is checked apart
+    # (TestQuadbenchCommand); numpy's own RuntimeWarnings still fail this test
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning:<integrand>")
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(argv=_command_lines(), missing=st.booleans())
     def test_every_command_line_exits_zero_one_or_two(self, argv, missing, tmp_path, capsys):

@@ -9,8 +9,9 @@ from numpy.testing import assert_allclose
 
 from baryquad import solvers
 from baryquad import (CollisionError, CollocationSolution, ConvergenceError, GegenbauerParam,
-                      build_gim_arbitrary, build_gim_gg, condition_number_2, map_to_unit,
-                      newton_solve, solution_to_csv, solve_example1, solve_example2)
+                      bary_weights_gg, build_gim_arbitrary, build_gim_gg, condition_number_2,
+                      gg_rule, map_to_unit, newton_solve, solution_to_csv, solve_example1,
+                      solve_example2)
 from baryquad.polynomials import EPS_MACH
 from baryquad.solvers import _example2_system, _unit_interval_operators
 
@@ -165,6 +166,45 @@ class TestExample1:
         s2 = solve_example1(10, 14, GegenbauerParam(0.3))
         assert np.array_equal(s1.values, s2.values)
         assert s1.mae == s2.mae and s1.kappa2 == s2.kappa2
+
+
+def _differentiation_kappa2(n, param):
+    """kappa_2 and MAE of example 1 collocated in differential form on the same Gauss nodes.
+
+    The test-only oracle for the paper's conditioning claim: y' - y - K y = g at the nodes,
+    with the barycentric differentiation matrix for y' and the same endpoint row for the
+    kernel integral, and y(0) = 1 through the interpolant's value at 0 in place of the
+    first equation.
+    """
+    x, s, _, endpoint = _unit_interval_operators(n, param)
+    xi = bary_weights_gg(gg_rule(n, param)).xi
+    d = (xi[None, :] / xi[:, None]) / (x[:, None] - x[None, :] + np.eye(n + 1))
+    np.fill_diagonal(d, 0.0)
+    np.fill_diagonal(d, -d.sum(axis=1))
+    a = 2.0 * d - np.eye(n + 1) - np.exp(np.outer(s, s)) * endpoint[None, :]
+    at_zero = xi / (-1.0 - x)
+    a[0] = at_zero / at_zero.sum()
+    b = (1.0 - np.exp(s + 1.0)) / (s + 1.0)
+    b[0] = 1.0
+    return condition_number_2(a), float(np.max(np.abs(np.linalg.solve(a, b) - np.exp(s))))
+
+
+class TestConditioningClaim:
+    """The paper's "well-conditioned systems": the integral form's kappa_2 stays flat in n."""
+
+    @pytest.mark.parametrize("alpha", [-0.4, 0.0, 0.5, 1.0, 2.0])
+    def test_integral_form_stays_well_conditioned(self, alpha):
+        # measured 35.3-54.5 over these n and alpha, 40.2 at (640, 0.5) and 54.5 at (640, 2)
+        for n in (10, 40, 160, 640):
+            assert solve_example1(n, 14, GegenbauerParam(alpha)).kappa2 <= 60.0, n
+
+    @pytest.mark.parametrize("alpha", [-0.4, 0.0, 0.5, 1.0, 2.0])
+    def test_differential_form_grows_at_least_like_n_squared(self, alpha):
+        # measured at alpha = 0.5: 3.7e5 at n = 40 and 4.8e8 at n = 640, about n^2.6
+        low, low_mae = _differentiation_kappa2(40, GegenbauerParam(alpha))
+        high, _ = _differentiation_kappa2(640, GegenbauerParam(alpha))
+        assert low_mae <= 1e-10  # the oracle solves the same problem
+        assert high / low >= (640 / 40) ** 2
 
 
 class TestEndpointRow:
