@@ -25,7 +25,7 @@ import numpy as np
 
 from .bench import run_benchmark
 from .errors import CollisionError, ConvergenceError
-from .gim import (SQUARE_VARIANTS, _check_gg_batch, build_basis_gim, build_gim_gg, matrix_to_csv,
+from .gim import (SQUARE_VARIANTS, build_basis_gim, build_gim_gg, check_gg_condition, matrix_to_csv,
                   qth_order_gim)
 from .polynomials import EPS_MACH, GegenbauerParam, _check_degree, _check_epsilon
 from .rules import _write_lines
@@ -137,7 +137,7 @@ def cmd_feasibility(args) -> int:
     degrees, params = _grid(args)
     rows = []
     for n in degrees:
-        for param, report in zip(params, _check_gg_batch(n, params, args.epsilon)):
+        for param, report in zip(params, check_gg_condition(n, params, args.epsilon)):
             rows.append((str(n), f"{param.alpha:.17g}", "true" if report.feasible else "false"))
     _write_rows(args.out, "n,alpha,feasible", rows)
     return 0

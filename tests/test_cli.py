@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from baryquad import cli, gim, optimal, rules
+from baryquad import GegenbauerParam, cli, gim, optimal, rules
 from baryquad.bench import EXACT_INTEGRALS
 from baryquad.cli import _write_rows, main, parse_grid
 
@@ -224,6 +224,18 @@ class TestQuadbenchCommand:
         rows = [line.split(",") for line in done.stdout.splitlines()[1:]]
         assert len(rows) == 5 + 21
         assert not all(math.isfinite(float(r[3])) and math.isfinite(float(r[4])) for r in rows)
+
+    def test_divergent_references_past_a_pole_are_not_finite(self):
+        # quad returns finite values past the pole 0.3 (relative error estimates of about 0.1 to 1.9),
+        # which are NaN now, so the rows show the divergence and the one warning fires
+        done = _python("-m", "baryquad", "quadbench", "--f", "1/(x-0.3)", "--n-grid", "20",
+                       "--alpha-grid", "0.5")
+        assert done.returncode == 0 and len(done.stderr.splitlines()) == 1
+        rows = [line.split(",") for line in done.stdout.splitlines()[1:]]
+        past = np.flatnonzero(rules.gg_rule(20, GegenbauerParam(0.5)).nodes > 0.3).tolist()
+        assert len(past) == 8 and len(rows) == 21
+        for j, row in enumerate(rows):
+            assert math.isfinite(float(row[3])) == (j not in past), row
 
     def test_non_integer_degree_exits_one(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"

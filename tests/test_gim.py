@@ -17,11 +17,11 @@ from hypothesis import assume, example, given, reject, settings, strategies as s
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
-from baryquad import (SQUARE_VARIANTS, CollisionError, ConvergenceError, GegenbauerParam,
-                      IntegrationMatrix, OptimalConfig, apply_quadrature, build_basis_gim,
-                      build_gim_arbitrary, build_gim_gg, build_optimal_gim, check_gg_condition,
-                      cli, gg_rule, gim, map_to_unit, lg_rule, matrix_to_csv, optimal, qth_order_gim,
-                      rules)
+from baryquad import (SQUARE_VARIANTS, CollisionError, ConvergenceError, FeasibilityReport,
+                      GegenbauerParam, IntegrationMatrix, OptimalConfig, apply_quadrature,
+                      build_basis_gim, build_gim_arbitrary, build_gim_gg, build_optimal_gim,
+                      check_gg_condition, cli, gg_rule, gim, map_to_unit, lg_rule, matrix_to_csv,
+                      optimal, qth_order_gim, rules)
 from baryquad.barycentric import BarycentricBasis, _gauss_xi, bary_weights_gg, lagrange_matrix
 from baryquad.gim import _build_rows, _collisions, _lg_count_default
 from baryquad.polynomials import EPS_MACH, _integration_relation, _running_integral, _terms
@@ -40,6 +40,20 @@ def iterated_monomial_integral(targets, p):
             - (x ** (p + 2) - (-1.0) ** (p + 2)) / (p + 2))
 
 
+def _legendre_error(matrix):
+    """Largest error of a square matrix on P_0 ... P_n, independent of lagrange_matrix.
+
+    The integral of P_p over [-1, x] is (P_{p+1}(x) - P_{p-1}(x)) / (2p + 1),
+    with P_{-1} = -1.
+    """
+    x, n = matrix.target_nodes, matrix.source_nodes.size - 1
+    up = np.polynomial.legendre.legvander(x, n + 1)
+    down = np.hstack([-np.ones((x.size, 1)), up[:, :n]])
+    exact = (up[:, 1:] - down) / (2 * np.arange(n + 1) + 1)
+    got = matrix.entries @ np.polynomial.legendre.legvander(matrix.source_nodes, n)
+    return np.max(np.abs(got - exact))
+
+
 class TestFeasibility:
     def test_known_infeasible_pair(self):
         report = check_gg_condition(4, GegenbauerParam(1.0))
@@ -54,6 +68,33 @@ class TestFeasibility:
         for alpha in (-0.4, 0.0, 0.5, 1.0, 2.0):
             report = check_gg_condition(1, GegenbauerParam(alpha))
             assert report.feasible and report.violations == ()
+
+    def test_a_sequence_gives_the_report_of_each_parameter(self):
+        # n = 1..100 on the 0.05 grid, one call per degree as feasibility makes it, and a
+        # wide tolerance
+        params = [GegenbauerParam(k / 20) for k in range(-8, 41)]
+        for n in range(1, 101):
+            assert check_gg_condition(n, params) == [check_gg_condition(n, p) for p in params], n
+        wide = [GegenbauerParam(2.0), GegenbauerParam(0.5)]
+        reports = check_gg_condition(8, wide, 1e-4)
+        assert reports == [check_gg_condition(8, p, 1e-4) for p in wide] and not reports[0]
+
+    @pytest.mark.parametrize("kind", [list, tuple, iter])
+    def test_any_sequence_takes_one_node_batch(self, monkeypatch, kind):
+        monkeypatch.setattr(rules, "_RULES", OrderedDict())
+        batches, node_batch = [], rules._node_batch
+
+        def counted(n, alphas):
+            batches.append((n, tuple(alphas)))
+            return node_batch(n, alphas)
+
+        monkeypatch.setattr(rules, "_node_batch", counted)
+        reports = check_gg_condition(16, kind(GegenbauerParam(a) for a in (0.5, 1.0, 1.5)))
+        assert [report.feasible for report in reports] == [True, False, True]
+        assert batches == [(16, (0.5, 1.0, 1.5)), (8, (0.5,))]  # the Gegenbauer nodes, then the Legendre
+        # one parameter still gives one report, from the cached nodes
+        assert isinstance(check_gg_condition(16, GegenbauerParam(0.5)), FeasibilityReport)
+        assert len(batches) == 2
 
     def test_epsilon_must_be_positive(self):
         for epsilon in (0.0, -1.0, -1e-15, math.nan, math.inf):
@@ -303,14 +344,20 @@ class TestReflectedSquare:
         (160, 1.0, EPS_MACH, (53, 80, 40)),
         # only the target x_7 > 0 has a hit: the screen of every target finds it
         (8, 2.0, 1e-4, (0, 7, 0))])
-    def test_infeasible_pairs_build_every_row(self, n, alpha, epsilon, triple):
+    def test_infeasible_pairs_guard_then_reflect(self, n, alpha, epsilon, triple):
         # the first hit in (j, k, i) order, as before any row is reflected
         param = GegenbauerParam(alpha)
         with pytest.raises(CollisionError) as err:
             build_gim_gg(n, param, epsilon)
         assert (err.value.i, err.value.j, err.value.k) == triple
-        guarded, _ = _guarded_oracle(n, alpha, epsilon)
-        assert np.array_equal(build_gim_gg(n, param, epsilon, variant="guarded").entries, guarded)
+        # the guarded variant integrates the rows j <= (n + 1) // 2, a row with a hit through the
+        # cardinal table, and reflects the others; at the default epsilon that moves them at the
+        # rounding level against building every row (measured at most 2.4e-15)
+        guarded = build_gim_gg(n, param, epsilon, variant="guarded").entries
+        want, _, every_row = _guarded_oracle(n, alpha, epsilon)
+        assert np.array_equal(guarded, want)
+        if epsilon == EPS_MACH:
+            assert np.max(np.abs(guarded - every_row)) <= REFLECTION_ATOL
 
     @pytest.mark.parametrize("n, alpha, epsilon", [(4, 1.0, EPS_MACH), (16, 1.0, EPS_MACH),
                                                    (160, 1.0, EPS_MACH), (8, 2.0, 1e-4)])
@@ -319,12 +366,7 @@ class TestReflectedSquare:
         # builds the rows j <= (n + 1) // 2 and the others follow by reflection
         nodes, basis, _ = _kernel_inputs(n, alpha)
         lg = lg_rule(_lg_count_default(n) + 1)
-        kept = (n + 1) // 2 + 1
-        expected = np.empty((n + 1, n + 1))
-        expected[:kept] = _screened_rows(nodes[:kept], basis.nodes, basis.xi, lg, epsilon)
-        total = expected[n // 2] + expected[(n + 1) // 2, ::-1]
-        for j in range(kept, n + 1):
-            expected[j] = total - expected[n - j, ::-1]
+        expected = _reflected(_screened_rows(nodes[:(n + 1) // 2 + 1], basis.nodes, basis.xi, lg, epsilon))
         bumped = build_gim_gg(n, GegenbauerParam(alpha), epsilon, variant="bumped").entries
         assert np.array_equal(bumped, expected)
         every_row = _screened_rows(nodes, basis.nodes, basis.xi, lg, epsilon)
@@ -408,16 +450,17 @@ class TestGuardedAndBumped:
 
     @pytest.mark.parametrize("n", [4, 16, 52, 160, 640])
     def test_guarded_rows_integrate_legendre_polynomials(self, n):
-        # independent of lagrange_matrix: the integral of P_p over [-1, x] is
-        # (P_{p+1}(x) - P_{p-1}(x)) / (2p + 1), with P_{-1} = -1; measured at most 5.5e-15
+        # measured at most 5.5e-15
         m = build_gim_gg(n, GegenbauerParam(1.0), variant="guarded")
-        x, p = m.target_nodes, np.arange(n + 1)
         assert not check_gg_condition(n, GegenbauerParam(1.0)).feasible
-        up = np.polynomial.legendre.legvander(x, n + 1)
-        down = np.hstack([-np.ones((x.size, 1)), up[:, :n]])
-        exact = (up[:, 1:] - down) / (2 * p + 1)
-        got = m.entries @ np.polynomial.legendre.legvander(m.source_nodes, n)
-        assert np.max(np.abs(got - exact)) <= 1e-14
+        assert _legendre_error(m) <= 1e-14
+
+    def test_a_hit_in_a_reflected_row_leaves_the_kernel_rows(self):
+        # at (8, 2.0, 1e-4) only the target x_7 > 0 has a hit, and its row is reflected, so no
+        # row takes the cardinal table's O(epsilon) error (1.2e-4 when every row was built)
+        _, hit, _ = _guarded_oracle(8, 2.0, 1e-4)
+        assert np.flatnonzero(hit).tolist() == [7]
+        assert _legendre_error(build_gim_gg(8, GegenbauerParam(2.0), 1e-4, variant="guarded")) <= 1e-14
 
     def test_guarded_matches_bumped_polynomials_at_collision(self):
         guarded = build_gim_gg(4, GegenbauerParam(1.0), variant="guarded")
@@ -514,6 +557,19 @@ class TestArbitraryTargets:
         below = build_gim_arbitrary([np.nextafter(1.0, 0.0)], n, param)
         at_one = build_gim_arbitrary([1.0], n, param)
         assert_allclose(below.entries, at_one.entries, rtol=0.0, atol=1e-14)
+
+    #: largest change of a row when the target 1 joins the call: measured 2.3e-14 over
+    #: n = 4..200 with n % 4 = 0 at alpha in {-0.4, -0.2, 0, 0.5, 1, 1.5, 2} (at n = 192, alpha = 2)
+    @pytest.mark.parametrize("n, alpha", [(4, 0.5), (130, 2.0), (132, 2.0), (192, 2.0)])
+    def test_the_target_one_bumps_the_whole_call(self, n, alpha):
+        # the endpoint bump takes one more Legendre point for every row of the call, so a
+        # row's bits depend on whether 1 is among the other targets; for n % 4 = 2 there is no bump
+        param = GegenbauerParam(alpha)
+        x = gg_rule(n, param).nodes
+        alone = build_gim_arbitrary(x, n, param).entries
+        joined = build_gim_arbitrary(np.append(x, 1.0), n, param).entries[:-1]
+        assert np.array_equal(alone, joined) == (n % 4 == 2)
+        assert np.max(np.abs(alone - joined)) <= 5e-14
 
     def test_collision_raises(self):
         with pytest.raises(CollisionError):
@@ -906,12 +962,30 @@ def _kernel_inputs(n, alpha, stride=1):
     return rule.nodes[::stride], bary_weights_gg(rule), lg_rule(_lg_count_default(n))
 
 
+def _reflected(rows):
+    """The square matrix from its rows j <= (n + 1) // 2: row j > (n + 1) // 2 is E - Q[n-j, ::-1].
+
+    E is the middle row plus its mirror image, or the middle pair, and
+    ``rows`` may hold more rows than it needs.
+    """
+    n = rows.shape[1] - 1
+    kept = (n + 1) // 2 + 1
+    square = np.empty((n + 1, n + 1))
+    square[:kept] = rows[:kept]
+    total = square[n // 2] + square[(n + 1) // 2, ::-1]
+    for j in range(kept, n + 1):
+        square[j] = total - square[n - j, ::-1]
+    return square
+
+
 def _guarded_oracle(n, alpha, epsilon):
-    """The guarded square matrix from its two sources, and which of its targets have a hit.
+    """The guarded square matrix from its two sources, which of its targets have a hit, and every row built.
 
     A target has a hit when a dense test finds a mapped point within epsilon
     of a node, as in _oracle_rows.  Its row is the cardinal row of
     _oracle_rows; every other row is the row kernel's for that target alone.
+    The guarded matrix keeps the rows j <= (n + 1) // 2 and reflects the
+    others (_reflected).
     """
     nodes, basis, lg = _kernel_inputs(n, alpha)
     rows, hit = np.empty((n + 1, n + 1)), np.zeros(n + 1, dtype=bool)
@@ -922,7 +996,7 @@ def _guarded_oracle(n, alpha, epsilon):
             rows[j] = _oracle_rows([x_j], basis, lg, epsilon, "cardinal")[0]
         else:
             rows[j] = _screened_rows([x_j], basis.nodes, basis.xi, lg, epsilon)[0]
-    return rows, hit
+    return _reflected(rows), hit, rows
 
 
 class TestRowKernelMatchesLagrangeOracle:
@@ -944,14 +1018,16 @@ class TestRowKernelMatchesLagrangeOracle:
         with pytest.raises(CollisionError) as want:
             _oracle_rows(targets, basis, lg, EPS_MACH, "raise")
         assert (got.value.i, got.value.j, got.value.k) == (want.value.i, want.value.j, want.value.k)
-        # guarded rows: the cardinal oracle's bits at a hit, the kernel's elsewhere, and
-        # every row on the targets around the first collision near the oracle
+        # guarded rows: the cardinal oracle's bits at a hit, the kernel's elsewhere, the
+        # others reflected; every integrated row near the oracle, and the reflected rows
+        # near the rows built directly
         guarded = build_gim_gg(n, GegenbauerParam(alpha), variant="guarded").entries
-        want_rows, hit = _guarded_oracle(n, alpha, EPS_MACH)
+        want_rows, hit, every_row = _guarded_oracle(n, alpha, EPS_MACH)
         assert hit[got.value.j] and np.array_equal(guarded, want_rows)
-        window = slice(max(got.value.j - 8, 0), got.value.j + 8)
-        oracle = _oracle_rows(targets[window], basis, lg, EPS_MACH, "cardinal")
-        assert np.max(np.abs(guarded[window] - oracle)) <= 1e-15
+        kept = (n + 1) // 2 + 1
+        oracle = _oracle_rows(targets[:kept], basis, lg, EPS_MACH, "cardinal")
+        assert np.max(np.abs(guarded[:kept] - oracle)) <= 1e-15
+        assert np.max(np.abs(guarded - every_row)) <= REFLECTION_ATOL
 
     @pytest.mark.parametrize("epsilon", [1e-3, 2e-2])
     def test_many_hits_with_wide_tolerance(self, epsilon):
@@ -962,11 +1038,13 @@ class TestRowKernelMatchesLagrangeOracle:
         with pytest.raises(CollisionError) as want:
             _oracle_rows(targets, basis, lg, epsilon, "raise")
         assert (got.value.i, got.value.j, got.value.k) == (want.value.i, want.value.j, want.value.k)
+        # the integrated rows j <= 15 (the reflected ones carry the cardinal rows' O(epsilon)
+        # error of their mirror images, not their own)
         guarded = build_gim_gg(30, GegenbauerParam(0.3), epsilon, variant="guarded").entries
-        want_rows, hit = _guarded_oracle(30, 0.3, epsilon)
-        assert hit.sum() > 1 and np.array_equal(guarded, want_rows)
-        oracle = _oracle_rows(targets, basis, lg, epsilon, "cardinal")
-        assert np.max(np.abs(guarded - oracle)) <= 1e-15
+        want_rows, hit, _ = _guarded_oracle(30, 0.3, epsilon)
+        assert hit[:16].sum() > 1 and np.array_equal(guarded, want_rows)
+        oracle = _oracle_rows(targets[:16], basis, lg, epsilon, "cardinal")
+        assert np.max(np.abs(guarded[:16] - oracle)) <= 1e-15
 
 
 def _per_row_inputs(m, count):

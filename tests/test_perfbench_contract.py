@@ -15,9 +15,9 @@ from baryquad.cli import main
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
-#: install perfbench's tracer, run each command of argv[2] (JSON) through the CLI, and print
-#: the number of gim.build_gim_gg spans of each command
-_COUNT_SQUARE_SPANS = """
+#: install perfbench's tracer, run each command of argv[3] (JSON) through the CLI, and print
+#: the number of spans named argv[2] of each command
+_COUNT_SPANS = """
 import importlib.util, json, sys
 import baryquad.cli
 spec = importlib.util.spec_from_file_location("perfbench_spans", sys.argv[1])
@@ -26,12 +26,24 @@ spec.loader.exec_module(spans)
 tracer = spans.Tracer()
 spans.install(tracer)
 counts = []
-for command, argv in enumerate(json.loads(sys.argv[2])):
+for command, argv in enumerate(json.loads(sys.argv[3])):
     tracer.command = command
     assert baryquad.cli.main(argv) == 0, argv
-    counts.append(sum(span[0] == "gim.build_gim_gg" and span[4] == command for span in tracer.spans))
+    counts.append(sum(span[0] == sys.argv[2] and span[4] == command for span in tracer.spans))
 print(json.dumps(counts))
 """
+
+
+def _span_counts(name, commands):
+    """The number of spans named ``name`` of each command, traced in a fresh interpreter.
+
+    A fresh interpreter keeps the tracer's rebinding out of the other tests.
+    """
+    env = {**os.environ, "PYTHONPATH": str(PERFBENCH.parent / "src")}
+    run = subprocess.run([sys.executable, "-c", _COUNT_SPANS, str(PERFBENCH / "spans.py"), name,
+                          json.dumps(commands)], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    return json.loads(run.stdout.splitlines()[-1])
 
 
 def test_every_traced_name_resolves():
@@ -45,19 +57,22 @@ def test_every_traced_name_resolves():
 
 
 def test_every_square_build_is_one_traced_span(tmp_path):
-    # each command builds one square matrix, the solvers' bumped one included; a fresh
-    # interpreter keeps the tracer's rebinding out of the other tests
+    # each command builds one square matrix, the solvers' bumped one included
     out = str(tmp_path / "out.csv")
     commands = [["example", "--id", "2", "--n", "9", "--alpha", "0.5"],
                 ["example", "--id", "1", "--n", "10", "--m", "14", "--alpha", "0.7"],
                 ["gim", "--n", "4", "--alpha", "1", "--variant", "bumped", "--out", out],
                 ["gim", "--n", "4", "--alpha", "1", "--variant", "guarded", "--out", out],
                 ["quadbench", "--f", "f3", "--n-grid", "10", "--alpha-grid", "0.5", "--out", out]]
-    env = {**os.environ, "PYTHONPATH": str(PERFBENCH.parent / "src")}
-    run = subprocess.run([sys.executable, "-c", _COUNT_SQUARE_SPANS, str(PERFBENCH / "spans.py"),
-                          json.dumps(commands)], env=env, capture_output=True, text=True)
-    assert run.returncode == 0, run.stderr
-    assert json.loads(run.stdout.splitlines()[-1]) == [1] * len(commands)
+    assert _span_counts("gim.build_gim_gg", commands) == [1] * len(commands)
+
+
+def test_every_feasibility_degree_is_one_traced_check(tmp_path):
+    # feasibility calls the public check once per degree, with that degree's whole alpha grid
+    out = str(tmp_path / "out.csv")
+    commands = [["feasibility", "--n-grid", "1:1:4", "--alpha-grid=-0.4:0.1:2", "--out", out],
+                ["feasibility", "--n-grid", "640", "--alpha-grid", "0.5", "--out", out]]
+    assert _span_counts("gim.check_gg_condition", commands) == [4, 1]
 
 
 def test_feasibility_flags_on_the_default_grid_match_the_reference(tmp_path):
